@@ -206,19 +206,33 @@ def canonical_basis(field: Field, ambient: int, vectors) -> Subspace:
 
 
 def kernel(m: Mat) -> Subspace:
-    """Canonical spanning basis of {v : m.v = 0}."""
+    """Canonical spanning basis of {v : m.v = 0}, from one elimination.
+
+    The rows are reduced with their columns reversed.  A free column f then
+    gives a kernel vector that is 1 at f, 0 at every other free column, and
+    (back in natural order) 0 before f, because a reduced row has no entry
+    to the left of its pivot.  Taken in increasing order of f, these vectors
+    are the reduced echelon basis itself, so no second ``rref`` is needed.
+    Reversing also eliminates the trailing columns first; ``blackbox`` puts
+    its internal unknowns there.
+    """
     field = m.field
-    reduced, pivots = rref(m.row_list(), field)
+    n = m.cols
+    reduced, pivots = rref([r[::-1] for r in m.row_list()], field)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [field.zero] * m.cols
+    for fc in range(n - 1, -1, -1):
+        if fc in pivot_set:
+            continue
+        v = [field.zero] * n
         v[fc] = field.one
         for r, pc in zip(reduced, pivots):
-            v[pc] = -r[fc]
-        basis.append(v)
-    return Subspace(field, m.cols, basis)
+            if pc > fc:
+                break
+            if r[fc] != field.zero:
+                v[pc] = -r[fc]
+        basis.append(v[::-1])
+    return Subspace(field, n, basis, _canonical=True)
 
 
 def rank(m: Mat) -> int:

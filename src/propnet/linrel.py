@@ -374,19 +374,39 @@ def port_var_names(mports: int, nports: int):
     return names
 
 
+def _is_negative(c) -> bool:
+    """Sign of a scalar: a rational's own, or the leading coefficient of a
+    rational function's numerator (its denominator is monic)."""
+    if isinstance(c, RatFunc):
+        return c.num.leading() < 0
+    return c < 0
+
+
+def _needs_parens(lit: str) -> bool:
+    """A coefficient printed before '*name' must be grouped when it is a
+    sum (a space outside parentheses) or an ungrouped quotient."""
+    depth = 0
+    for ch in lit:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == " " and depth == 0:
+            return True
+    return "/" in lit and not (lit.startswith("(") and lit.endswith(")"))
+
+
 def format_linear_combination(field, coeffs, names) -> str:
     parts = []
     for cval, name in zip(coeffs, names):
         if cval == field.zero:
             continue
-        lit = field.fmt(cval)
-        neg = lit.startswith("-")
-        mag = lit[1:] if neg else lit
+        neg = _is_negative(cval)
+        mag = field.fmt(-cval if neg else cval)
         if mag == "1":
             text = name
         else:
-            if any(ch in mag for ch in "+-/ ") and not (
-                    mag.startswith("(") and mag.endswith(")")):
+            if _needs_parens(mag):
                 mag = f"({mag})"
             text = f"{mag}*{name}"
         if not parts:

@@ -4,6 +4,11 @@ Plain rationals are ``fractions.Fraction`` (already canonical: positive
 denominator, reduced).  Rational functions are kept canonical with a monic
 denominator and coprime numerator/denominator, so equality is plain
 structural equality.
+
+Most rational functions met in practice have a constant part (circuit
+matrices are full of 0, 1 and -1, and resistor values are constants), and
+a constant part is coprime to anything nonzero.  So ``RatFunc`` runs the
+Euclidean ``poly_gcd`` only when both parts have positive degree.
 """
 
 from __future__ import annotations
@@ -73,6 +78,10 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
+        if len(self.coeffs) == 1:
+            return other.scale(self.coeffs[0])
+        if len(other.coeffs) == 1:
+            return self.scale(other.coeffs[0])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -132,8 +141,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
+_ONE = Poly.const(1)
+
+
 class RatFunc:
-    """Element of Q(s) in canonical form: monic denominator, coprime parts."""
+    """Element of Q(s) in canonical form: monic denominator, coprime parts.
+
+    Construction takes the shortest route to that form.  A zero numerator
+    gives 0/1.  A constant denominator c gives num/c.  A constant numerator
+    is coprime to any denominator, so only the denominator is made monic.
+    ``poly_gcd`` runs only when both parts have positive degree.  Every
+    constant denominator ends up as the one shared polynomial 1.
+    """
 
     __slots__ = ("num", "den")
 
@@ -141,18 +160,29 @@ class RatFunc:
         if isinstance(num, (int, Fraction)):
             num = Poly.const(num)
         if den is None:
-            den = Poly.const(1)
+            den = _ONE
         elif isinstance(den, (int, Fraction)):
             den = Poly.const(den)
         if den.is_zero():
             raise DivisionByZero("zero denominator in rational function")
-        g = poly_gcd(num, den)
-        if not g.is_zero():
-            num = num // g
-            den = den // g
+        if num.is_zero():
+            self.num, self.den = num, _ONE
+            return
+        if len(num.coeffs) > 1 and len(den.coeffs) > 1:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num // g
+                den = den // g
         lead = den.leading()
-        self.num = num.scale(1 / lead)
-        self.den = den.scale(1 / lead)
+        if len(den.coeffs) == 1:
+            # every constant denominator is the shared _ONE (see __mul__)
+            self.num = num if lead == 1 else num.scale(1 / lead)
+            self.den = _ONE
+        elif lead == 1:
+            self.num, self.den = num, den
+        else:
+            self.num = num.scale(1 / lead)
+            self.den = den.scale(1 / lead)
 
     @classmethod
     def const(cls, c) -> "RatFunc":
@@ -178,6 +208,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == other.den:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
@@ -199,6 +231,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den is _ONE and other.den is _ONE:
+            return RatFunc(self.num * other.num)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

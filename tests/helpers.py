@@ -220,3 +220,24 @@ def rand_circuit_gens(rng, with_sources=False):
         names += ["label:vsource:" + str(rng.randint(1, 5)),
                   "label:isource:" + str(rng.randint(1, 5))]
     return names
+
+
+def ladder_circuit(sections, values):
+    """2-port ladder: per section a series resistor (then an inductor, when
+    three values are given) on the top wire and a shunt capacitor to the
+    ground node, which is last.  Ports (top_0, ground) -> (top_n, ground)."""
+    rlc = len(values) == 3
+    nodes = sections + 2 + (sections if rlc else 0)
+    ground = nodes - 1
+    edges = []
+    prev = 0
+    for k in range(1, sections + 1):
+        if rlc:
+            mid = sections + k
+            edges.append((prev, mid, EdgeLabel("resistor", values[0])))
+            edges.append((mid, k, EdgeLabel("inductor", values[1])))
+        else:
+            edges.append((prev, k, EdgeLabel("resistor", values[0])))
+        edges.append((k, ground, EdgeLabel("capacitor", values[-1])))
+        prev = k
+    return LCircuit(LGraph(nodes, edges), [0, ground], [sections, ground])

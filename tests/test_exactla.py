@@ -6,7 +6,7 @@ from propnet.exactla import (DimensionMismatch, Mat, Subspace, kernel,
                              rank, rref, solve, subspace_eq)
 from propnet.scalar import QQ, QS
 
-from helpers import rand_rows, rand_scalar
+from helpers import rand_fraction, rand_ratfunc, rand_rows, rand_scalar
 
 
 def test_rref_idempotent_and_pivots():
@@ -100,3 +100,52 @@ def test_over_qs_entries():
     for _ in range(10):
         x = rand_scalar(rng, QS)
         assert QS.coerce(x) == x
+
+
+# ---------------------------------------------------------------------------
+# kernel returns the canonical basis without a second reduction
+
+def _rand_entry(rng, field):
+    if rng.random() < 0.3:
+        return field.zero
+    # degree 1 over Q(s) keeps the eliminations small
+    return rand_fraction(rng) if field is QQ else rand_ratfunc(rng, 1)
+
+
+def _kernel_cases(rng, field):
+    """(rows, cols, entries) covering the zero matrix, full rank, one row,
+    one column and random shapes."""
+    cases = [(r, c, [field.zero] * (r * c)) for r, c in
+             ((1, 1), (1, 4), (3, 1), (3, 3))]
+    for n in (1, 2, 4):
+        # rows of the identity with random entries after the diagonal,
+        # columns shuffled: full row rank
+        perm = rng.sample(range(n + 2), n + 2)
+        rows = []
+        for i in range(n):
+            row = [field.zero] * (n + 2)
+            row[i] = field.one
+            for j in range(i + 1, n + 2):
+                row[j] = _rand_entry(rng, field)
+            rows.append([row[p] for p in perm])
+        cases.append((n, n + 2, [x for r in rows for x in r]))
+    for r, c in [(1, rng.randint(1, 5)) for _ in range(5)] + \
+                [(rng.randint(1, 4), 1) for _ in range(5)] + \
+                [(rng.randint(1, 4), rng.randint(1, 6)) for _ in range(25)]:
+        cases.append((r, c, [_rand_entry(rng, field) for _ in range(r * c)]))
+    return cases
+
+
+def test_kernel_basis_is_canonical():
+    rng = random.Random(15)
+    for field in (QQ, QS):
+        for r, c, entries in _kernel_cases(rng, field):
+            m = Mat(field, r, c, entries)
+            k = kernel(m)
+            assert Subspace(field, c, k.basis).basis == k.basis
+            for v in k.basis:
+                for i in range(r):
+                    dot = sum((a * b for a, b in zip(m.row(i), v)),
+                              field.zero)
+                    assert dot == field.zero
+            assert k.dim == c - rank(m)

@@ -12,8 +12,8 @@ from propnet.scalar import QQ, QS, RatFunc
 from propnet.setprops import CorelModel
 from propnet.term import evaluate
 
-from helpers import (rand_circuit, rand_circuit_gens, rand_corelation,
-                     rand_term)
+from helpers import (ladder_circuit, rand_circuit, rand_circuit_gens,
+                     rand_corelation, rand_term)
 
 
 def _member(rel, vec):
@@ -143,6 +143,16 @@ def test_dual_path_agreement():
 
 
 def test_format_parse_round_trip():
+    # ladders print negated polynomial coefficients such as -(35*s + 1)
+    for values in ([Fraction(5), Fraction(7)],
+                   [Fraction(2), Fraction(3), Fraction(1, 2)]):
+        for n in range(1, 9):
+            rel = blackbox(ladder_circuit(n, values), QS)
+            assert parse_linrel(format_linrel(rel), 2, 2, QS) == rel
+    # a sum that starts and ends with a bracketed fraction is one coefficient
+    c = QS.parse("s/2 + 3/2")
+    rel = LinRel.from_constraints(QS, 2, 2, [[QS.one, c, -c, QS.zero]])
+    assert parse_linrel(format_linrel(rel), 1, 1, QS) == rel
     rng = random.Random(56)
     for _ in range(40):
         c = rand_circuit(rng, max_nodes=4, max_edges=5)

@@ -66,6 +66,12 @@ def test_ratfunc_zero_division():
         RatFunc.const(1) / RatFunc.const(0)
     with pytest.raises(DivisionByZero):
         RatFunc(Poly([1]), Poly([0]))
+    with pytest.raises(DivisionByZero):
+        RatFunc(0, 0)
+    with pytest.raises(DivisionByZero):
+        RatFunc(Poly.s(), 0)
+    with pytest.raises(DivisionByZero):
+        RatFunc(0).inv()
 
 
 def test_parse_rat():
@@ -102,3 +108,102 @@ def test_field_descriptors():
     assert QS.coerce(Fraction(1, 2)) == RatFunc.const(Fraction(1, 2))
     assert QS.parse("s/2") == RatFunc.s() * QS.coerce(Fraction(1, 2))
     assert QQ.fmt(Fraction(-1, 3)) == "-1/3"
+
+
+# ---------------------------------------------------------------------------
+# differential check of Q(s) arithmetic against sympy
+
+def _operand(rng):
+    """Random element of Q(s): zero, constant, polynomial, quotient, or a
+    quotient built with a common factor that construction must cancel."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return RatFunc(0)
+    if kind == 1:
+        return RatFunc(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    if kind == 2:
+        return RatFunc(rand_poly(rng, 2))
+    num, den = rand_poly(rng, 2), rand_poly(rng, 2)
+    while den.is_zero():
+        den = rand_poly(rng, 2)
+    if kind == 4:
+        common = Poly([rng.randint(-3, 3), rng.choice([1, 2])])
+        num, den = num * common, den * common
+    return RatFunc(num, den)
+
+
+def _sympy_canonical(sympy, s, expr):
+    """Coefficients, lowest degree first, of sympy's reduced quotient of
+    expr, scaled so that the denominator is monic."""
+    p, q = sympy.fraction(sympy.cancel(expr))
+    lead = sympy.Poly(q, s).LC()
+
+    def coeffs(e):
+        poly = sympy.Poly(sympy.expand(e / lead), s)
+        cs = [Fraction(int(c.p), int(c.q))
+              for c in reversed(poly.all_coeffs())]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    return coeffs(p), coeffs(q)
+
+
+def _sympy_poly(sympy, s, p):
+    return sum((sympy.Rational(c.numerator, c.denominator) * s ** k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def _to_sympy(sympy, s, x):
+    return _sympy_poly(sympy, s, x.num) / _sympy_poly(sympy, s, x.den)
+
+
+def _assert_canonical(r):
+    assert r.den.leading() == 1
+    assert poly_gcd(r.num, r.den) == Poly.const(1)
+
+
+def test_ratfunc_arithmetic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    rng = random.Random(5)
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+    checked = 0
+    for _ in range(400):
+        a = _operand(rng)
+        b = _operand(rng)
+        if rng.random() < 0.3:
+            # equal denominators
+            b = RatFunc(rand_poly(rng, 2), a.den)
+        op = rng.choice(sorted(ops))
+        if op == "/" and b.is_zero():
+            with pytest.raises(DivisionByZero):
+                a / b
+            continue
+        got = ops[op](a, b)
+        _assert_canonical(got)
+        want = _sympy_canonical(
+            sympy, s, ops[op](_to_sympy(sympy, s, a), _to_sympy(sympy, s, b)))
+        assert (got.num.coeffs, got.den.coeffs) == want, (a, op, b)
+        checked += 1
+    assert checked > 300
+
+
+def test_ratfunc_construction_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    rng = random.Random(6)
+    for _ in range(300):
+        num = rand_poly(rng, rng.randint(0, 3))
+        den = rand_poly(rng, rng.randint(0, 2))
+        if den.is_zero():
+            continue
+        if rng.random() < 0.4:
+            common = Poly([rng.randint(-3, 3), 1])
+            num, den = num * common, den * common
+        got = RatFunc(num, den)
+        _assert_canonical(got)
+        expr = _sympy_poly(sympy, s, num) / _sympy_poly(sympy, s, den)
+        assert (got.num.coeffs, got.den.coeffs) == \
+            _sympy_canonical(sympy, s, expr)
