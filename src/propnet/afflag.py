@@ -10,7 +10,7 @@ one kernel computation covers both the linear and the translated parts.
 
 from __future__ import annotations
 
-from .exactla import Mat, Subspace, kernel
+from .exactla import Mat, Subspace, kernel, lin_comb
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
 from .linrel import (LinRel, OddDimension, UnsupportedLabel, blackbox,
@@ -35,11 +35,15 @@ class AffRel:
 
     @classmethod
     def from_linrel(cls, rel: LinRel) -> "AffRel":
+        """The basis of ``rel`` with h = 0, then e_h.  e_h's pivot is the
+        last column, where every other vector is 0, so the basis is already
+        the reduced echelon one."""
         field = rel.field
-        vecs = [list(v) + [field.zero] for v in rel.space.basis]
-        vecs.append([field.zero] * (rel.dom + rel.cod) + [field.one])
+        vecs = [v + (field.zero,) for v in rel.space.basis]
+        vecs.append((field.zero,) * (rel.dom + rel.cod) + (field.one,))
         return cls(rel.dom, rel.cod,
-                   Subspace(field, rel.dom + rel.cod + 1, vecs))
+                   Subspace(field, rel.dom + rel.cod + 1, vecs,
+                            _canonical=True))
 
     @classmethod
     def from_constraints(cls, field, dom, cod, rows):
@@ -108,19 +112,10 @@ class AffRel:
             Subspace.full(field, a + b)
         vecs = []
         for cvec in sol.basis:
-            u = [field.zero] * self.dom
-            w = [field.zero] * other.cod
-            hval = field.zero
-            for coeff, bvec in zip(cvec[:a], fb):
-                if coeff != field.zero:
-                    for idx in range(self.dom):
-                        u[idx] = u[idx] + coeff * bvec[idx]
-                    hval = hval + coeff * bvec[hf]
-            for coeff, bvec in zip(cvec[a:], gb):
-                if coeff != field.zero:
-                    for idx in range(other.cod):
-                        w[idx] = w[idx] + coeff * bvec[other.dom + idx]
-            vecs.append(u + w + [hval])
+            # h is taken from f's side; the last row makes g's side equal
+            vecs.append(lin_comb(field, cvec[:a], fb, 0, self.dom)
+                        + lin_comb(field, cvec[a:], gb, other.dom, hg)
+                        + lin_comb(field, cvec[:a], fb, hf, hf + 1))
         return AffRel(self.dom, other.cod,
                       Subspace(field, self.dom + other.cod + 1, vecs))
 
@@ -137,25 +132,11 @@ class AffRel:
         cod = self.cod + other.cod
         vecs = []
         for cvec in sol.basis:
-            uf = [field.zero] * self.dom
-            wf = [field.zero] * self.cod
-            ug = [field.zero] * other.dom
-            wg = [field.zero] * other.cod
-            hval = field.zero
-            for coeff, bvec in zip(cvec[:a], fb):
-                if coeff != field.zero:
-                    for idx in range(self.dom):
-                        uf[idx] = uf[idx] + coeff * bvec[idx]
-                    for idx in range(self.cod):
-                        wf[idx] = wf[idx] + coeff * bvec[self.dom + idx]
-                    hval = hval + coeff * bvec[hf]
-            for coeff, bvec in zip(cvec[a:], gb):
-                if coeff != field.zero:
-                    for idx in range(other.dom):
-                        ug[idx] = ug[idx] + coeff * bvec[idx]
-                    for idx in range(other.cod):
-                        wg[idx] = wg[idx] + coeff * bvec[other.dom + idx]
-            vecs.append(uf + ug + wf + wg + [hval])
+            # f's (u, w, h) and g's (u, w), h taken from f's side
+            fv = lin_comb(field, cvec[:a], fb, 0, hf + 1)
+            gv = lin_comb(field, cvec[a:], gb, 0, hg)
+            vecs.append(fv[:self.dom] + gv[:other.dom] + fv[self.dom:hf]
+                        + gv[other.dom:] + fv[hf:])
         return AffRel(dom, cod, Subspace(field, dom + cod + 1, vecs))
 
     def __eq__(self, other):

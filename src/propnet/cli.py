@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, ArithmeticError) as exc:
         print(f"propnet: error: {exc}", file=sys.stderr)
         return 2
 

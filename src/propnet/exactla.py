@@ -4,6 +4,15 @@ Matrices are dense row-major lists; subspaces are stored in spanning form,
 canonicalized so that each subspace of a given ambient space has exactly one
 representation (reduced echelon basis with pivot 1 and increasing pivots).
 Equality of subspaces is then structural equality of the representations.
+
+The matrices met here come from generators with entries 0 and +-1, so most
+cells are zero and most pivots are already 1.  ``rref`` stores rows densely
+but computes sparsely: it skips every cell whose result is known in advance
+(dividing by a unit pivot, scaling a zero, subtracting a zero multiple).
+Each skipped cell already holds the value it would have been given, and a
+field value has one canonical form, so the reduced basis is exactly the
+dense one.  Constructors whose basis is reduced by construction (identity,
+symmetry, tensor) build ``Subspace(..., _canonical=True)`` and skip ``rref``.
 """
 
 from __future__ import annotations
@@ -72,23 +81,6 @@ class Mat:
             out.append(acc)
         return out
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        rows = []
-        ocols = [[other[i, j] for i in range(other.rows)]
-                 for j in range(other.cols)]
-        for i in range(self.rows):
-            r = self.row(i)
-            out = []
-            for c in ocols:
-                acc = self.field.zero
-                for a, b in zip(r, c):
-                    acc = acc + a * b
-                out.append(acc)
-            rows.append(out)
-        return Mat.from_rows(self.field, rows)
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field is other.field
                 and self.rows == other.rows and self.cols == other.cols
@@ -103,30 +95,52 @@ class Mat:
 
 
 def rref(rows, field: Field):
-    """Reduced row echelon form in place on a list of row lists.
+    """Reduced row echelon form of a list of row lists (copied, not changed).
 
     Returns (rows, pivot_columns); zero rows are removed.
+
+    Only arithmetic whose result is not known in advance is done.  A pivot
+    row is scaled only when its pivot is not 1, by one inverse times each
+    nonzero entry.  A row is updated only when its entry at the pivot column
+    is nonzero, and only at the pivot row's nonzero columns; those all lie
+    at or right of the pivot column, because every row at or below the
+    pivot is zero left of it.  The skipped cells would have been ``x / 1``,
+    ``0 / p``, ``a - f * 0`` or ``a - 0 * b``, each equal to the value left
+    in place, and the pivot cells are set to the 1 and 0 they would have
+    become.  Equal field values have equal canonical forms, so the result
+    is the one the dense elimination gives, entry by entry.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    zero, one = field.zero, field.one
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if rows[i][c] != field.zero:
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        rows[r] = [x / p for x in rows[r]]
+        prow = rows[r]
+        # nonzero columns right of the pivot
+        nz = [j for j in range(c + 1, ncols) if prow[j]]
+        p = prow[c]
+        if p != one:
+            inv = one / p
+            for j in nz:
+                prow[j] = prow[j] * inv
+            prow[c] = one
         for i in range(nrows):
-            if i != r and rows[i][c] != field.zero:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                for j in nz:
+                    row[j] = row[j] - f * prow[j]
+                row[c] = zero
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -156,12 +170,9 @@ class Subspace:
         self.basis = [tuple(v) for v in reduced]
 
     @classmethod
-    def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [])
-
-    @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Mat.identity(field, ambient).row_list())
+        return cls(field, ambient, Mat.identity(field, ambient).row_list(),
+                   _canonical=True)
 
     @property
     def dim(self) -> int:
@@ -201,8 +212,22 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.field.name}^{self.ambient})"
 
 
-def canonical_basis(field: Field, ambient: int, vectors) -> Subspace:
-    return Subspace(field, ambient, vectors)
+def lin_comb(field: Field, coeffs, vectors, lo: int, hi: int):
+    """Sum of ``c * v[lo:hi]`` over the pairs of coeffs and vectors.
+
+    Zero coefficients, zero entries and additions to a zero sum are
+    skipped: their results (no change, or the term itself) are known.
+    """
+    out = [field.zero] * (hi - lo)
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k in range(lo, hi):
+                x = v[k]
+                if x:
+                    t = c * x
+                    acc = out[k - lo]
+                    out[k - lo] = acc + t if acc else t
+    return out
 
 
 def kernel(m: Mat) -> Subspace:
@@ -229,7 +254,7 @@ def kernel(m: Mat) -> Subspace:
         for r, pc in zip(reduced, pivots):
             if pc > fc:
                 break
-            if r[fc] != field.zero:
+            if r[fc]:
                 v[pc] = -r[fc]
         basis.append(v[::-1])
     return Subspace(field, n, basis, _canonical=True)

@@ -10,7 +10,7 @@ port is w((phi, I), (phi', I')) = phi I' - phi' I, with the conjugate
 
 from __future__ import annotations
 
-from .exactla import Mat, Subspace, kernel
+from .exactla import Mat, Subspace, kernel, lin_comb
 from .scalar import Field, QS, RatFunc
 from .setprops import Corelation, InterfaceMismatch
 from .circuit import (CIRCUIT_SIGNATURE, EdgeLabel, LCircuit,
@@ -60,16 +60,20 @@ class LinRel:
 
     @classmethod
     def identity(cls, field, n: int) -> "LinRel":
+        """Basis e_i + e_(n+i): pivots 0..n-1 and one entry in each other
+        column, so it is already the reduced echelon basis."""
         vecs = []
         for i in range(n):
             v = [field.zero] * (2 * n)
             v[i] = field.one
             v[n + i] = field.one
             vecs.append(v)
-        return cls.from_vectors(field, n, n, vecs)
+        return cls(n, n, Subspace(field, 2 * n, vecs, _canonical=True))
 
     @classmethod
     def symmetry(cls, field, m: int, n: int) -> "LinRel":
+        """Basis with pivots 0..m+n-1 in order and one entry in each other
+        column, so it is already the reduced echelon basis."""
         vecs = []
         size = m + n
         for i in range(m):
@@ -82,60 +86,58 @@ class LinRel:
             v[m + j] = field.one
             v[size + j] = field.one
             vecs.append(v)
-        return cls.from_vectors(field, size, size, vecs)
+        return cls(size, size, Subspace(field, 2 * size, vecs,
+                                        _canonical=True))
 
     def compose(self, other: "LinRel") -> "LinRel":
         if self.cod != other.dom:
             raise InterfaceMismatch(
                 f"cannot compose {self.cod} -> with {other.dom} <-")
         field = self.field
-        a = len(self.space.basis)
-        b = len(other.space.basis)
+        fb = self.space.basis
+        gb = other.space.basis
         mid = self.cod
         # rows: middle coordinates; columns: coefficients on f's basis then
         # (negated) on g's basis.  Kernel elements are matching combinations.
         rows = []
         for r in range(mid):
-            row = [v[self.dom + r] for v in self.space.basis]
-            row += [-w[r] for w in other.space.basis]
+            row = [v[self.dom + r] for v in fb]
+            row += [-w[r] for w in gb]
             rows.append(row)
-        if not rows:
-            combos = [[field.one if i == j else field.zero
-                       for j in range(a + b)] for i in range(a + b)]
-            # no middle constraints: all coefficient pairs pass; but only
-            # independent choices of each side matter, handled by the span.
-            sol = Subspace(field, a + b, combos)
-        else:
+        if rows:
             sol = kernel(Mat.from_rows(field, rows))
+        else:
+            # no middle constraints: every pair of combinations matches
+            sol = Subspace.full(field, len(fb) + len(gb))
+        a = len(fb)
         vecs = []
         for cvec in sol.basis:
-            u = [field.zero] * self.dom
-            w = [field.zero] * other.cod
-            for coeff, bvec in zip(cvec[:a], self.space.basis):
-                if coeff != field.zero:
-                    for idx in range(self.dom):
-                        u[idx] = u[idx] + coeff * bvec[idx]
-            for coeff, bvec in zip(cvec[a:], other.space.basis):
-                if coeff != field.zero:
-                    for idx in range(other.cod):
-                        w[idx] = w[idx] + coeff * bvec[other.dom + idx]
-            vecs.append(u + w)
+            vecs.append(lin_comb(field, cvec[:a], fb, 0, self.dom)
+                        + lin_comb(field, cvec[a:], gb, other.dom,
+                                   other.dom + other.cod))
         return LinRel.from_vectors(field, self.dom, other.cod, vecs)
 
     def tensor(self, other: "LinRel") -> "LinRel":
+        """Both bases padded into the (self.dom, other.dom, self.cod,
+        other.cod) layout, sorted by pivot column.
+
+        The two blocks have disjoint supports and each block keeps the
+        order of its columns, so every padded vector still starts with its
+        pivot 1 and is the only vector nonzero in that column.  Sorted by
+        pivot, the union is the reduced echelon basis, and no ``rref`` is
+        needed.
+        """
         field = self.field
+        zero = field.zero
         dom = self.dom + other.dom
         cod = self.cod + other.cod
-        vecs = []
-        for v in self.space.basis:
-            vv = (list(v[:self.dom]) + [field.zero] * other.dom
-                  + list(v[self.dom:]) + [field.zero] * other.cod)
-            vecs.append(vv)
-        for w in other.space.basis:
-            vv = ([field.zero] * self.dom + list(w[:other.dom])
-                  + [field.zero] * self.cod + list(w[other.dom:]))
-            vecs.append(vv)
-        return LinRel.from_vectors(field, dom, cod, vecs)
+        vecs = [v[:self.dom] + (zero,) * other.dom + v[self.dom:]
+                + (zero,) * other.cod for v in self.space.basis]
+        vecs += [(zero,) * self.dom + w[:other.dom] + (zero,) * self.cod
+                 + w[other.dom:] for w in other.space.basis]
+        vecs.sort(key=_pivot)
+        return LinRel(dom, cod, Subspace(field, dom + cod, vecs,
+                                         _canonical=True))
 
     def dagger(self) -> "LinRel":
         vecs = [list(v[self.dom:]) + list(v[:self.dom])
@@ -154,6 +156,11 @@ class LinRel:
     def __repr__(self):
         return (f"LinRel({self.dom}->{self.cod}, "
                 f"dim {self.space.dim} over {self.field.name})")
+
+
+def _pivot(v) -> int:
+    """Column of the first nonzero entry of a basis vector."""
+    return next(k for k, x in enumerate(v) if x)
 
 
 def is_lagrangian(rel: LinRel) -> bool:

@@ -24,6 +24,11 @@ class ScalarParseError(ValueError):
     pass
 
 
+# Largest exponent a scalar literal may use: ``s^k`` is built by k
+# multiplications, so an unbounded k lets a short literal run for minutes.
+MAX_EXPONENT = 1000
+
+
 class Poly:
     """Polynomial in ``s`` with Fraction coefficients.
 
@@ -34,14 +39,14 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def s(cls) -> "Poly":
@@ -90,7 +95,8 @@ class Poly:
         return Poly(out)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = _exact(c)
         return Poly(tuple(a * c for a in self.coeffs))
 
     def monic(self) -> "Poly":
@@ -134,6 +140,13 @@ class Poly:
         return f"Poly({format_poly(self)!r})"
 
 
+def _exact(c) -> Fraction:
+    """``c`` as a Fraction; a float is refused, since it is not exact."""
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}; use a Fraction")
+    return Fraction(c)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by Euclidean remainders; gcd(0, 0) = 0."""
     while not b.is_zero():
@@ -152,6 +165,10 @@ class RatFunc:
     is coprime to any denominator, so only the denominator is made monic.
     ``poly_gcd`` runs only when both parts have positive degree.  Every
     constant denominator ends up as the one shared polynomial 1.
+
+    Negation and inversion of a canonical value are canonical after at most
+    a scaling, so they build their results with ``_canonical`` and skip
+    this constructor; every other result goes through it.
     """
 
     __slots__ = ("num", "den")
@@ -185,6 +202,13 @@ class RatFunc:
             self.den = den.scale(1 / lead)
 
     @classmethod
+    def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
+        """The value num/den, for parts already in canonical form."""
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
+    @classmethod
     def const(cls, c) -> "RatFunc":
         return cls(Poly.const(c))
 
@@ -216,7 +240,8 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        # the denominator is unchanged and still coprime to the numerator
+        return RatFunc._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -238,9 +263,19 @@ class RatFunc:
     __rmul__ = __mul__
 
     def inv(self) -> "RatFunc":
-        if self.is_zero():
+        """den/num: the parts are already coprime, so only the new
+        denominator is made monic (both parts scaled by 1/lead)."""
+        num, den = self.num, self.den
+        if num.is_zero():
             raise DivisionByZero("inverse of zero rational function")
-        return RatFunc(self.den, self.num)
+        lead = num.coeffs[-1]
+        if len(num.coeffs) == 1:
+            return RatFunc._canonical(
+                den if lead == 1 else den.scale(1 / lead), _ONE)
+        if lead == 1:
+            return RatFunc._canonical(den, num)
+        c = 1 / lead
+        return RatFunc._canonical(den.scale(c), num.scale(c))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -368,6 +403,9 @@ def _parse_factor(lx, atom):
             lx.take()
             sign = -1
         exp = _parse_int(lx)
+        if exp > MAX_EXPONENT:
+            raise ScalarParseError(
+                f"exponent {exp} exceeds the limit {MAX_EXPONENT}")
         acc = atom(1)
         for _ in range(exp):
             acc = acc * base

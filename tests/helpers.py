@@ -4,6 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+
 from propnet.scalar import QQ, QS, RatFunc, Poly
 from propnet.setprops import Corelation, Cospan
 from propnet.circuit import EdgeLabel, LCircuit, LGraph
@@ -127,6 +130,78 @@ def rand_scalar(rng, field):
 def rand_rows(rng, field, nrows, ncols):
     return [[field.coerce(rng.randint(-5, 5)) for _ in range(ncols)]
             for _ in range(nrows)]
+
+
+def dense_rref(rows, field):
+    """Reduced row echelon form in place on a list of row lists.
+
+    Returns (rows, pivot_columns); zero rows are removed.
+    """
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != field.zero:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != field.zero:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies; fixed examples so that every run checks the same
+# cases, and no timing health check, so that a slow host cannot fail them
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
+                    database=None, suppress_health_check=[HealthCheck.too_slow])
+
+_small = st.integers(-4, 4)
+_fractions = st.builds(Fraction, _small.filter(bool), st.integers(1, 4))
+# constant or degree-1 polynomials: small, so that eliminations stay cheap
+_polys = st.lists(_small, min_size=1, max_size=2).map(Poly)
+_nonzero_polys = _polys.filter(lambda p: not p.is_zero())
+
+
+def scalars(field):
+    """Nonzero field elements, with pivot values other than 1."""
+    if field is QQ:
+        return _fractions
+    return st.builds(RatFunc, _nonzero_polys, _nonzero_polys)
+
+
+@st.composite
+def sparse_rows(draw, field, max_rows=5, max_cols=6, min_cols=1):
+    """Row lists that are mostly zero, with a zero row and a zero column
+    sometimes forced in."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(min_cols, max_cols))
+    entry = st.one_of(st.just(field.zero), st.just(field.zero),
+                      st.just(field.one), st.just(-field.one), scalars(field))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    zero_row = draw(st.none() | st.integers(0, nrows - 1))
+    zero_col = draw(st.none() | st.integers(0, ncols - 1))
+    if zero_row is not None:
+        rows[zero_row] = [field.zero] * ncols
+    if zero_col is not None:
+        for row in rows:
+            row[zero_col] = field.zero
+    return rows
 
 
 # ---------------------------------------------------------------------------

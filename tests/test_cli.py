@@ -127,6 +127,24 @@ def test_error_paths(capsys):
     assert code == 2 and "error" in err
 
 
+def test_arithmetic_errors_exit_2(capsys):
+    code, _out, err = run(capsys, "eval", "--model", "sigflow", "--field",
+                          "q", "--term", "(scalar 1/0)")
+    assert code == 2 and err.startswith("propnet: error:")
+    code, _out, err = run(capsys, "eval", "--model", "sigflow", "--term",
+                          "(scalar 0^-1)")
+    assert code == 2 and err.startswith("propnet: error:")
+
+
+def test_scalar_exponent_limit_exits_2(capsys):
+    code, _out, err = run(capsys, "eval", "--model", "sigflow", "--term",
+                          "(scalar s^100000)")
+    assert code == 2 and "exponent" in err
+    code, out, _err = run(capsys, "eval", "--model", "sigflow", "--term",
+                          "(scalar s^2)")
+    assert code == 0 and "s^2" in out
+
+
 def test_printed_relation_reparses(capsys):
     code, out, _err = run(capsys, "eval", "--model", "linrel",
                           "--term", "(label capacitor 2)")

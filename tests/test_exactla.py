@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from propnet.exactla import (DimensionMismatch, Mat, Subspace, kernel,
                              rank, rref, solve, subspace_eq)
-from propnet.scalar import QQ, QS
+from propnet.scalar import QQ, QS, RatFunc
 
-from helpers import rand_fraction, rand_ratfunc, rand_rows, rand_scalar
+from helpers import (PROPERTY, dense_rref, rand_fraction, rand_ratfunc,
+                     rand_rows, rand_scalar, sparse_rows)
 
 
 def test_rref_idempotent_and_pivots():
@@ -80,12 +83,18 @@ def test_solve():
     assert solve(singular, [QQ.coerce(0), QQ.coerce(1)]) is None
 
 
-def test_matmul_and_dimension_checks():
-    a = Mat.from_rows(QQ, [[QQ.coerce(1), QQ.coerce(2)]])
-    b = Mat.from_rows(QQ, [[QQ.coerce(3)], [QQ.coerce(4)]])
-    assert (a @ b).row_list() == [[QQ.coerce(11)]]
+def test_dimension_checks():
+    one = QQ.coerce(1)
     with pytest.raises(DimensionMismatch):
-        b @ b
+        Mat(QQ, 2, 2, [one, one, one])
+    with pytest.raises(DimensionMismatch):
+        Mat.from_rows(QQ, [[one, one], [one]])
+    with pytest.raises(DimensionMismatch):
+        Mat.from_rows(QQ, [[one, one]]).mul_vec([one])
+    with pytest.raises(DimensionMismatch):
+        Subspace(QQ, 3, [[one, one]])
+    with pytest.raises(DimensionMismatch):
+        Subspace(QQ, 2, [[one, one]]).contains([one])
 
 
 def test_over_qs_entries():
@@ -149,3 +158,39 @@ def test_kernel_basis_is_canonical():
                               field.zero)
                     assert dot == field.zero
             assert k.dim == c - rank(m)
+
+
+# ---------------------------------------------------------------------------
+# rref skips zeros and unit pivots; the dense elimination is the oracle
+
+over_fields = pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+
+
+def _forms(rows):
+    """Rows of exact canonical forms: (numerator, denominator) of a
+    Fraction, coefficient tuples of a RatFunc's parts."""
+    return [[(x.num.coeffs, x.den.coeffs) if isinstance(x, RatFunc)
+             else (x.numerator, x.denominator) for x in r] for r in rows]
+
+
+@over_fields
+@PROPERTY
+@given(data=st.data())
+def test_rref_matches_dense_oracle(field, data):
+    rows = data.draw(sparse_rows(field))
+    before = [list(r) for r in rows]
+    red, pivots = rref(rows, field)
+    dense_red, dense_pivots = dense_rref(rows, field)
+    assert pivots == dense_pivots
+    assert _forms(red) == _forms(dense_red)
+    assert rows == before
+
+
+@over_fields
+@PROPERTY
+@given(data=st.data())
+def test_rref_is_idempotent(field, data):
+    red, pivots = rref(data.draw(sparse_rows(field)), field)
+    again, pivots2 = rref(red, field)
+    assert pivots2 == pivots
+    assert _forms(again) == _forms(red)

@@ -2,18 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from propnet.afflag import AffRel
 from propnet.circuit import CircuitModel, LCircuit, LGraph, parse_label
 from propnet.linrel import (CorelToLinRelModel, K_corel, LinRel, OddDimension,
                             UnsupportedLabel, blackbox, format_linrel,
                             impedance_rel, is_lagrangian, parse_linrel,
                             rlc_rel)
+from propnet.exactla import Subspace
 from propnet.scalar import QQ, QS, RatFunc
 from propnet.setprops import CorelModel
 from propnet.term import evaluate
 
-from helpers import (ladder_circuit, rand_circuit, rand_circuit_gens,
-                     rand_corelation, rand_term)
+from helpers import (PROPERTY, ladder_circuit, rand_circuit,
+                     rand_circuit_gens, rand_corelation, rand_term,
+                     sparse_rows)
 
 
 def _member(rel, vec):
@@ -161,3 +166,46 @@ def test_format_parse_round_trip():
         assert parse_linrel(text, rel.dom // 2, rel.cod // 2, QS) == rel
     with pytest.raises(OddDimension):
         format_linrel(LinRel.from_constraints(QQ, 1, 0, [[1]]))
+
+
+# ---------------------------------------------------------------------------
+# constructors that skip rref give the bases rref would give
+
+def _is_reduced(space):
+    return Subspace(space.field, space.ambient, space.basis).basis == \
+        space.basis
+
+
+@st.composite
+def _linrels(draw, field):
+    dom = draw(st.integers(0, 3))
+    cod = draw(st.integers(0 if dom else 1, 3))
+    rows = draw(sparse_rows(field, max_rows=4, min_cols=dom + cod,
+                            max_cols=dom + cod))
+    return LinRel.from_vectors(field, dom, cod, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@PROPERTY
+@given(data=st.data())
+def test_tensor_and_from_linrel_are_reduced(field, data):
+    f = data.draw(_linrels(field))
+    g = data.draw(_linrels(field))
+    t = f.tensor(g)
+    assert _is_reduced(t.space)
+    padded = ([list(v[:f.dom]) + [field.zero] * g.dom + list(v[f.dom:])
+               + [field.zero] * g.cod for v in f.space.basis]
+              + [[field.zero] * f.dom + list(w[:g.dom]) + [field.zero] * f.cod
+                 + list(w[g.dom:]) for w in g.space.basis])
+    assert t.space.basis == Subspace(field, t.dom + t.cod, padded).basis
+    assert _is_reduced(AffRel.from_linrel(f).hspace)
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+def test_identity_and_symmetry_are_reduced(field):
+    for n in range(5):
+        assert _is_reduced(LinRel.identity(field, n).space)
+        assert _is_reduced(AffRel.identity(field, n).hspace)
+        for m in range(5):
+            assert _is_reduced(LinRel.symmetry(field, m, n).space)
+            assert _is_reduced(AffRel.symmetry(field, m, n).hspace)

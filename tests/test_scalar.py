@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from propnet.scalar import (DivisionByZero, FIELDS, Poly, QQ, QS, RatFunc,
-                            ScalarParseError, format_poly, format_scalar,
-                            parse_rat, parse_ratfunc, poly_gcd)
+from propnet import scalar
+from propnet.scalar import (DivisionByZero, FIELDS, MAX_EXPONENT, Poly, QQ,
+                            QS, RatFunc, ScalarParseError, format_poly,
+                            format_scalar, parse_rat, parse_ratfunc, poly_gcd)
 
-from helpers import rand_poly, rand_ratfunc
+from helpers import PROPERTY, rand_poly, rand_ratfunc, scalars
 
 
 def test_poly_basics():
@@ -17,6 +19,16 @@ def test_poly_basics():
     assert (p * q) == Poly([0, 0, 3, 6])
     assert Poly([0]).is_zero and Poly().degree == -1
     assert Poly([2, 4]).monic() == Poly([Fraction(1, 2), 1])
+
+
+def test_poly_rejects_floats():
+    with pytest.raises(TypeError):
+        Poly([0.1, 1])
+    with pytest.raises(TypeError):
+        Poly.const(0.5)
+    with pytest.raises(TypeError):
+        Poly([1, 2]).scale(0.5)
+    assert Poly([Fraction(1, 10), 1]).coeffs == (Fraction(1, 10), 1)
 
 
 def test_poly_divmod():
@@ -90,6 +102,17 @@ def test_parse_ratfunc():
     assert parse_ratfunc("1/(s+1)") == RatFunc.const(1) / (s + RatFunc.const(1))
     assert parse_ratfunc("(3s - 2)/(s^2)") == \
         (RatFunc.const(3) * s - RatFunc.const(2)) / (s * s)
+
+
+def test_scalar_exponent_limit():
+    s = RatFunc.s()
+    assert parse_ratfunc("s^2") == s * s
+    assert parse_ratfunc(f"s^{MAX_EXPONENT}").num.degree == MAX_EXPONENT
+    for src in (f"s^{MAX_EXPONENT + 1}", "s^100000", "(s+1)^-100000"):
+        with pytest.raises(ScalarParseError):
+            parse_ratfunc(src)
+    with pytest.raises(ScalarParseError):
+        parse_rat("2^100000")
 
 
 def test_format_round_trip():
@@ -207,3 +230,17 @@ def test_ratfunc_construction_matches_sympy():
         expr = _sympy_poly(sympy, s, num) / _sympy_poly(sympy, s, den)
         assert (got.num.coeffs, got.den.coeffs) == \
             _sympy_canonical(sympy, s, expr)
+
+
+@PROPERTY
+@given(scalars(QS))
+def test_neg_and_inv_build_canonical_values(x):
+    for got, want in ((-x, RatFunc(-x.num, x.den)),
+                      (x.inv(), RatFunc(x.den, x.num))):
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.den.leading() == 1
+        assert poly_gcd(got.num, got.den) == Poly.const(1)
+        if got.den.degree == 0:
+            # the shared constant denominator keeps RatFunc.__mul__'s fast
+            # path for products of polynomials
+            assert got.den is scalar._ONE
