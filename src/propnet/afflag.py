@@ -13,9 +13,9 @@ from __future__ import annotations
 from .exactla import Mat, Subspace, kernel, lin_comb
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
-from .linrel import (LinRel, OddDimension, UnsupportedLabel, blackbox,
-                     format_linear_combination, is_lagrangian,
-                     label_constraint_rows, port_var_names)
+from .linrel import (LinRel, OddDimension, circuit_kernel,
+                     format_linear_combination, is_lagrangian, label_rows,
+                     port_var_names)
 from .circuit import LCircuit
 
 
@@ -48,10 +48,8 @@ class AffRel:
     @classmethod
     def from_constraints(cls, field, dom, cod, rows):
         """Rows span dom+cod+1 entries; the last is minus the constant."""
-        rows = list(rows)
-        if not rows:
-            return cls(dom, cod, Subspace.full(field, dom + cod + 1))
-        return cls(dom, cod, kernel(Mat.from_rows(field, rows)))
+        return cls(dom, cod,
+                   LinRel.from_constraints(field, dom, cod + 1, rows).space)
 
     @classmethod
     def identity(cls, field, n: int) -> "AffRel":
@@ -94,30 +92,22 @@ class AffRel:
         return self.hspace.contains(list(point) + [self.field.one])
 
     def compose(self, other: "AffRel") -> "AffRel":
+        """``LinRel.compose`` of ``self.hspace``, read as a relation
+        dom -> cod+1, with ``other`` lifted to (mid+1) -> (cod+1) by a
+        copy of its h after its domain.  The middle rows are the wires
+        plus h, so h is shared, and the result has the (dom, cod, h)
+        layout.  The lifted basis is not reduced when ``other`` has
+        vectors with a nonzero h after its domain, so ``from_vectors``
+        reduces it."""
         if self.cod != other.dom:
             raise InterfaceMismatch(
                 f"cannot compose {self.cod} -> with {other.dom} <-")
         field = self.field
-        fb = self.hspace.basis
-        gb = other.hspace.basis
-        a, b = len(fb), len(gb)
-        hf = self.dom + self.cod
-        hg = other.dom + other.cod
-        rows = []
-        for r in range(self.cod):
-            rows.append([v[self.dom + r] for v in fb]
-                        + [-w[r] for w in gb])
-        rows.append([v[hf] for v in fb] + [-w[hg] for w in gb])
-        sol = kernel(Mat.from_rows(field, rows)) if rows else \
-            Subspace.full(field, a + b)
-        vecs = []
-        for cvec in sol.basis:
-            # h is taken from f's side; the last row makes g's side equal
-            vecs.append(lin_comb(field, cvec[:a], fb, 0, self.dom)
-                        + lin_comb(field, cvec[a:], gb, other.dom, hg)
-                        + lin_comb(field, cvec[:a], fb, hf, hf + 1))
-        return AffRel(self.dom, other.cod,
-                      Subspace(field, self.dom + other.cod + 1, vecs))
+        d = other.dom
+        lifted = [w[:d] + w[-1:] + w[d:] for w in other.hspace.basis]
+        rel = LinRel(self.dom, self.cod + 1, self.hspace).compose(
+            LinRel.from_vectors(field, d + 1, other.cod + 1, lifted))
+        return AffRel(self.dom, other.cod, rel.space)
 
     def tensor(self, other: "AffRel") -> "AffRel":
         field = self.field
@@ -170,95 +160,22 @@ def is_aff_lagrangian(rel: AffRel) -> bool:
 
 def vsource_rel(field: Field, v) -> AffRel:
     """{phi2 - phi1 = V, I1 = I2}: positive terminal at the edge target."""
-    v = field.coerce(v)
-    one, zero = field.one, field.zero
-    rows = [
-        [-one, zero, one, zero, -v],
-        [zero, one, zero, -one, zero],
-    ]
-    return AffRel.from_constraints(field, 2, 2, rows)
+    return AffRel.from_constraints(field, 2, 2,
+                                   label_rows(field, "vsource", v))
 
 
 def isource_rel(field: Field, i) -> AffRel:
     """{I1 = I2 = I}: potentials across are unconstrained."""
-    i = field.coerce(i)
-    one, zero = field.one, field.zero
-    rows = [
-        [zero, one, zero, zero, -i],
-        [zero, zero, zero, one, -i],
-    ]
-    return AffRel.from_constraints(field, 2, 2, rows)
+    return AffRel.from_constraints(field, 2, 2,
+                                   label_rows(field, "isource", i))
 
 
 def aff_blackbox(c: LCircuit, field: Field = QS) -> AffRel:
-    """Black-boxing with sources: elimination over node potentials, edge
-    currents, and the shared homogenizing constant."""
-    m, n = c.m, c.n
-    nb = 2 * (m + n)
-    nnodes = c.graph.node_count
-    nedges = len(c.graph.edges)
-    width = nb + nnodes + nedges + 1
-    hcol = width - 1
-    zero, one = field.zero, field.one
-
-    def node_var(v):
-        return nb + v
-
-    def edge_var(e):
-        return nb + nnodes + e
-
-    rows = []
-    for i, v in enumerate(c.inputs):
-        row = [zero] * width
-        row[2 * i] = one
-        row[node_var(v)] = -one
-        rows.append(row)
-    for j, v in enumerate(c.outputs):
-        row = [zero] * width
-        row[2 * (m + j)] = one
-        row[node_var(v)] = -one
-        rows.append(row)
-    for e, (s, t, lab) in enumerate(c.graph.edges):
-        if lab.kind == "vsource":
-            row = [zero] * width
-            row[node_var(t)] = row[node_var(t)] + one
-            row[node_var(s)] = row[node_var(s)] - one
-            row[hcol] = -field.coerce(lab.value)
-            rows.append(row)
-        elif lab.kind == "isource":
-            row = [zero] * width
-            row[edge_var(e)] = one
-            row[hcol] = -field.coerce(lab.value)
-            rows.append(row)
-        else:
-            for crow in label_constraint_rows(field, lab):
-                a_phi1, a_i1, a_phi2, a_i2 = crow
-                row = [zero] * width
-                row[node_var(s)] = row[node_var(s)] + a_phi1
-                row[node_var(t)] = row[node_var(t)] + a_phi2
-                row[edge_var(e)] = row[edge_var(e)] + a_i1 + a_i2
-                rows.append(row)
-    for v in range(nnodes):
-        row = [zero] * width
-        for i, iv in enumerate(c.inputs):
-            if iv == v:
-                row[2 * i + 1] = row[2 * i + 1] + one
-        for j, ov in enumerate(c.outputs):
-            if ov == v:
-                row[2 * (m + j) + 1] = row[2 * (m + j) + 1] - one
-        for e, (s, t, _lab) in enumerate(c.graph.edges):
-            if s == v:
-                row[edge_var(e)] = row[edge_var(e)] - one
-            if t == v:
-                row[edge_var(e)] = row[edge_var(e)] + one
-        if any(x != zero for x in row):
-            rows.append(row)
-    if rows:
-        sol = kernel(Mat.from_rows(field, rows))
-    else:
-        sol = Subspace.full(field, width)
-    vecs = [list(v[:nb]) + [v[hcol]] for v in sol.basis]
-    return AffRel(2 * m, 2 * n, Subspace(field, nb + 1, vecs))
+    """Black-boxing with sources: the circuit's kernel projected to the
+    boundary and the shared homogenizing constant."""
+    nb = 2 * (c.m + c.n)
+    vecs = [v[:nb] + v[-1:] for v in circuit_kernel(c, field).basis]
+    return AffRel(2 * c.m, 2 * c.n, Subspace(field, nb + 1, vecs))
 
 
 def format_affrel(rel: AffRel) -> str:

@@ -10,7 +10,7 @@ on doubled terminals.
 from __future__ import annotations
 
 from .scalar import Field, QQ
-from .linrel import K_corel, LinRel
+from .linrel import K_corel, LinRel, LinRelModel
 from .setprops import Corelation, CorelModel
 from .term import (Gen, Id, PropModel, PropTerm, Signature, Sym, arity,
                    evaluate, par, seq)
@@ -22,14 +22,14 @@ BG_SIGNATURE = Signature({
 })
 
 
-class FModel(PropModel):
+class FModel(LinRelModel):
     """Effort/flow behavior: each port carries (E, F)."""
 
     width = 2
     signature = BG_SIGNATURE
 
     def __init__(self, field: Field = QQ):
-        self.field = field
+        super().__init__(field)
 
     def gen(self, name):
         field = self.field
@@ -64,21 +64,6 @@ class FModel(PropModel):
             return LinRel.from_constraints(field, 2, 0, [[zero, one]])
         raise KeyError(name)
 
-    def identity(self, n):
-        return LinRel.identity(self.field, 2 * n)
-
-    def symmetry(self, m, n):
-        return LinRel.symmetry(self.field, 2 * m, 2 * n)
-
-    def seq(self, a, b):
-        return a.compose(b)
-
-    def par(self, a, b):
-        return a.tensor(b)
-
-    def eq(self, a, b):
-        return a == b
-
 
 def _wire_eval(t: PropTerm) -> Corelation:
     return evaluate(t, CorelModel())
@@ -99,28 +84,11 @@ _W = {
 class GModel(PropModel):
     """Corelation semantics: each port becomes two terminals."""
 
+    carrier = Corelation
     width = 2
     signature = BG_SIGNATURE
 
     GENERATORS = {name: _wire_eval(term) for name, term in _W.items()}
-
-    def gen(self, name):
-        return self.GENERATORS[name]
-
-    def identity(self, n):
-        return Corelation.identity(2 * n)
-
-    def symmetry(self, m, n):
-        return Corelation.symmetry(2 * m, 2 * n)
-
-    def seq(self, a, b):
-        return a.compose(b)
-
-    def par(self, a, b):
-        return a.tensor(b)
-
-    def eq(self, a, b):
-        return a == b
 
 
 def F_eval(t: PropTerm, field: Field = QQ) -> LinRel:

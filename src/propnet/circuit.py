@@ -64,6 +64,8 @@ class LGraph:
     __slots__ = ("node_count", "edges")
 
     def __init__(self, node_count: int, edges):
+        if node_count < 0:
+            raise ValueError("node count must not be negative")
         edges = [(int(s), int(t), lab) for s, t, lab in edges]
         for s, t, lab in edges:
             if not (0 <= s < node_count and 0 <= t < node_count):
@@ -248,7 +250,7 @@ class CircuitModel(PropModel):
     """Evaluates circuit terms to concrete circuits (the quotient map from
     free syntax to circuits-up-to-iso)."""
 
-    width = 1
+    carrier = LCircuit
     signature = CIRCUIT_SIGNATURE
 
     GENERATORS = {
@@ -262,21 +264,6 @@ class CircuitModel(PropModel):
         if name in self.GENERATORS:
             return self.GENERATORS[name]
         return LCircuit.single_edge(label_from_gen_name(name))
-
-    def identity(self, n):
-        return LCircuit.identity(n)
-
-    def symmetry(self, m, n):
-        return LCircuit.symmetry(m, n)
-
-    def seq(self, a, b):
-        return a.compose(b)
-
-    def par(self, a, b):
-        return a.tensor(b)
-
-    def eq(self, a, b):
-        return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +280,36 @@ def circuit_to_json(c: LCircuit) -> dict:
             "inputs": list(c.inputs), "outputs": list(c.outputs)}
 
 
-def circuit_from_json(data: dict) -> LCircuit:
+def circuit_from_json(data) -> LCircuit:
+    """The circuit of a parsed JSON object; ValueError for any other
+    shape."""
+    if not isinstance(data, dict):
+        raise ValueError("a circuit must be a JSON object")
     edges = []
-    for entry in data.get("edges", []):
-        lab = entry["label"]
-        edges.append((entry["src"], entry["tgt"],
-                      parse_label(lab["kind"], lab.get("value"))))
-    return LCircuit(LGraph(data["nodes"], edges),
-                    data.get("inputs", []), data.get("outputs", []))
+    for entry in _json_list(data, "edges", dict, "objects"):
+        lab = entry.get("label")
+        if not (isinstance(lab, dict) and isinstance(lab.get("kind"), str)
+                and isinstance(lab.get("value"), (str, type(None)))):
+            raise ValueError(f"edge label {lab!r} must be an object with a "
+                             "string kind and an optional string value")
+        ends = (entry.get("src"), entry.get("tgt"))
+        if any(type(x) is not int for x in ends):
+            raise ValueError("edge 'src' and 'tgt' must be integers")
+        edges.append((*ends, parse_label(lab["kind"], lab.get("value"))))
+    nodes = data.get("nodes")
+    if type(nodes) is not int:
+        raise ValueError("'nodes' must be an integer")
+    return LCircuit(LGraph(nodes, edges),
+                    _json_list(data, "inputs", int, "integers"),
+                    _json_list(data, "outputs", int, "integers"))
+
+
+def _json_list(data: dict, key: str, kind: type, what: str) -> list:
+    items = data.get(key, [])
+    if not isinstance(items, list) or any(type(x) is not kind
+                                          for x in items):
+        raise ValueError(f"'{key}' must be a list of {what}")
+    return items
 
 
 def load_circuit(path) -> LCircuit:

@@ -68,19 +68,6 @@ class Mat:
     def row_list(self):
         return [self.row(i) for i in range(self.rows)]
 
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length != cols")
-        v = [self.field.coerce(x) for x in v]
-        out = []
-        for i in range(self.rows):
-            acc = self.field.zero
-            r = self.row(i)
-            for a, b in zip(r, v):
-                acc = acc + a * b
-            out.append(acc)
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field is other.field
                 and self.rows == other.rows and self.cols == other.cols
@@ -262,25 +249,3 @@ def kernel(m: Mat) -> Subspace:
 
 def rank(m: Mat) -> int:
     return len(rref(m.row_list(), m.field)[0])
-
-
-def subspace_eq(a: Subspace, b: Subspace) -> bool:
-    if a.ambient != b.ambient:
-        raise DimensionMismatch("ambient dimensions differ")
-    return a.basis == b.basis
-
-
-def solve(m: Mat, rhs):
-    """One solution of m.x = rhs, or None if inconsistent."""
-    field = m.field
-    rhs = [field.coerce(x) for x in rhs]
-    if len(rhs) != m.rows:
-        raise DimensionMismatch("rhs length != rows")
-    aug = [m.row(i) + [rhs[i]] for i in range(m.rows)]
-    reduced, pivots = rref(aug, field)
-    x = [field.zero] * m.cols
-    for r, pc in zip(reduced, pivots):
-        if pc == m.cols:
-            return None
-        x[pc] = r[-1]
-    return x

@@ -8,7 +8,7 @@ model is the whole story.
 
 from __future__ import annotations
 
-from .term import Gen, Id, PropModel, PropTerm, Sym, par, seq, model_equal
+from .term import Gen, Id, PropModel, Sym, par, seq, model_equal
 
 
 def frobenius_monoid_laws(mult, unit, comult, counit, prefix="",
@@ -99,7 +99,3 @@ def run_suite(model: PropModel, laws) -> list[tuple[str, bool]]:
     """Evaluate both sides of every law; report (law_id, holds)."""
     return [(law_id, model_equal(model, lhs, rhs))
             for law_id, lhs, rhs in laws]
-
-
-def all_hold(model: PropModel, laws) -> bool:
-    return all(ok for _name, ok in run_suite(model, laws))

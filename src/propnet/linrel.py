@@ -13,9 +13,9 @@ from __future__ import annotations
 from .exactla import Mat, Subspace, kernel, lin_comb
 from .scalar import Field, QS, RatFunc
 from .setprops import Corelation, InterfaceMismatch
-from .circuit import (CIRCUIT_SIGNATURE, EdgeLabel, LCircuit,
+from .circuit import (CIRCUIT_SIGNATURE, SOURCE_KINDS, EdgeLabel, LCircuit,
                       label_from_gen_name)
-from .term import PropModel, UnknownGenerator
+from .term import PropModel
 
 
 class OddDimension(ValueError):
@@ -223,14 +223,25 @@ def K_corel(field: Field, c: Corelation) -> LinRel:
     return LinRel.from_constraints(field, 2 * m, 2 * n, rows)
 
 
-class CorelToLinRelModel(PropModel):
-    """Wire-generator model whose values are potential/current relations."""
-
-    width = 2
+class LinRelModel(PropModel):
+    """Base of the models valued in linear relations over ``field``: the
+    identities and symmetries on ``width`` wires per object."""
 
     def __init__(self, field: Field = QS):
         self.field = field
-        self.signature = CIRCUIT_SIGNATURE
+
+    def identity(self, n):
+        return LinRel.identity(self.field, self.width * n)
+
+    def symmetry(self, m, n):
+        return LinRel.symmetry(self.field, self.width * m, self.width * n)
+
+
+class CorelToLinRelModel(LinRelModel):
+    """Wire-generator model whose values are potential/current relations."""
+
+    width = 2
+    signature = CIRCUIT_SIGNATURE
 
     def gen(self, name):
         from .setprops import CorelModel
@@ -238,135 +249,108 @@ class CorelToLinRelModel(PropModel):
             return K_corel(self.field, CorelModel.GENERATORS[name])
         return rlc_rel(self.field, label_from_gen_name(name))
 
-    def identity(self, n):
-        return LinRel.identity(self.field, 2 * n)
 
-    def symmetry(self, m, n):
-        return LinRel.symmetry(self.field, 2 * m, 2 * n)
+def label_impedance(field: Field, kind: str, value):
+    """Z in phi2 - phi1 = Z I of a wire, impedance, R, L or C label."""
+    if kind == "wire":
+        return field.zero
+    if kind in ("inductor", "capacitor"):
+        if field is not QS:
+            raise UnsupportedLabel(f"{kind}s need the field q(s)")
+        sv = field.coerce(RatFunc.s()) * field.coerce(value)
+        return sv if kind == "inductor" else sv.inv()
+    return field.coerce(value)
 
-    def seq(self, a, b):
-        return a.compose(b)
 
-    def par(self, a, b):
-        return a.tensor(b)
+def label_rows(field: Field, kind: str, value):
+    """Defining rows of a label's behaviour over (phi1, I1, phi2, I2, h).
 
-    def eq(self, a, b):
-        return a == b
+    The last entry is minus the constant: 0 for the linear labels, whose
+    rows are the reduced echelon ones, phi1 - phi2 + Z I2 = 0 and
+    I1 - I2 = 0.
+    """
+    one, zero = field.one, field.zero
+    if kind == "vsource":
+        # phi2 - phi1 = V, I1 = I2: positive terminal at the edge target
+        return [[-one, zero, one, zero, -field.coerce(value)],
+                [zero, one, zero, -one, zero]]
+    if kind == "isource":
+        # I1 = I2 = I: potentials across are unconstrained
+        i = field.coerce(value)
+        return [[zero, one, zero, zero, -i], [zero, zero, zero, one, -i]]
+    return [[one, zero, -one, label_impedance(field, kind, value), zero],
+            [zero, one, zero, -one, zero]]
 
 
 def impedance_rel(field: Field, z) -> LinRel:
     """{phi2 - phi1 = Z I1, I1 = I2} on one port in and one port out."""
-    z = field.coerce(z)
-    one, zero = field.one, field.zero
-    rows = [
-        [-one, -z, one, zero],
-        [zero, one, zero, -one],
-    ]
-    return LinRel.from_constraints(field, 2, 2, rows)
+    rows = label_rows(field, "impedance", z)
+    return LinRel.from_constraints(field, 2, 2, [r[:4] for r in rows])
 
 
 def rlc_rel(field: Field, label: EdgeLabel) -> LinRel:
-    one, zero = field.one, field.zero
-    if label.kind == "wire":
-        return impedance_rel(field, field.zero)
-    if label.kind == "impedance":
-        return impedance_rel(field, label.value)
-    if label.kind == "resistor":
-        return impedance_rel(field, field.coerce(label.value))
-    if label.kind == "inductor":
-        s = field.coerce(RatFunc.s())
-        return impedance_rel(field, s * field.coerce(label.value))
-    if label.kind == "capacitor":
-        sC = field.coerce(RatFunc.s()) * field.coerce(label.value)
-        rows = [
-            [-sC, -one, sC, zero],
-            [zero, one, zero, -one],
-        ]
-        return LinRel.from_constraints(field, 2, 2, rows)
-    raise UnsupportedLabel(f"{label.kind} has no linear behavior")
+    if label.kind in SOURCE_KINDS:
+        raise UnsupportedLabel(f"{label.kind} has no linear behavior")
+    return impedance_rel(field,
+                         label_impedance(field, label.kind, label.value))
 
 
-def label_constraint_rows(field: Field, label: EdgeLabel):
-    """Constraint rows of the label's behavior over (phi1, I1, phi2, I2)."""
-    rel = rlc_rel(field, label)
-    return rel.space.annihilator().basis
+def circuit_kernel(c: LCircuit, field: Field) -> Subspace:
+    """Solutions of a circuit's equations over its boundary (phi, I) pairs,
+    one potential per node, one current per edge and h, in that order.
+
+    The rows are, in order: each terminal's potential equals its node's;
+    both label rows of every edge, kept even when one folds to zero; and
+    Kirchhoff's current balance at each node, where it is not trivial.
+    The kernel is canonical, so the row order never changes the result,
+    but it changes the cost: ``rref`` swaps rows, so the pivot rows it
+    picks, and with them the size of the Q(s) intermediates, depend on
+    row positions.
+    """
+    m = c.m
+    nb = 2 * (m + c.n)
+    nnodes = c.graph.node_count
+    width = nb + nnodes + len(c.graph.edges) + 1
+    zero, one = field.zero, field.one
+    rows = []
+    for k, v in enumerate(c.inputs + c.outputs):
+        row = [zero] * width
+        row[2 * k] = one
+        row[nb + v] = -one
+        rows.append(row)
+    # label rows on (phi_src, J, phi_tgt, J, h)
+    for e, (s, t, lab) in enumerate(c.graph.edges):
+        for a_phi1, a_i1, a_phi2, a_i2, a_h in label_rows(field, lab.kind,
+                                                          lab.value):
+            row = [zero] * width
+            row[nb + s] = row[nb + s] + a_phi1
+            row[nb + t] = row[nb + t] + a_phi2
+            row[nb + nnodes + e] = a_i1 + a_i2
+            row[-1] = a_h
+            rows.append(row)
+    kcl = [[zero] * width for _ in range(nnodes)]
+    for i, v in enumerate(c.inputs):
+        kcl[v][2 * i + 1] = one
+    for j, v in enumerate(c.outputs):
+        kcl[v][2 * (m + j) + 1] = -one
+    for e, (s, t, _lab) in enumerate(c.graph.edges):
+        kcl[s][nb + nnodes + e] = -one
+        kcl[t][nb + nnodes + e] = kcl[t][nb + nnodes + e] + one
+    rows += [row for row in kcl if any(row)]
+    if not rows:
+        return Subspace.full(field, width)
+    return kernel(Mat.from_rows(field, rows))
 
 
 def blackbox(c: LCircuit, field: Field = QS) -> LinRel:
-    """Direct elimination: solve for boundary (phi, I) given one potential
-    unknown per node and one current unknown per edge."""
-    for _s, _t, lab in c.graph.edges:
-        if lab.kind in ("vsource", "isource"):
-            raise UnsupportedLabel(
-                "source labels need the affine black-boxing")
-    m, n = c.m, c.n
-    nb = 2 * (m + n)
-    nnodes = c.graph.node_count
-    nedges = len(c.graph.edges)
-    width = nb + nnodes + nedges
-
-    def phi_in(i):
-        return 2 * i
-
-    def cur_in(i):
-        return 2 * i + 1
-
-    def phi_out(j):
-        return 2 * (m + j)
-
-    def cur_out(j):
-        return 2 * (m + j) + 1
-
-    def node_var(v):
-        return nb + v
-
-    def edge_var(e):
-        return nb + nnodes + e
-
-    zero, one = field.zero, field.one
-    rows = []
-    # terminal potential = node potential
-    for i, v in enumerate(c.inputs):
-        row = [zero] * width
-        row[phi_in(i)] = one
-        row[node_var(v)] = -one
-        rows.append(row)
-    for j, v in enumerate(c.outputs):
-        row = [zero] * width
-        row[phi_out(j)] = one
-        row[node_var(v)] = -one
-        rows.append(row)
-    # per-edge label behavior on (phi_src, J, phi_tgt, J)
-    for e, (s, t, lab) in enumerate(c.graph.edges):
-        for crow in label_constraint_rows(field, lab):
-            a_phi1, a_i1, a_phi2, a_i2 = crow
-            row = [zero] * width
-            row[node_var(s)] = row[node_var(s)] + a_phi1
-            row[node_var(t)] = row[node_var(t)] + a_phi2
-            row[edge_var(e)] = row[edge_var(e)] + a_i1 + a_i2
-            rows.append(row)
-    # Kirchhoff current balance per node
-    for v in range(nnodes):
-        row = [zero] * width
-        for i, iv in enumerate(c.inputs):
-            if iv == v:
-                row[cur_in(i)] = row[cur_in(i)] + one
-        for j, ov in enumerate(c.outputs):
-            if ov == v:
-                row[cur_out(j)] = row[cur_out(j)] - one
-        for e, (s, t, _lab) in enumerate(c.graph.edges):
-            if s == v:
-                row[edge_var(e)] = row[edge_var(e)] - one
-            if t == v:
-                row[edge_var(e)] = row[edge_var(e)] + one
-        if any(x != zero for x in row):
-            rows.append(row)
-    if rows:
-        sol = kernel(Mat.from_rows(field, rows))
-    else:
-        sol = Subspace.full(field, width)
-    vecs = [v[:nb] for v in sol.basis]
-    return LinRel.from_vectors(field, 2 * m, 2 * n, vecs)
+    """The boundary behaviour of a circuit without sources.  Its ``h``
+    column is zero, so the kernel vector e_h projects to 0, which
+    ``from_vectors`` drops."""
+    if any(lab.kind in SOURCE_KINDS for _s, _t, lab in c.graph.edges):
+        raise UnsupportedLabel("source labels need the affine black-boxing")
+    nb = 2 * (c.m + c.n)
+    vecs = [v[:nb] for v in circuit_kernel(c, field).basis]
+    return LinRel.from_vectors(field, 2 * c.m, 2 * c.n, vecs)
 
 
 # ---------------------------------------------------------------------------

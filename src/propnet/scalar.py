@@ -26,7 +26,15 @@ class ScalarParseError(ValueError):
 
 # Largest exponent a scalar literal may use: ``s^k`` is built by k
 # multiplications, so an unbounded k lets a short literal run for minutes.
+# The same bound holds for the degree a power builds, exponent times the
+# degree of its base, so that nested powers such as ``(s^1000)^1000`` do
+# not get round it.
 MAX_EXPONENT = 1000
+
+# Largest product of a power's exponent and the coefficient bit length of
+# its base: the power's coefficients grow to about that many bits, and its
+# multiplications slow down with them.
+MAX_POWER_BITS = 20000
 
 
 class Poly:
@@ -406,6 +414,12 @@ def _parse_factor(lx, atom):
         if exp > MAX_EXPONENT:
             raise ScalarParseError(
                 f"exponent {exp} exceeds the limit {MAX_EXPONENT}")
+        degree, bits = _size(base)
+        if exp * degree > MAX_EXPONENT or exp * bits > MAX_POWER_BITS:
+            raise ScalarParseError(
+                f"power too large: degree {exp * degree} (limit "
+                f"{MAX_EXPONENT}), {exp * bits} coefficient bits (limit "
+                f"{MAX_POWER_BITS})")
         acc = atom(1)
         for _ in range(exp):
             acc = acc * base
@@ -415,6 +429,14 @@ def _parse_factor(lx, atom):
             acc = atom(1) / acc
         return acc
     return base
+
+
+def _size(x):
+    """Degree and largest coefficient bit length of a literal's value."""
+    if isinstance(x, RatFunc):
+        cs = x.num.coeffs + x.den.coeffs
+        return max(x.num.degree, x.den.degree), max(_size(c)[1] for c in cs)
+    return 0, max(x.numerator.bit_length(), x.denominator.bit_length())
 
 
 def _parse_int(lx) -> int:
@@ -470,10 +492,6 @@ def parse_ratfunc(src: str) -> RatFunc:
     return val
 
 
-def format_rat(x: Fraction) -> str:
-    return str(x)
-
-
 def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -503,7 +521,7 @@ def _fmt_coeff(c: Fraction) -> str:
 
 def format_scalar(x) -> str:
     if isinstance(x, Fraction):
-        return format_rat(x)
+        return str(x)
     if isinstance(x, RatFunc):
         if x.den == Poly.const(1):
             return format_poly(x.num)

@@ -84,18 +84,6 @@ class Corelation:
         blocks += [(("x", m + j), ("y", j)) for j in range(n)]
         return cls(m + n, n + m, blocks)
 
-    @classmethod
-    def from_pairs(cls, m: int, n: int, pairs) -> "Corelation":
-        """Partition generated by joining the given terminal pairs."""
-        uf = _UnionFind()
-        for i in range(m):
-            uf.find(("x", i))
-        for j in range(n):
-            uf.find(("y", j))
-        for a, b in pairs:
-            uf.union(a, b)
-        return cls(m, n, uf.groups())
-
     def dagger(self) -> "Corelation":
         swap = {"x": "y", "y": "x"}
         return Corelation(self.n, self.m,
@@ -348,32 +336,8 @@ WIRE_SIGNATURE = Signature({"m": (2, 1), "i": (0, 1), "d": (1, 2),
                             "e": (1, 0)})
 
 
-class _ValueModel(PropModel):
-    """Model whose carrier type provides identity/symmetry/tensor/compose."""
-
-    carrier = None
-
-    def __init__(self, width: int = 1):
-        self.width = width
-        self.signature = WIRE_SIGNATURE
-
-    def identity(self, n):
-        return self.carrier.identity(self.width * n)
-
-    def symmetry(self, m, n):
-        return self.carrier.symmetry(self.width * m, self.width * n)
-
-    def seq(self, a, b):
-        return a.compose(b)
-
-    def par(self, a, b):
-        return a.tensor(b)
-
-    def eq(self, a, b):
-        return a == b
-
-
-class CorelModel(_ValueModel):
+class CorelModel(PropModel):
+    signature = WIRE_SIGNATURE
     carrier = Corelation
 
     GENERATORS = {
@@ -383,14 +347,9 @@ class CorelModel(_ValueModel):
         "e": Corelation(1, 0, [(("x", 0),)]),
     }
 
-    def gen(self, name):
-        try:
-            return self.GENERATORS[name]
-        except KeyError:
-            raise UnknownGenerator(name) from None
 
-
-class CospanModel(_ValueModel):
+class CospanModel(PropModel):
+    signature = WIRE_SIGNATURE
     carrier = Cospan
 
     def gen(self, name):
@@ -400,7 +359,8 @@ class CospanModel(_ValueModel):
         return Cospan(c.m, c.n, c.blocks)
 
 
-class NatSpanModel(_ValueModel):
+class NatSpanModel(PropModel):
+    signature = WIRE_SIGNATURE
     carrier = NatSpan
 
     GENERATORS = {
@@ -410,14 +370,9 @@ class NatSpanModel(_ValueModel):
         "e": NatSpan(1, 0, []),
     }
 
-    def gen(self, name):
-        try:
-            return self.GENERATORS[name]
-        except KeyError:
-            raise UnknownGenerator(name) from None
 
-
-class BoolRelModel(_ValueModel):
+class BoolRelModel(PropModel):
+    signature = WIRE_SIGNATURE
     carrier = BoolRel
 
     def gen(self, name):

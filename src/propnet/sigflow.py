@@ -9,11 +9,12 @@ evaluated translation must match black-boxing.
 
 from __future__ import annotations
 
-from .scalar import Field, QS, RatFunc
+from .scalar import Field, QS
 from .exactla import Subspace
-from .linrel import LinRel, UnsupportedLabel, blackbox
-from .circuit import CircuitModel, label_from_gen_name
-from .term import (Gen, Id, Par, PropModel, PropTerm, Seq, Signature, Sym,
+from .linrel import (LinRel, LinRelModel, UnsupportedLabel, blackbox,
+                     label_impedance)
+from .circuit import CircuitModel, SOURCE_KINDS, label_from_gen_name
+from .term import (Gen, Id, Par, PropTerm, Seq, Signature, Sym,
                    UnknownGenerator, evaluate, par, seq)
 
 
@@ -29,14 +30,10 @@ SIGFLOW_SIGNATURE = Signature({
 }, resolver=_scalar_resolver)
 
 
-class SigFlowModel(PropModel):
+class SigFlowModel(LinRelModel):
     """The functor into linear relations, port width 1."""
 
-    width = 1
     signature = SIGFLOW_SIGNATURE
-
-    def __init__(self, field: Field = QS):
-        self.field = field
 
     def gen(self, name):
         field = self.field
@@ -64,21 +61,6 @@ class SigFlowModel(PropModel):
             return LinRel.from_vectors(field, 1, 1, [[one, c]])
         raise UnknownGenerator(name)
 
-    def identity(self, n):
-        return LinRel.identity(self.field, n)
-
-    def symmetry(self, m, n):
-        return LinRel.symmetry(self.field, m, n)
-
-    def seq(self, a, b):
-        return a.compose(b)
-
-    def par(self, a, b):
-        return a.tensor(b)
-
-    def eq(self, a, b):
-        return a == b
-
 
 def box_eval(t: PropTerm, field: Field = QS) -> LinRel:
     return evaluate(t, SigFlowModel(field))
@@ -101,22 +83,10 @@ def _impedance_term(z) -> PropTerm:
 
 def _label_term(name: str, field: Field) -> PropTerm:
     label = label_from_gen_name(name)
-    s = field.coerce(RatFunc.s()) if field is QS else None
-    if label.kind == "wire":
-        return _impedance_term(field.zero)
-    if label.kind == "impedance":
-        return _impedance_term(field.coerce(label.value))
-    if label.kind == "resistor":
-        return _impedance_term(field.coerce(label.value))
-    if label.kind == "inductor":
-        if s is None:
-            raise UnsupportedLabel("inductors need the field q(s)")
-        return _impedance_term(s * field.coerce(label.value))
-    if label.kind == "capacitor":
-        if s is None:
-            raise UnsupportedLabel("capacitors need the field q(s)")
-        return _impedance_term((s * field.coerce(label.value)).inv())
-    raise UnsupportedLabel(f"{label.kind} has no signal-flow translation")
+    if label.kind in SOURCE_KINDS:
+        raise UnsupportedLabel(
+            f"{label.kind} has no signal-flow translation")
+    return _impedance_term(label_impedance(field, label.kind, label.value))
 
 
 def translate_T(t: PropTerm, field: Field = QS) -> PropTerm:

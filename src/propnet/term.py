@@ -8,6 +8,7 @@ symmetric monoidal extension.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -124,32 +125,38 @@ def arity(t: PropTerm, sig: Signature):
 
 
 class PropModel:
-    """Contract for semantic models; subclasses fill in the operations.
-
-    ``width`` is the number of carried wires per object unit (e.g. 2 when a
-    port carries a potential/current pair).
+    """A semantic model.  Subclasses give ``signature`` and the values of
+    generators, in ``GENERATORS`` or by overriding ``gen``; values compose
+    with ``compose`` and ``tensor`` and compare with ``==``, and
+    identities and symmetries come from ``carrier`` on ``width`` wires
+    per object (e.g. 2 when a port carries a potential/current pair).
     """
 
     signature: Signature
+    GENERATORS: dict = {}
+    carrier = None
     width: int = 1
 
     def gen(self, name):
-        raise NotImplementedError
+        try:
+            return self.GENERATORS[name]
+        except KeyError:
+            raise UnknownGenerator(name) from None
 
     def identity(self, n):
-        raise NotImplementedError
+        return self.carrier.identity(self.width * n)
 
     def symmetry(self, m, n):
-        raise NotImplementedError
+        return self.carrier.symmetry(self.width * m, self.width * n)
 
     def seq(self, a, b):
-        raise NotImplementedError
+        return a.compose(b)
 
     def par(self, a, b):
-        raise NotImplementedError
+        return a.tensor(b)
 
     def eq(self, a, b) -> bool:
-        raise NotImplementedError
+        return a == b
 
 
 def evaluate(t: PropTerm, model: PropModel):
@@ -181,23 +188,13 @@ def model_equal(model: PropModel, s: PropTerm, t: PropTerm) -> bool:
 #   (label KIND LIT?) and (scalar LIT) are generator sugar; they parse to
 #   Gen nodes with structured names "label:kind:lit" / "scalar:lit".
 
+# a bracket, or a run of characters that are neither brackets nor space
+# (``\s`` in a str pattern matches exactly where ``str.isspace`` is true)
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize(src: str):
-    tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, i))
-            i += 1
-        else:
-            j = i
-            while j < len(src) and not src[j].isspace() and src[j] not in "()":
-                j += 1
-            tokens.append((src[i:j], i))
-            i = j
-    return tokens
+    return [(m.group(), m.start()) for m in _TOKEN.finditer(src)]
 
 
 def parse_term(src: str) -> PropTerm:

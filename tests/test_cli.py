@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from propnet.cli import SUITES, main
+from propnet.cli import SUITES, _models, main
 from propnet.linrel import parse_linrel
-from propnet.scalar import QS
+from propnet.scalar import FIELDS, QS
+from propnet.term import Gen, Id, Sym, model_equal, par, seq
 
 
 def run(capsys, *argv):
@@ -154,3 +155,74 @@ def test_printed_relation_reparses(capsys):
     two = QS.coerce(2)
     # I = 2s (phi2 - phi1)
     assert rel.space.contains([QS.zero, two * s, QS.one, two * s])
+
+
+def test_nested_power_limit_exits_2(tmp_path, capsys):
+    # term literals hold no brackets, but circuit label values do
+    path = write_circuit(tmp_path, {
+        "nodes": 2, "inputs": [0], "outputs": [1],
+        "edges": [{"src": 0, "tgt": 1, "label": {
+            "kind": "impedance", "value": "((s+1)^30)^100"}}]})
+    code, _out, err = run(capsys, "blackbox", "--circuit", path)
+    assert code == 2 and "degree" in err
+
+
+MALFORMED_CIRCUITS = [
+    ([], "JSON object"),
+    ({"nodes": -1}, "negative"),
+    ({"nodes": "3"}, "'nodes'"),
+    ({"edges": []}, "'nodes'"),
+    ({"nodes": 2, "inputs": [0, None]}, "'inputs'"),
+    ({"nodes": 2, "outputs": "01"}, "'outputs'"),
+    ({"nodes": 2, "edges": {}}, "'edges'"),
+    ({"nodes": 2, "edges": [3]}, "'edges'"),
+    ({"nodes": 2, "edges": [{"src": 0, "tgt": 1, "label": "resistor"}]},
+     "label"),
+    ({"nodes": 2, "edges": [{"src": 0, "tgt": 1,
+                             "label": {"kind": "resistor", "value": 5}}]},
+     "label"),
+    ({"nodes": 2, "edges": [{"src": 0, "tgt": 1, "label": {"value": "5"}}]},
+     "label"),
+    ({"nodes": 2, "edges": [{"src": "0", "tgt": 1,
+                             "label": {"kind": "wire"}}]}, "'src'"),
+    ({"nodes": 2, "edges": [{"tgt": 1, "label": {"kind": "wire"}}]},
+     "'src'"),
+    ({"nodes": 2, "edges": [{"src": 0, "tgt": 2,
+                             "label": {"kind": "wire"}}]}, "out of range"),
+    ({"nodes": 2, "inputs": [2]}, "out of range"),
+]
+
+
+@pytest.mark.parametrize("data,message", MALFORMED_CIRCUITS)
+def test_malformed_circuit_exits_2(tmp_path, capsys, data, message):
+    path = write_circuit(tmp_path, data)
+    code, out, err = run(capsys, "blackbox", "--circuit", path)
+    assert code == 2 and out == ""
+    assert err.startswith("propnet: error:") and message in err
+
+
+def test_wellformed_circuit_variants(tmp_path, capsys):
+    # a null value on a wire, and missing legs, are accepted
+    path = write_circuit(tmp_path, {
+        "nodes": 2, "edges": [{"src": 0, "tgt": 1,
+                               "label": {"kind": "wire", "value": None}}]})
+    code, out, _err = run(capsys, "blackbox", "--circuit", path)
+    assert code == 0 and out.strip() == "(no constraints)"
+
+
+GENERATORS = {"circuit": "m", "corel": "m", "cospan": "m", "natspan": "m",
+              "boolrel": "m", "linrel": "m", "sigflow": "add",
+              "bondgraph-f": "1j", "bondgraph-g": "1j"}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_every_model_is_a_symmetric_monoidal_functor(field):
+    models = _models(FIELDS[field])
+    assert sorted(models) == sorted(GENERATORS)
+    for name, model in models.items():
+        g = Gen(GENERATORS[name])
+        assert model_equal(model, seq(Sym(1, 1), Sym(1, 1)), Id(2)), name
+        assert model_equal(model, seq(Sym(1, 2), Sym(2, 1)), Id(3)), name
+        assert model_equal(model, par(Id(0), g), g), name
+        assert model_equal(model, par(g, Id(0)), g), name
+        assert model_equal(model, seq(Id(2), g), g), name

@@ -107,6 +107,10 @@ def test_rlc_relations():
         assert is_lagrangian(rel)
     with pytest.raises(UnsupportedLabel):
         rlc_rel(QS, parse_label("vsource", "5"))
+    # L and C need s, which the field q lacks
+    for kind in ("inductor", "capacitor"):
+        with pytest.raises(UnsupportedLabel, match="need the field q"):
+            rlc_rel(QQ, parse_label(kind, "2"))
 
 
 def test_series_parallel_physics():

@@ -115,6 +115,24 @@ def test_scalar_exponent_limit():
         parse_rat("2^100000")
 
 
+def test_power_size_limit():
+    # the degree and the coefficient size a power builds are bounded, so
+    # nested powers cannot get round the per-exponent limit
+    assert parse_ratfunc("(s^2)^500").num.degree == MAX_EXPONENT
+    assert parse_rat("(2^1000)^9") == 2 ** 9000
+    for src in ("(s^1000)^1000", "(s^30)^1000", "((s+1)^30)^100",
+                "(s^2)^501", "(2^1000)^1000", "(1/(s+1))^1001"):
+        with pytest.raises(ScalarParseError):
+            parse_ratfunc(src)
+    with pytest.raises(ScalarParseError):
+        parse_rat("(2^1000)^1000")
+    # 2^100 has 101 bits
+    assert scalar.MAX_POWER_BITS == 20000
+    assert parse_rat("(2^100)^198") == 2 ** 19800
+    with pytest.raises(ScalarParseError, match="coefficient bits"):
+        parse_rat("(2^100)^199")
+
+
 def test_format_round_trip():
     rng = random.Random(4)
     for _ in range(100):

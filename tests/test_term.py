@@ -1,11 +1,14 @@
 import random
+import re
+import sys
 
 import pytest
 
 from propnet.setprops import CorelModel, CospanModel, WIRE_SIGNATURE
 from propnet.term import (ArityMismatch, Gen, Id, Par, Seq, Sym,
-                          TermParseError, UnknownGenerator, arity, evaluate,
-                          format_term, model_equal, par, parse_term, seq)
+                          TermParseError, UnknownGenerator, _tokenize, arity,
+                          evaluate, format_term, model_equal, par, parse_term,
+                          seq)
 
 from helpers import rand_term
 
@@ -41,6 +44,31 @@ def test_parse_errors():
     for bad in ["", "(gen m", "(seq)", "(id x)", "(frob m)", "(gen m) x"]:
         with pytest.raises(TermParseError):
             parse_term(bad)
+
+
+def test_tokens_split_on_unicode_space():
+    src = "(seq\u00a0(gen m)\u2003(gen\td))"
+    assert parse_term(src) == seq(Gen("m"), Gen("d"))
+    assert _tokenize(src) == [("(", 0), ("seq", 1), ("(", 5), ("gen", 6),
+                              ("m", 10), (")", 11), ("(", 13), ("gen", 14),
+                              ("d", 18), (")", 19), (")", 20)]
+    assert _tokenize(" \n ") == []
+    # the token pattern's \s is exactly str.isspace
+    space = re.compile(r"\s")
+    assert all(bool(space.match(chr(c))) == chr(c).isspace()
+               for c in range(sys.maxunicode + 1))
+
+
+def test_parse_error_positions():
+    cases = [("(gen m) \u00a0x", "trailing input at token 4"),
+             ("\u2003(\u2003frob m)", "unknown form 'frob' at position 3"),
+             ("(id x)", "near position 1"),
+             ("\u00a0\u00a0gen", "expected '(' at position 2"),
+             ("(seq (gen m)\u2003(gen d) x)", "expected '(' at position 21"),
+             ("(label)", "empty label at position 1")]
+    for src, message in cases:
+        with pytest.raises(TermParseError, match=re.escape(message)):
+            parse_term(src)
 
 
 def test_interchange_law():
