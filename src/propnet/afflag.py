@@ -10,7 +10,7 @@ one kernel computation covers both the linear and the translated parts.
 
 from __future__ import annotations
 
-from .exactla import Mat, Subspace, kernel, lin_comb
+from .exactla import Subspace, kernel, lin_comb
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
 from .linrel import (LinRel, OddDimension, circuit_kernel,
@@ -117,7 +117,7 @@ class AffRel:
         hf = self.dom + self.cod
         hg = other.dom + other.cod
         row = [v[hf] for v in fb] + [-w[hg] for w in gb]
-        sol = kernel(Mat.from_rows(field, [row]))
+        sol = kernel([row], field, a + b)
         dom = self.dom + other.dom
         cod = self.cod + other.cod
         vecs = []

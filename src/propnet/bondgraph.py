@@ -12,14 +12,31 @@ from __future__ import annotations
 from .scalar import Field, QQ
 from .linrel import K_corel, LinRel, LinRelModel
 from .setprops import Corelation, CorelModel
-from .term import (Gen, Id, PropModel, PropTerm, Signature, Sym, arity,
-                   evaluate, par, seq)
+from .term import (Gen, Id, PropModel, PropTerm, Signature, Sym,
+                   UnknownGenerator, arity, evaluate, par, seq)
 from .laws import (frobenius_monoid_laws, run_suite, weak_bimonoid_laws)
 
 BG_SIGNATURE = Signature({
     "1j": (2, 1), "1u": (0, 1), "1d": (1, 2), "1e": (1, 0),
     "0j": (2, 1), "0u": (0, 1), "0d": (1, 2), "0e": (1, 0),
 })
+
+
+# name -> (dom, cod, constraint rows) on (E, F) pairs
+F_CONSTRAINTS = {
+    "1j": (4, 2, [[1, 0, 1, 0, -1, 0], [0, 1, 0, 0, 0, -1],
+                  [0, 0, 0, 1, 0, -1]]),
+    "1u": (0, 2, [[1, 0]]),
+    "1d": (2, 4, [[1, 0, -1, 0, -1, 0], [0, 1, 0, -1, 0, 0],
+                  [0, 1, 0, 0, 0, -1]]),
+    "1e": (2, 0, [[1, 0]]),
+    "0j": (4, 2, [[1, 0, 0, 0, -1, 0], [0, 0, 1, 0, -1, 0],
+                  [0, 1, 0, 1, 0, -1]]),
+    "0u": (0, 2, [[0, 1]]),
+    "0d": (2, 4, [[1, 0, -1, 0, 0, 0], [1, 0, 0, 0, -1, 0],
+                  [0, 1, 0, -1, 0, -1]]),
+    "0e": (2, 0, [[0, 1]]),
+}
 
 
 class FModel(LinRelModel):
@@ -32,37 +49,11 @@ class FModel(LinRelModel):
         super().__init__(field)
 
     def gen(self, name):
-        field = self.field
-        one, zero = field.one, field.zero
-        if name == "1j":
-            rows = [[one, zero, one, zero, -one, zero],
-                    [zero, one, zero, zero, zero, -one],
-                    [zero, zero, zero, one, zero, -one]]
-            return LinRel.from_constraints(field, 4, 2, rows)
-        if name == "1u":
-            return LinRel.from_constraints(field, 0, 2, [[one, zero]])
-        if name == "1d":
-            rows = [[one, zero, -one, zero, -one, zero],
-                    [zero, one, zero, -one, zero, zero],
-                    [zero, one, zero, zero, zero, -one]]
-            return LinRel.from_constraints(field, 2, 4, rows)
-        if name == "1e":
-            return LinRel.from_constraints(field, 2, 0, [[one, zero]])
-        if name == "0j":
-            rows = [[one, zero, zero, zero, -one, zero],
-                    [zero, zero, one, zero, -one, zero],
-                    [zero, one, zero, one, zero, -one]]
-            return LinRel.from_constraints(field, 4, 2, rows)
-        if name == "0u":
-            return LinRel.from_constraints(field, 0, 2, [[zero, one]])
-        if name == "0d":
-            rows = [[one, zero, -one, zero, zero, zero],
-                    [one, zero, zero, zero, -one, zero],
-                    [zero, one, zero, -one, zero, -one]]
-            return LinRel.from_constraints(field, 2, 4, rows)
-        if name == "0e":
-            return LinRel.from_constraints(field, 2, 0, [[zero, one]])
-        raise KeyError(name)
+        try:
+            dom, cod, rows = F_CONSTRAINTS[name]
+        except KeyError:
+            raise UnknownGenerator(name) from None
+        return LinRel.from_constraints(self.field, dom, cod, rows)
 
 
 def _wire_eval(t: PropTerm) -> Corelation:

@@ -1,6 +1,7 @@
 """Exact linear algebra over a scalar field.
 
-Matrices are dense row-major lists; subspaces are stored in spanning form,
+Matrices are plain lists of rows whose entries are already field elements
+(the public constructors coerce); subspaces are stored in spanning form,
 canonicalized so that each subspace of a given ambient space has exactly one
 representation (reduced echelon basis with pivot 1 and increasing pivots).
 Equality of subspaces is then structural equality of the representations.
@@ -22,63 +23,6 @@ from .scalar import Field
 
 class DimensionMismatch(ValueError):
     pass
-
-
-class Mat:
-    """Dense matrix over a Field; entries live in field.coerce's image."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: Field, rows: int, cols: int, entries):
-        entries = [field.coerce(x) for x in entries]
-        if len(entries) != rows * cols:
-            raise DimensionMismatch(
-                f"expected {rows * cols} entries, got {len(entries)}")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, field: Field, rows) -> "Mat":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise DimensionMismatch("ragged rows")
-        return cls(field, n, m, [x for r in rows for x in r])
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Mat":
-        rows = [[field.one if i == j else field.zero for j in range(n)]
-                for i in range(n)]
-        return cls.from_rows(field, rows)
-
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def row_list(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat) and self.field is other.field
-                and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __str__(self):
-        return "\n".join(" ".join(self.field.fmt(x) for x in r)
-                         for r in self.row_list())
-
-    def __repr__(self):
-        return f"Mat({self.rows}x{self.cols} over {self.field.name})"
 
 
 def rref(rows, field: Field):
@@ -156,11 +100,6 @@ class Subspace:
         reduced, _ = rref(vecs, field)
         self.basis = [tuple(v) for v in reduced]
 
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Mat.identity(field, ambient).row_list(),
-                   _canonical=True)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -185,9 +124,7 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """Subspace of covectors c with c.v = 0 for every v here."""
-        m = Mat.from_rows(self.field, self.basis) if self.basis else \
-            Mat.zero(self.field, 1, self.ambient)
-        return kernel(m)
+        return kernel(self.basis, self.field, self.ambient)
 
     def __str__(self):
         if not self.basis:
@@ -217,8 +154,9 @@ def lin_comb(field: Field, coeffs, vectors, lo: int, hi: int):
     return out
 
 
-def kernel(m: Mat) -> Subspace:
-    """Canonical spanning basis of {v : m.v = 0}, from one elimination.
+def kernel(rows, field: Field, width: int) -> Subspace:
+    """Canonical spanning basis of {v in field^width : r.v = 0 for every
+    row r}, from one elimination; no rows give the whole space.
 
     The rows are reduced with their columns reversed.  A free column f then
     gives a kernel vector that is 1 at f, 0 at every other free column, and
@@ -228,15 +166,15 @@ def kernel(m: Mat) -> Subspace:
     Reversing also eliminates the trailing columns first; ``blackbox`` puts
     its internal unknowns there.
     """
-    field = m.field
-    n = m.cols
-    reduced, pivots = rref([r[::-1] for r in m.row_list()], field)
+    if any(len(r) != width for r in rows):
+        raise DimensionMismatch(f"row length differs from width {width}")
+    reduced, pivots = rref([r[::-1] for r in rows], field)
     pivot_set = set(pivots)
     basis = []
-    for fc in range(n - 1, -1, -1):
+    for fc in range(width - 1, -1, -1):
         if fc in pivot_set:
             continue
-        v = [field.zero] * n
+        v = [field.zero] * width
         v[fc] = field.one
         for r, pc in zip(reduced, pivots):
             if pc > fc:
@@ -244,8 +182,8 @@ def kernel(m: Mat) -> Subspace:
             if r[fc]:
                 v[pc] = -r[fc]
         basis.append(v[::-1])
-    return Subspace(field, n, basis, _canonical=True)
+    return Subspace(field, width, basis, _canonical=True)
 
 
-def rank(m: Mat) -> int:
-    return len(rref(m.row_list(), m.field)[0])
+def rank(rows, field: Field) -> int:
+    return len(rref(rows, field)[0])

@@ -10,8 +10,8 @@ port is w((phi, I), (phi', I')) = phi I' - phi' I, with the conjugate
 
 from __future__ import annotations
 
-from .exactla import Mat, Subspace, kernel, lin_comb
-from .scalar import Field, QS, RatFunc
+from .exactla import Subspace, kernel, lin_comb
+from .scalar import Field, QS, RatFunc, format_scalar
 from .setprops import Corelation, InterfaceMismatch
 from .circuit import (CIRCUIT_SIGNATURE, SOURCE_KINDS, EdgeLabel, LCircuit,
                       label_from_gen_name)
@@ -49,14 +49,12 @@ class LinRel:
 
     @classmethod
     def from_constraints(cls, field, dom, cod, rows) -> "LinRel":
-        """Relation cut out by homogeneous constraint rows."""
-        rows = list(rows)
-        if not rows:
-            return cls(dom, cod, Subspace.full(field, dom + cod))
-        m = Mat.from_rows(field, rows)
-        if m.cols != dom + cod:
+        """Relation cut out by homogeneous constraint rows, whose entries
+        are coerced into ``field``; no rows give the whole space."""
+        rows = [[field.coerce(x) for x in r] for r in rows]
+        if any(len(r) != dom + cod for r in rows):
             raise ValueError("constraint width must be dom + cod")
-        return cls(dom, cod, kernel(m))
+        return cls(dom, cod, kernel(rows, field, dom + cod))
 
     @classmethod
     def identity(cls, field, n: int) -> "LinRel":
@@ -104,12 +102,8 @@ class LinRel:
             row = [v[self.dom + r] for v in fb]
             row += [-w[r] for w in gb]
             rows.append(row)
-        if rows:
-            sol = kernel(Mat.from_rows(field, rows))
-        else:
-            # no middle constraints: every pair of combinations matches
-            sol = Subspace.full(field, len(fb) + len(gb))
         a = len(fb)
+        sol = kernel(rows, field, a + len(gb))
         vecs = []
         for cvec in sol.basis:
             vecs.append(lin_comb(field, cvec[:a], fb, 0, self.dom)
@@ -250,6 +244,17 @@ class CorelToLinRelModel(LinRelModel):
         return rlc_rel(self.field, label_from_gen_name(name))
 
 
+def _label_value(field: Field, kind: str, value):
+    """A label's value in ``field``.  Impedance and source values are read
+    as rational functions; over q only a constant one has a value."""
+    if isinstance(value, RatFunc) and field is not QS:
+        if value.num.degree > 0 or value.den.degree > 0:
+            raise UnsupportedLabel(f"{kind} value {format_scalar(value)} "
+                                   f"needs the field q(s)")
+        value = value.num.leading()
+    return field.coerce(value)
+
+
 def label_impedance(field: Field, kind: str, value):
     """Z in phi2 - phi1 = Z I of a wire, impedance, R, L or C label."""
     if kind == "wire":
@@ -259,7 +264,7 @@ def label_impedance(field: Field, kind: str, value):
             raise UnsupportedLabel(f"{kind}s need the field q(s)")
         sv = field.coerce(RatFunc.s()) * field.coerce(value)
         return sv if kind == "inductor" else sv.inv()
-    return field.coerce(value)
+    return _label_value(field, kind, value)
 
 
 def label_rows(field: Field, kind: str, value):
@@ -272,11 +277,11 @@ def label_rows(field: Field, kind: str, value):
     one, zero = field.one, field.zero
     if kind == "vsource":
         # phi2 - phi1 = V, I1 = I2: positive terminal at the edge target
-        return [[-one, zero, one, zero, -field.coerce(value)],
+        return [[-one, zero, one, zero, -_label_value(field, kind, value)],
                 [zero, one, zero, -one, zero]]
     if kind == "isource":
         # I1 = I2 = I: potentials across are unconstrained
-        i = field.coerce(value)
+        i = _label_value(field, kind, value)
         return [[zero, one, zero, zero, -i], [zero, zero, zero, one, -i]]
     return [[one, zero, -one, label_impedance(field, kind, value), zero],
             [zero, one, zero, -one, zero]]
@@ -337,9 +342,7 @@ def circuit_kernel(c: LCircuit, field: Field) -> Subspace:
         kcl[s][nb + nnodes + e] = -one
         kcl[t][nb + nnodes + e] = kcl[t][nb + nnodes + e] + one
     rows += [row for row in kcl if any(row)]
-    if not rows:
-        return Subspace.full(field, width)
-    return kernel(Mat.from_rows(field, rows))
+    return kernel(rows, field, width)
 
 
 def blackbox(c: LCircuit, field: Field = QS) -> LinRel:

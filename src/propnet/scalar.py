@@ -420,15 +420,35 @@ def _parse_factor(lx, atom):
                 f"power too large: degree {exp * degree} (limit "
                 f"{MAX_EXPONENT}), {exp * bits} coefficient bits (limit "
                 f"{MAX_POWER_BITS})")
-        acc = atom(1)
-        for _ in range(exp):
-            acc = acc * base
+        acc = _power(base, exp)
         if sign < 0:
             if not acc:
                 raise DivisionByZero("zero raised to negative power")
             acc = atom(1) / acc
         return acc
     return base
+
+
+def _power(base, exp: int):
+    """base^exp.  A canonical rational function's parts are coprime with a
+    monic denominator, and so are their powers, so the parts are powered
+    apart and the result needs no gcd."""
+    if not isinstance(base, RatFunc):
+        return base ** exp
+    den = _ONE if base.den is _ONE else _poly_power(base.den, exp)
+    return RatFunc._canonical(_poly_power(base.num, exp), den)
+
+
+def _poly_power(p: Poly, exp: int) -> Poly:
+    """p^exp by repeated squaring."""
+    out = _ONE
+    while exp:
+        if exp & 1:
+            out = out * p
+        exp >>= 1
+        if exp:
+            p = p * p
+    return out
 
 
 def _size(x):

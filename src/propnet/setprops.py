@@ -34,10 +34,14 @@ class _UnionFind:
         self.parent = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
+        """Root of x, halving the path to it on the way."""
+        parent = self.parent
+        p = parent.setdefault(x, x)
+        while p != x:
+            parent[x] = parent[p]  # x skips to its grandparent
+            x = parent[x]
+            p = parent[x]
+        return x
 
     def union(self, x, y):
         rx, ry = self.find(x), self.find(y)

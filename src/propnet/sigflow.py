@@ -10,7 +10,6 @@ evaluated translation must match black-boxing.
 from __future__ import annotations
 
 from .scalar import Field, QS
-from .exactla import Subspace
 from .linrel import (LinRel, LinRelModel, UnsupportedLabel, blackbox,
                      label_impedance)
 from .circuit import CircuitModel, SOURCE_KINDS, label_from_gen_name
@@ -24,10 +23,18 @@ def _scalar_resolver(name):
     return None
 
 
-SIGFLOW_SIGNATURE = Signature({
-    "codup": (2, 1), "codel": (0, 1), "dup": (1, 2), "del": (1, 0),
-    "add": (2, 1), "coadd": (1, 2), "zero": (0, 1), "cozero": (1, 0),
-}, resolver=_scalar_resolver)
+# name -> (dom, cod, spanning vectors)
+SIGFLOW_VECTORS = {
+    "codup": (2, 1, [[1, 1, 1]]), "codel": (0, 1, [[1]]),
+    "dup": (1, 2, [[1, 1, 1]]), "del": (1, 0, [[1]]),
+    "add": (2, 1, [[1, 0, 1], [0, 1, 1]]),
+    "coadd": (1, 2, [[1, 1, 0], [1, 0, 1]]),
+    "zero": (0, 1, []), "cozero": (1, 0, []),
+}
+
+SIGFLOW_SIGNATURE = Signature(
+    {name: (dom, cod) for name, (dom, cod, _v) in SIGFLOW_VECTORS.items()},
+    resolver=_scalar_resolver)
 
 
 class SigFlowModel(LinRelModel):
@@ -37,29 +44,14 @@ class SigFlowModel(LinRelModel):
 
     def gen(self, name):
         field = self.field
-        one, zero = field.one, field.zero
-        if name == "dup":
-            return LinRel.from_vectors(field, 1, 2, [[one, one, one]])
-        if name == "codup":
-            return LinRel.from_vectors(field, 2, 1, [[one, one, one]])
-        if name == "del":
-            return LinRel.from_vectors(field, 1, 0, [[one]])
-        if name == "codel":
-            return LinRel.from_vectors(field, 0, 1, [[one]])
-        if name == "add":
-            return LinRel.from_vectors(field, 2, 1,
-                                       [[one, zero, one], [zero, one, one]])
-        if name == "coadd":
-            return LinRel.from_vectors(field, 1, 2,
-                                       [[one, one, zero], [one, zero, one]])
-        if name == "zero":
-            return LinRel(0, 1, Subspace(field, 1, []))
-        if name == "cozero":
-            return LinRel(1, 0, Subspace(field, 1, []))
         if name.startswith("scalar:"):
             c = field.parse(name.split(":", 1)[1])
-            return LinRel.from_vectors(field, 1, 1, [[one, c]])
-        raise UnknownGenerator(name)
+            return LinRel.from_vectors(field, 1, 1, [[field.one, c]])
+        try:
+            dom, cod, vecs = SIGFLOW_VECTORS[name]
+        except KeyError:
+            raise UnknownGenerator(name) from None
+        return LinRel.from_vectors(field, dom, cod, vecs)
 
 
 def box_eval(t: PropTerm, field: Field = QS) -> LinRel:

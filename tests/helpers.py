@@ -164,6 +164,18 @@ def dense_rref(rows, field):
     return rows[:r], pivots
 
 
+def sympy_poly(sympy, s, p):
+    return sum((sympy.Rational(c.numerator, c.denominator) * s ** k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def to_sympy(sympy, s, x):
+    """A Fraction or RatFunc as a sympy expression in the symbol s."""
+    if isinstance(x, Fraction):
+        return sympy.Rational(x.numerator, x.denominator)
+    return sympy_poly(sympy, s, x.num) / sympy_poly(sympy, s, x.den)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies; fixed examples so that every run checks the same
 # cases, and no timing health check, so that a slow host cannot fail them

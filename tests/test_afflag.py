@@ -9,7 +9,7 @@ from propnet.afflag import (AffRel, aff_blackbox, format_affrel,
                             is_aff_lagrangian, isource_rel, vsource_rel)
 from propnet.circuit import LCircuit, LGraph, parse_label
 from propnet.linrel import LinRel, blackbox, impedance_rel
-from propnet.exactla import Mat, Subspace, kernel
+from propnet.exactla import Subspace, kernel
 from propnet.scalar import QQ, QS
 
 from helpers import PROPERTY, rand_circuit, rand_corelation, scalars
@@ -142,8 +142,7 @@ def stacked_composite(field, dom, mid, cod, frows, grows):
     width = dom + mid + cod + 1
     rows = [r[:dom + mid] + [zero] * cod + r[-1:] for r in frows]
     rows += [[zero] * dom + r for r in grows]
-    sols = (kernel(Mat.from_rows(field, rows)) if rows
-            else Subspace.full(field, width))
+    sols = kernel(rows, field, width)
     return Subspace(field, dom + cod + 1,
                     [v[:dom] + v[dom + mid:] for v in sols.basis])
 

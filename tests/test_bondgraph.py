@@ -9,7 +9,7 @@ from propnet.bondgraph import (BG_SIGNATURE, FModel, F_eval, GModel, G_eval,
 from propnet.laws import run_suite
 from propnet.linrel import K_corel, LinRel, is_lagrangian
 from propnet.scalar import QQ
-from propnet.term import Gen, Id, Sym, model_equal, seq
+from propnet.term import Gen, Id, Sym, UnknownGenerator, model_equal, seq
 
 from helpers import rand_term
 
@@ -41,6 +41,9 @@ def test_F_generator_tables():
     # comultiplications mirror the multiplications
     assert member(m.gen("1d"), [3, 2, 1, 2, 2, 2])
     assert member(m.gen("0d"), [4, 3, 4, 1, 4, 2])
+    # an unknown name is refused as in every other model
+    with pytest.raises(UnknownGenerator):
+        m.gen("2j")
 
 
 def test_F_lagrangian():

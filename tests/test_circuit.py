@@ -107,3 +107,17 @@ def test_json_round_trip():
         back = circuit_from_json(circuit_to_json(c))
         assert back == c
         assert back.inputs == c.inputs and back.outputs == c.outputs
+
+
+def test_long_chain_pushout():
+    # d^{1500} ; (id 1 + m^{1499} + id 1) glues every node onto the next,
+    # a union-find chain 1,500 roots long
+    n = 1500
+    split = LCircuit(LGraph(n, []), range(n),
+                     [v for v in range(n) for _ in (0, 1)])
+    merge = LCircuit(LGraph(n + 1, []),
+                     [0] + [v for v in range(1, n) for _ in (0, 1)] + [n],
+                     range(n + 1))
+    glued = split.compose(merge)
+    assert glued.graph.node_count == 1
+    assert (glued.m, glued.n) == (n, n + 1)

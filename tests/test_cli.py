@@ -65,6 +65,30 @@ def test_eval_linrel_field_q(capsys):
     assert rel.space.dim == 2
 
 
+def test_constant_labels_over_q(tmp_path, capsys):
+    # impedance and source values are read as rational functions; over q a
+    # constant one is its rational number, any other one exits 2
+    args = ("eval", "--model", "linrel", "--field", "q", "--term")
+    code, impedance, _err = run(capsys, *args, "(label impedance 2)")
+    assert code == 0
+    assert (0, impedance) == run(capsys, *args, "(label resistor 2)")[:2]
+    code, _out, err = run(capsys, *args, "(label impedance s)")
+    assert code == 2 and "q(s)" in err
+    path = write_circuit(tmp_path, {
+        "nodes": 3,
+        "edges": [
+            {"src": 0, "tgt": 1, "label": {"kind": "vsource", "value": "5"}},
+            {"src": 1, "tgt": 2, "label": {"kind": "resistor", "value": "2"}},
+            {"src": 2, "tgt": 0, "label": {"kind": "isource", "value": "3"}},
+        ],
+        "inputs": [0], "outputs": [2],
+    })
+    printed = [run(capsys, "blackbox", "--field", field, "--circuit", path)
+               for field in ("q", "qs")]
+    assert printed[0] == printed[1]
+    assert printed[0][0] == 0 and "= -11" in printed[0][1]
+
+
 def test_eval_term_from_file(tmp_path, capsys):
     path = tmp_path / "term.txt"
     path.write_text("(par (gen i) (gen i))")

@@ -1,15 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propnet.exactla import (DimensionMismatch, Mat, Subspace, kernel,
-                             rank, rref)
+from propnet.exactla import DimensionMismatch, Subspace, kernel, rank, rref
 from propnet.scalar import QQ, QS, RatFunc
 
 from helpers import (PROPERTY, dense_rref, rand_fraction, rand_ratfunc,
-                     rand_rows, rand_scalar, sparse_rows)
+                     rand_rows, rand_scalar, sparse_rows, to_sympy)
 
 
 def test_rref_idempotent_and_pivots():
@@ -32,19 +31,18 @@ def test_rank_nullity():
     for field in (QQ, QS):
         for _ in range(40):
             nr, nc = rng.randint(1, 4), rng.randint(1, 5)
-            m = Mat.from_rows(field, rand_rows(rng, field, nr, nc))
-            assert rank(m) + kernel(m).dim == nc
+            rows = rand_rows(rng, field, nr, nc)
+            assert rank(rows, field) + kernel(rows, field, nc).dim == nc
 
 
 def test_kernel_vectors_annihilate():
     rng = random.Random(12)
     for field in (QQ, QS):
         for _ in range(30):
-            m = Mat.from_rows(field,
-                              rand_rows(rng, field, rng.randint(1, 3),
-                                        rng.randint(1, 4)))
-            for v in kernel(m).basis:
-                for row in m.row_list():
+            nc = rng.randint(1, 4)
+            rows = rand_rows(rng, field, rng.randint(1, 3), nc)
+            for v in kernel(rows, field, nc).basis:
+                for row in rows:
                     dot = field.zero
                     for a, b in zip(row, v):
                         dot = dot + a * b
@@ -80,9 +78,7 @@ def test_annihilator_duality():
 def test_dimension_checks():
     one = QQ.coerce(1)
     with pytest.raises(DimensionMismatch):
-        Mat(QQ, 2, 2, [one, one, one])
-    with pytest.raises(DimensionMismatch):
-        Mat.from_rows(QQ, [[one, one], [one]])
+        kernel([[one, one], [one]], QQ, 2)
     with pytest.raises(DimensionMismatch):
         Subspace(QQ, 3, [[one, one]])
     with pytest.raises(DimensionMismatch):
@@ -92,9 +88,9 @@ def test_dimension_checks():
 def test_over_qs_entries():
     rng = random.Random(14)
     s = QS.parse("s")
-    m = Mat.from_rows(QS, [[s, QS.one], [s * s, s]])
-    assert rank(m) == 1
-    k = kernel(m)
+    rows = [[s, QS.one], [s * s, s]]
+    assert rank(rows, QS) == 1
+    k = kernel(rows, QS, 2)
     assert k.dim == 1
     v = k.basis[0]
     assert s * v[0] + v[1] == QS.zero
@@ -114,10 +110,11 @@ def _rand_entry(rng, field):
 
 
 def _kernel_cases(rng, field):
-    """(rows, cols, entries) covering the zero matrix, full rank, one row,
+    """(rows, width) covering no rows, the zero matrix, full rank, one row,
     one column and random shapes."""
-    cases = [(r, c, [field.zero] * (r * c)) for r, c in
-             ((1, 1), (1, 4), (3, 1), (3, 3))]
+    cases = [([], 3)]
+    cases += [([[field.zero] * c for _ in range(r)], c) for r, c in
+              ((1, 1), (1, 4), (3, 1), (3, 3))]
     for n in (1, 2, 4):
         # rows of the identity with random entries after the diagonal,
         # columns shuffled: full row rank
@@ -129,27 +126,26 @@ def _kernel_cases(rng, field):
             for j in range(i + 1, n + 2):
                 row[j] = _rand_entry(rng, field)
             rows.append([row[p] for p in perm])
-        cases.append((n, n + 2, [x for r in rows for x in r]))
+        cases.append((rows, n + 2))
     for r, c in [(1, rng.randint(1, 5)) for _ in range(5)] + \
                 [(rng.randint(1, 4), 1) for _ in range(5)] + \
                 [(rng.randint(1, 4), rng.randint(1, 6)) for _ in range(25)]:
-        cases.append((r, c, [_rand_entry(rng, field) for _ in range(r * c)]))
+        cases.append(([[_rand_entry(rng, field) for _ in range(c)]
+                       for _ in range(r)], c))
     return cases
 
 
 def test_kernel_basis_is_canonical():
     rng = random.Random(15)
     for field in (QQ, QS):
-        for r, c, entries in _kernel_cases(rng, field):
-            m = Mat(field, r, c, entries)
-            k = kernel(m)
+        for rows, c in _kernel_cases(rng, field):
+            k = kernel(rows, field, c)
             assert Subspace(field, c, k.basis).basis == k.basis
             for v in k.basis:
-                for i in range(r):
-                    dot = sum((a * b for a, b in zip(m.row(i), v)),
-                              field.zero)
+                for row in rows:
+                    dot = sum((a * b for a, b in zip(row, v)), field.zero)
                     assert dot == field.zero
-            assert k.dim == c - rank(m)
+            assert k.dim == c - rank(rows, field)
 
 
 # ---------------------------------------------------------------------------
@@ -186,3 +182,37 @@ def test_rref_is_idempotent(field, data):
     again, pivots2 = rref(red, field)
     assert pivots2 == pivots
     assert _forms(again) == _forms(red)
+
+
+# ---------------------------------------------------------------------------
+# rank and kernel against sympy, a second and independent elimination
+
+def _check_against_sympy(field, rows, width):
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    m = sympy.Matrix(len(rows), width,
+                     [to_sympy(sympy, s, x) for r in rows for x in r])
+    r = rank(rows, field)
+    assert r == m.rank(simplify=sympy.cancel)
+    k = kernel(rows, field, width)
+    assert k.dim == width - r
+    for v in k.basis:
+        image = m * sympy.Matrix([to_sympy(sympy, s, x) for x in v])
+        assert all(sympy.cancel(e) == 0 for e in image)
+
+
+@over_fields
+def test_rank_and_kernel_edge_shapes_match_sympy(field):
+    zero, one = field.zero, field.one
+    for rows, width in (([], 3), ([[zero, zero]], 2), ([[zero], [one]], 1),
+                        ([[one, -one, zero, one]], 4),
+                        ([[zero], [zero], [zero]], 1)):
+        _check_against_sympy(field, rows, width)
+
+
+@over_fields
+@settings(PROPERTY, max_examples=60)  # sympy's Q(s) rank is slow
+@given(data=st.data())
+def test_rank_and_kernel_match_sympy(field, data):
+    rows = data.draw(sparse_rows(field))
+    _check_against_sympy(field, rows, len(rows[0]))

@@ -213,3 +213,16 @@ def test_identity_and_symmetry_are_reduced(field):
         for m in range(5):
             assert _is_reduced(LinRel.symmetry(field, m, n).space)
             assert _is_reduced(AffRel.symmetry(field, m, n).hspace)
+
+
+def test_from_constraints_coerces_and_checks_widths():
+    # integer rows are coerced; no rows give the whole space
+    assert LinRel.from_constraints(QQ, 1, 1, [[1, -1]]) == \
+        LinRel.identity(QQ, 1)
+    full = LinRel.from_constraints(QS, 1, 2, [])
+    assert full.space.dim == 3
+    assert full == LinRel.from_vectors(QS, 1, 2,
+                                       [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for rows in ([[1, 0, 0]], [[1, 0], [1]], [[1, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            LinRel.from_constraints(QQ, 1, 1, rows)

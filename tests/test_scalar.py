@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from propnet.scalar import (DivisionByZero, FIELDS, MAX_EXPONENT, Poly, QQ,
                             QS, RatFunc, ScalarParseError, format_poly,
                             format_scalar, parse_rat, parse_ratfunc, poly_gcd)
 
-from helpers import PROPERTY, rand_poly, rand_ratfunc, scalars
+from helpers import (PROPERTY, rand_poly, rand_ratfunc, scalars, sympy_poly,
+                     to_sympy)
 
 
 def test_poly_basics():
@@ -133,6 +135,25 @@ def test_power_size_limit():
         parse_rat("(2^100)^199")
 
 
+def test_power_of_ratfunc_is_canonical_and_fast():
+    # powers multiply numerator and denominator apart, with no gcd
+    for src in ("(s+1)/(s+2)", "(s/2 + 1/3)/(3*s^2 - 1)", "2/3", "s", "0"):
+        base = parse_ratfunc(src)
+        acc = RatFunc(1)
+        for k in range(11):
+            got = parse_ratfunc(f"({src})^{k}")
+            assert (got.num, got.den) == (acc.num, acc.den)
+            assert (got.den is scalar._ONE) == (acc.den is scalar._ONE)
+            acc = acc * base
+    start = time.process_time()
+    big = parse_ratfunc("((s+1)/(s+2))^400")
+    assert time.process_time() - start < 1.0
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    assert (big.num.coeffs, big.den.coeffs) == \
+        _sympy_canonical(sympy, s, ((s + 1) / (s + 2)) ** 400)
+
+
 def test_format_round_trip():
     rng = random.Random(4)
     for _ in range(100):
@@ -190,15 +211,6 @@ def _sympy_canonical(sympy, s, expr):
     return coeffs(p), coeffs(q)
 
 
-def _sympy_poly(sympy, s, p):
-    return sum((sympy.Rational(c.numerator, c.denominator) * s ** k
-                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
-
-
-def _to_sympy(sympy, s, x):
-    return _sympy_poly(sympy, s, x.num) / _sympy_poly(sympy, s, x.den)
-
-
 def _assert_canonical(r):
     assert r.den.leading() == 1
     assert poly_gcd(r.num, r.den) == Poly.const(1)
@@ -225,7 +237,7 @@ def test_ratfunc_arithmetic_matches_sympy():
         got = ops[op](a, b)
         _assert_canonical(got)
         want = _sympy_canonical(
-            sympy, s, ops[op](_to_sympy(sympy, s, a), _to_sympy(sympy, s, b)))
+            sympy, s, ops[op](to_sympy(sympy, s, a), to_sympy(sympy, s, b)))
         assert (got.num.coeffs, got.den.coeffs) == want, (a, op, b)
         checked += 1
     assert checked > 300
@@ -245,7 +257,7 @@ def test_ratfunc_construction_matches_sympy():
             num, den = num * common, den * common
         got = RatFunc(num, den)
         _assert_canonical(got)
-        expr = _sympy_poly(sympy, s, num) / _sympy_poly(sympy, s, den)
+        expr = sympy_poly(sympy, s, num) / sympy_poly(sympy, s, den)
         assert (got.num.coeffs, got.den.coeffs) == \
             _sympy_canonical(sympy, s, expr)
 
