@@ -14,7 +14,7 @@ from .exactla import Subspace, kernel, lin_comb
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
 from .linrel import (LinRel, OddDimension, circuit_kernel,
-                     format_linear_combination, is_lagrangian, label_rows,
+                     format_constraints, is_lagrangian, label_rows,
                      port_var_names)
 from .circuit import LCircuit
 
@@ -53,7 +53,7 @@ class AffRel:
 
     @classmethod
     def identity(cls, field, n: int) -> "AffRel":
-        return cls.from_linrel(LinRel.identity(field, n))
+        return cls.symmetry(field, 0, n)
 
     @classmethod
     def symmetry(cls, field, m: int, n: int) -> "AffRel":
@@ -184,13 +184,5 @@ def format_affrel(rel: AffRel) -> str:
     if rel.dom % 2 or rel.cod % 2:
         raise OddDimension("printing expects (phi, I) ports")
     names = port_var_names(rel.dom // 2, rel.cod // 2)
-    ann = rel.hspace.annihilator()
-    if not ann.basis:
-        return "(no constraints)"
-    field = rel.field
-    lines = []
-    for row in ann.basis:
-        lhs = format_linear_combination(field, row[:-1], names)
-        const = -row[-1]
-        lines.append(f"{lhs} = {field.fmt(const)}")
-    return "\n".join(lines)
+    return format_constraints(rel.field, rel.hspace.annihilator().basis,
+                              names)

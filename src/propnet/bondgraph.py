@@ -9,6 +9,8 @@ on doubled terminals.
 
 from __future__ import annotations
 
+import functools
+
 from .scalar import Field, QQ
 from .linrel import K_corel, LinRel, LinRelModel
 from .setprops import Corelation, CorelModel
@@ -39,6 +41,13 @@ F_CONSTRAINTS = {
 }
 
 
+@functools.cache
+def _f_gen(field: Field, name: str) -> LinRel:
+    """A generator of ``F_CONSTRAINTS``, built once per field."""
+    dom, cod, rows = F_CONSTRAINTS[name]
+    return LinRel.from_constraints(field, dom, cod, rows)
+
+
 class FModel(LinRelModel):
     """Effort/flow behavior: each port carries (E, F)."""
 
@@ -49,11 +58,9 @@ class FModel(LinRelModel):
         super().__init__(field)
 
     def gen(self, name):
-        try:
-            dom, cod, rows = F_CONSTRAINTS[name]
-        except KeyError:
-            raise UnknownGenerator(name) from None
-        return LinRel.from_constraints(self.field, dom, cod, rows)
+        if name not in F_CONSTRAINTS:
+            raise UnknownGenerator(name)
+        return _f_gen(self.field, name)
 
 
 def _wire_eval(t: PropTerm) -> Corelation:

@@ -100,7 +100,7 @@ class LCircuit:
 
     @classmethod
     def identity(cls, n: int) -> "LCircuit":
-        return cls(LGraph(n, []), range(n), range(n))
+        return cls.symmetry(0, n)
 
     @classmethod
     def symmetry(cls, m: int, n: int) -> "LCircuit":

@@ -13,37 +13,33 @@ from .setprops import (BoolRelModel, Corelation, CorelModel, CospanModel,
                        NatSpanModel, format_corel)
 from .circuit import CircuitModel, SOURCE_KINDS, load_circuit
 from .linrel import (CorelToLinRelModel, LinRel, blackbox,
-                     format_linear_combination, format_linrel)
+                     format_constraints, format_linrel)
 from .afflag import AffRel, aff_blackbox, format_affrel
 from .sigflow import SigFlowModel, square_check
-from .laws import bimonoid_laws, frobenius_monoid_laws, weak_bimonoid_laws
+from .laws import (bimonoid_laws, frobenius_monoid_laws, run_suite,
+                   weak_bimonoid_laws)
 from .bondgraph import (BG_SIGNATURE, FModel, GModel, alpha, bondgraph_laws,
                         check_absorption, check_naturality,
                         discriminating_law)
 
 
-def _expect(laws, failing=()):
-    return [(lid, lhs, rhs, lid not in failing) for lid, lhs, rhs in laws]
-
-
 def _suite_fincorel(field):
-    return CorelModel(), _expect(
-        frobenius_monoid_laws("m", "i", "d", "e", commutative=True))
+    return CorelModel(), frobenius_monoid_laws(
+        "m", "i", "d", "e", commutative=True), ()
 
 
 def _suite_fincospan(field):
-    return CospanModel(), _expect(
-        frobenius_monoid_laws("m", "i", "d", "e", commutative=True),
-        failing={"extra"})
+    return CospanModel(), frobenius_monoid_laws(
+        "m", "i", "d", "e", commutative=True), {"extra"}
 
 
 def _suite_finrel_set(field):
-    return BoolRelModel(), _expect(
-        bimonoid_laws("m", "i", "d", "e", special_law=True))
+    return BoolRelModel(), bimonoid_laws(
+        "m", "i", "d", "e", special_law=True), ()
 
 
 def _suite_finspan(field):
-    return NatSpanModel(), _expect(bimonoid_laws("m", "i", "d", "e"))
+    return NatSpanModel(), bimonoid_laws("m", "i", "d", "e"), ()
 
 
 def _suite_finrelk(field):
@@ -55,7 +51,7 @@ def _suite_finrelk(field):
     laws += bimonoid_laws("add", "zero", "dup", "del", prefix="hopf_")
     laws += bimonoid_laws("codup", "codel", "coadd", "cozero",
                           prefix="cohopf_")
-    return SigFlowModel(field), _expect(laws)
+    return SigFlowModel(field), laws, ()
 
 
 def _deg2_laws():
@@ -75,7 +71,7 @@ def _deg2_laws():
 
 
 def _suite_fincorel_deg2(field):
-    return GModel(), _expect(_deg2_laws())
+    return GModel(), _deg2_laws(), ()
 
 
 def _suite_lagrel_deg2(field):
@@ -91,18 +87,17 @@ def _suite_lagrel_deg2(field):
     laws.append(("mutual_inverse_b",
                  seq(Gen("1d"), Gen("0j"), Gen("0d"), Gen("1j")), Id(1)))
     laws.append(discriminating_law())
-    return FModel(field), _expect(laws,
-                                  failing={"zero_comult_one_mult"})
+    return FModel(field), laws, {"zero_comult_one_mult"}
 
 
 def _suite_bondgraph_f(field):
     laws = bondgraph_laws() + [discriminating_law()]
-    return FModel(field), _expect(laws, failing={"zero_comult_one_mult"})
+    return FModel(field), laws, {"zero_comult_one_mult"}
 
 
 def _suite_bondgraph_g(field):
     laws = bondgraph_laws() + [discriminating_law()]
-    return GModel(), _expect(laws)
+    return GModel(), laws, ()
 
 
 def _alpha_checks(field):
@@ -190,25 +185,17 @@ def _read_term(src: str):
     return parse_term(src)
 
 
-def _generic_names(rel: LinRel):
-    return ([f"x{i + 1}" for i in range(rel.dom)]
-            + [f"y{j + 1}" for j in range(rel.cod)])
-
-
 def _show_linrel(rel: LinRel) -> str:
     if rel.dom % 2 == 0 and rel.cod % 2 == 0:
         return format_linrel(rel)
-    ann = rel.space.annihilator()
-    if not ann.basis:
-        return "(no constraints)"
-    names = _generic_names(rel)
-    return "\n".join(
-        f"{format_linear_combination(rel.field, row, names)} = 0"
-        for row in ann.basis)
+    names = ([f"x{i + 1}" for i in range(rel.dom)]
+             + [f"y{j + 1}" for j in range(rel.cod)])
+    return format_constraints(rel.field, rel.space.annihilator().basis,
+                              names)
 
 
 def _show_value(value) -> str:
-    if isinstance(value, Corelation):
+    if type(value) is Corelation:  # a Cospan prints its extras
         return format_corel(value)
     if isinstance(value, LinRel):
         return _show_linrel(value)
@@ -242,25 +229,23 @@ def _cmd_blackbox(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    field = FIELDS[args.field]
-    models = _models(field)
+def _model(args):
+    models = _models(FIELDS[args.field])
     if args.model not in models:
         raise KeyError(f"unknown model {args.model!r}; "
                        f"choose from {sorted(models)}")
-    model = models[args.model]
+    return models[args.model]
+
+
+def _cmd_eval(args) -> int:
+    model = _model(args)
     term = _read_term(args.term)
     print(_show_value(evaluate(term, model)))
     return 0
 
 
 def _cmd_eq(args) -> int:
-    field = FIELDS[args.field]
-    models = _models(field)
-    if args.model not in models:
-        raise KeyError(f"unknown model {args.model!r}; "
-                       f"choose from {sorted(models)}")
-    model = models[args.model]
+    model = _model(args)
     if len(args.term) != 2:
         raise ValueError("eq needs exactly two --term arguments")
     a = evaluate(_read_term(args.term[0]), model)
@@ -291,12 +276,9 @@ def _cmd_laws(args) -> int:
     if args.suite not in SUITES:
         raise KeyError(f"unknown suite {args.suite!r}; choose from "
                        f"{sorted(list(SUITES) + list(CHECK_SUITES))}")
-    model, laws = SUITES[args.suite](field)
-    results = []
-    for lid, lhs, rhs, expected in laws:
-        holds = model.eq(evaluate(lhs, model), evaluate(rhs, model))
-        results.append((lid, holds, expected))
-    return _report(results)
+    model, laws, failing = SUITES[args.suite](field)
+    return _report([(lid, holds, lid not in failing)
+                    for lid, holds in run_suite(model, laws)])
 
 
 def _cmd_alpha(args) -> int:

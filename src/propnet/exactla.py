@@ -126,12 +126,6 @@ class Subspace:
         """Subspace of covectors c with c.v = 0 for every v here."""
         return kernel(self.basis, self.field, self.ambient)
 
-    def __str__(self):
-        if not self.basis:
-            return "(zero subspace)"
-        return "\n".join(" ".join(self.field.fmt(x) for x in v)
-                         for v in self.basis)
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field.name}^{self.ambient})"
 

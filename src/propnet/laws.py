@@ -11,12 +11,11 @@ from __future__ import annotations
 from .term import Gen, Id, PropModel, Sym, par, seq, model_equal
 
 
-def frobenius_monoid_laws(mult, unit, comult, counit, prefix="",
-                          special=True, extra=True, commutative=False,
-                          symmetric=False):
-    m, i, d, e = Gen(mult), Gen(unit), Gen(comult), Gen(counit)
+def _monoid_comonoid_laws(m, i, d, e, prefix):
+    """Associativity and both unit laws of (m, i), then the dual laws of
+    the comonoid (d, e)."""
     one = Id(1)
-    laws = [
+    return [
         (prefix + "assoc",
          seq(par(m, one), m), seq(par(one, m), m)),
         (prefix + "unit_left", seq(par(i, one), m), one),
@@ -25,6 +24,15 @@ def frobenius_monoid_laws(mult, unit, comult, counit, prefix="",
          seq(d, par(d, one)), seq(d, par(one, d))),
         (prefix + "counit_left", seq(d, par(e, one)), one),
         (prefix + "counit_right", seq(d, par(one, e)), one),
+    ]
+
+
+def frobenius_monoid_laws(mult, unit, comult, counit, prefix="",
+                          special=True, extra=True, commutative=False,
+                          symmetric=False):
+    m, i, d, e = Gen(mult), Gen(unit), Gen(comult), Gen(counit)
+    one = Id(1)
+    laws = _monoid_comonoid_laws(m, i, d, e, prefix) + [
         (prefix + "frobenius_left",
          seq(par(d, one), par(one, m)), seq(m, d)),
         (prefix + "frobenius_right",
@@ -47,15 +55,7 @@ def bimonoid_laws(mult, unit, comult, counit, prefix="",
                   special_law=False, bicommutative=True):
     m, i, d, e = Gen(mult), Gen(unit), Gen(comult), Gen(counit)
     one = Id(1)
-    laws = [
-        (prefix + "assoc",
-         seq(par(m, one), m), seq(par(one, m), m)),
-        (prefix + "unit_left", seq(par(i, one), m), one),
-        (prefix + "unit_right", seq(par(one, i), m), one),
-        (prefix + "coassoc",
-         seq(d, par(d, one)), seq(d, par(one, d))),
-        (prefix + "counit_left", seq(d, par(e, one)), one),
-        (prefix + "counit_right", seq(d, par(one, e)), one),
+    laws = _monoid_comonoid_laws(m, i, d, e, prefix) + [
         (prefix + "bialgebra",
          seq(m, d),
          seq(par(d, d), par(one, Sym(1, 1), one), par(m, m))),

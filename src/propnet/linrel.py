@@ -58,15 +58,7 @@ class LinRel:
 
     @classmethod
     def identity(cls, field, n: int) -> "LinRel":
-        """Basis e_i + e_(n+i): pivots 0..n-1 and one entry in each other
-        column, so it is already the reduced echelon basis."""
-        vecs = []
-        for i in range(n):
-            v = [field.zero] * (2 * n)
-            v[i] = field.one
-            v[n + i] = field.one
-            vecs.append(v)
-        return cls(n, n, Subspace(field, 2 * n, vecs, _canonical=True))
+        return cls.symmetry(field, 0, n)
 
     @classmethod
     def symmetry(cls, field, m: int, n: int) -> "LinRel":
@@ -219,13 +211,10 @@ def K_corel(field: Field, c: Corelation) -> LinRel:
 
 class LinRelModel(PropModel):
     """Base of the models valued in linear relations over ``field``: the
-    identities and symmetries on ``width`` wires per object."""
+    symmetries, and so the identities, on ``width`` wires per object."""
 
     def __init__(self, field: Field = QS):
         self.field = field
-
-    def identity(self, n):
-        return LinRel.identity(self.field, self.width * n)
 
     def symmetry(self, m, n):
         return LinRel.symmetry(self.field, self.width * m, self.width * n)
@@ -410,17 +399,26 @@ def format_linear_combination(field, coeffs, names) -> str:
     return "".join(parts) if parts else "0"
 
 
+def format_constraints(field, rows, names) -> str:
+    """One line ``combination = constant`` per row.  A row one entry
+    longer than ``names`` ends in minus its constant; any other has
+    constant 0."""
+    if not rows:
+        return "(no constraints)"
+    lines = []
+    for row in rows:
+        const = field.fmt(-row[-1]) if len(row) > len(names) else "0"
+        lines.append(
+            f"{format_linear_combination(field, row, names)} = {const}")
+    return "\n".join(lines)
+
+
 def format_linrel(rel: LinRel) -> str:
     if rel.dom % 2 or rel.cod % 2:
         raise OddDimension("printing expects (phi, I) ports")
     names = port_var_names(rel.dom // 2, rel.cod // 2)
-    ann = rel.space.annihilator()
-    if not ann.basis:
-        return "(no constraints)"
-    field = rel.field
-    return "\n".join(
-        f"{format_linear_combination(field, row, names)} = 0"
-        for row in ann.basis)
+    return format_constraints(rel.field, rel.space.annihilator().basis,
+                              names)
 
 
 def parse_linrel(src: str, mports: int, nports: int,

@@ -138,12 +138,6 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
 

@@ -2,16 +2,17 @@
 relations, and the functors between them.
 
 A corelation m -> n is a partition of the tagged terminal set
-{x_0..x_{m-1}} + {y_0..y_{n-1}}; a cospan additionally counts apex points
-touching no terminal.  Composition glues along the shared boundary and
-keeps a block exactly when it reaches a remaining terminal ("path"
-connectivity); a cospan turns each dropped middle-only block into one
-extra apex point.
+{x_0..x_{m-1}} + {y_0..y_{n-1}}; a cospan is a corelation that also
+counts apex points touching no terminal.  Composition glues along the
+shared boundary and keeps a block exactly when it reaches a remaining
+terminal ("path" connectivity); a cospan turns each dropped middle-only
+block into one extra apex point.  Spans and boolean relations are one
+matrix prop, over the natural numbers or the booleans.
 """
 
 from __future__ import annotations
 
-from .term import PropModel, Signature, UnknownGenerator
+from .term import PropModel, Signature
 
 
 class InterfaceMismatch(ValueError):
@@ -80,7 +81,7 @@ class Corelation:
 
     @classmethod
     def identity(cls, n: int) -> "Corelation":
-        return cls(n, n, [(("x", i), ("y", i)) for i in range(n)])
+        return cls.symmetry(0, n)
 
     @classmethod
     def symmetry(cls, m: int, n: int) -> "Corelation":
@@ -106,7 +107,8 @@ class Corelation:
         return Corelation(self.m, other.n, part)
 
     def __eq__(self, other):
-        return (isinstance(other, Corelation) and self.m == other.m
+        """Of the same type only: a cospan never equals a corelation."""
+        return (type(other) is type(self) and self.m == other.m
                 and self.n == other.n and self.blocks == other.blocks)
 
     def __hash__(self):
@@ -155,91 +157,69 @@ def _compose_blocks(f, g):
     return blocks, dropped
 
 
-class Cospan:
-    """Iso class of a finite-set cospan: boundary partition + untouched
-    apex points."""
+class Cospan(Corelation):
+    """Iso class of a finite-set cospan: its boundary partition, as a
+    corelation, plus the count of apex points touching no terminal."""
 
-    __slots__ = ("corel", "extras")
+    __slots__ = ("extras",)
 
     def __init__(self, m, n, blocks, extras=0):
         if extras < 0:
             raise ValueError("extras must be >= 0")
-        self.corel = Corelation(m, n, blocks)
+        super().__init__(m, n, blocks)
         self.extras = extras
 
-    @property
-    def m(self):
-        return self.corel.m
-
-    @property
-    def n(self):
-        return self.corel.n
-
-    @property
-    def blocks(self):
-        return self.corel.blocks
-
-    @classmethod
-    def identity(cls, n: int) -> "Cospan":
-        c = Corelation.identity(n)
-        return cls(c.m, c.n, c.blocks)
-
-    @classmethod
-    def symmetry(cls, m: int, n: int) -> "Cospan":
-        c = Corelation.symmetry(m, n)
-        return cls(c.m, c.n, c.blocks)
-
     def dagger(self) -> "Cospan":
-        c = self.corel.dagger()
+        c = super().dagger()
         return Cospan(c.m, c.n, c.blocks, self.extras)
 
     def tensor(self, other: "Cospan") -> "Cospan":
-        c = self.corel.tensor(other.corel)
+        c = super().tensor(other)
         return Cospan(c.m, c.n, c.blocks, self.extras + other.extras)
 
     def compose(self, other: "Cospan") -> "Cospan":
-        part, dropped = _compose_blocks(self.corel, other.corel)
+        part, dropped = _compose_blocks(self, other)
         return Cospan(self.m, other.n, part,
                       self.extras + other.extras + dropped)
 
     def __eq__(self, other):
-        return (isinstance(other, Cospan) and self.corel == other.corel
-                and self.extras == other.extras)
+        return super().__eq__(other) and self.extras == other.extras
 
     def __hash__(self):
-        return hash((self.corel, self.extras))
+        return hash((self.m, self.n, self.blocks, self.extras))
 
     def __repr__(self):
-        return f"Cospan({format_corel(self.corel)!r}, extras={self.extras})"
+        return f"Cospan({format_corel(self)!r}, extras={self.extras})"
 
 
 def cospan_to_corel(c: Cospan) -> Corelation:
     """The functor H: forget the apex points away from the boundary."""
-    return c.corel
+    return Corelation(c.m, c.n, c.blocks)
 
 
-class NatSpan:
-    """Iso class of a span of finite sets: an n x m matrix of multiplicities."""
+class _MatrixProp:
+    """An n x m matrix over a commutative semiring: the prop Mat(R) (Lack,
+    "Composing PROPs"), composed by the matrix product and tensored by the
+    block sum.  A subclass gives ``_entry``, which checks and coerces one
+    entry, and ``_sum``, the semiring sum; the product is ``*``, and 0 and
+    1 are the integers'."""
 
     __slots__ = ("m", "n", "matrix")
 
     def __init__(self, m, n, matrix):
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        matrix = tuple(tuple(self._entry(x) for x in row) for row in matrix)
         if len(matrix) != n or any(len(r) != m for r in matrix):
             raise ValueError(f"matrix must be {n}x{m}")
-        if any(x < 0 for r in matrix for x in r):
-            raise ValueError("entries must be natural numbers")
         self.m = m
         self.n = n
         self.matrix = matrix
 
     @classmethod
-    def identity(cls, n: int) -> "NatSpan":
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)]
-                          for i in range(n)])
+    def identity(cls, n: int):
+        return cls.symmetry(0, n)
 
     @classmethod
-    def symmetry(cls, m: int, n: int) -> "NatSpan":
+    def symmetry(cls, m: int, n: int):
         size = m + n
         mat = [[0] * size for _ in range(size)]
         for i in range(m):
@@ -248,89 +228,60 @@ class NatSpan:
             mat[j][m + j] = 1
         return cls(size, size, mat)
 
-    def tensor(self, other: "NatSpan") -> "NatSpan":
-        mat = [[0] * (self.m + other.m) for _ in range(self.n + other.n)]
-        for i in range(self.n):
-            for j in range(self.m):
-                mat[i][j] = self.matrix[i][j]
-        for i in range(other.n):
-            for j in range(other.m):
-                mat[self.n + i][self.m + j] = other.matrix[i][j]
-        return NatSpan(self.m + other.m, self.n + other.n, mat)
+    def tensor(self, other):
+        mat = [row + (0,) * other.m for row in self.matrix]
+        mat += [(0,) * self.m + row for row in other.matrix]
+        return type(self)(self.m + other.m, self.n + other.n, mat)
 
-    def compose(self, other: "NatSpan") -> "NatSpan":
+    def compose(self, other):
         if self.n != other.m:
             raise InterfaceMismatch(
                 f"cannot compose {self.n} -> with {other.m} <-")
-        mat = [[sum(other.matrix[i][k] * self.matrix[k][j]
-                    for k in range(self.n))
-                for j in range(self.m)] for i in range(other.n)]
-        return NatSpan(self.m, other.n, mat)
+        mat = [[self._sum(row[k] * self.matrix[k][j] for k in range(self.n))
+                for j in range(self.m)] for row in other.matrix]
+        return type(self)(self.m, other.n, mat)
 
     def __eq__(self, other):
-        return (isinstance(other, NatSpan) and self.m == other.m
+        return (type(other) is type(self) and self.m == other.m
                 and self.n == other.n and self.matrix == other.matrix)
 
     def __hash__(self):
         return hash((self.m, self.n, self.matrix))
 
     def __repr__(self):
-        return f"NatSpan({self.m}->{self.n}, {self.matrix})"
+        return f"{type(self).__name__}({self.m}->{self.n}, {self.matrix})"
 
 
-class BoolRel:
-    __slots__ = ("m", "n", "matrix")
+def _natural(x) -> int:
+    x = int(x)
+    if x < 0:
+        raise ValueError("entries must be natural numbers")
+    return x
 
-    def __init__(self, m, n, matrix):
-        matrix = tuple(tuple(bool(x) for x in row) for row in matrix)
-        if len(matrix) != n or any(len(r) != m for r in matrix):
-            raise ValueError(f"matrix must be {n}x{m}")
-        self.m = m
-        self.n = n
-        self.matrix = matrix
 
-    @classmethod
-    def identity(cls, n: int) -> "BoolRel":
-        return cls(n, n, [[i == j for j in range(n)] for i in range(n)])
+class NatSpan(_MatrixProp):
+    """Iso class of a span of finite sets: an n x m matrix of multiplicities."""
 
-    @classmethod
-    def symmetry(cls, m: int, n: int) -> "BoolRel":
-        s = NatSpan.symmetry(m, n)
-        return support(s)
+    __slots__ = ()
+    _entry = staticmethod(_natural)
+    _sum = staticmethod(sum)
+    # bound on each subclass itself: perfbench/tracing.py traces compose
+    # class by class
+    compose = _MatrixProp.compose
 
-    def tensor(self, other: "BoolRel") -> "BoolRel":
-        mat = [[False] * (self.m + other.m) for _ in range(self.n + other.n)]
-        for i in range(self.n):
-            for j in range(self.m):
-                mat[i][j] = self.matrix[i][j]
-        for i in range(other.n):
-            for j in range(other.m):
-                mat[self.n + i][self.m + j] = other.matrix[i][j]
-        return BoolRel(self.m + other.m, self.n + other.n, mat)
 
-    def compose(self, other: "BoolRel") -> "BoolRel":
-        if self.n != other.m:
-            raise InterfaceMismatch(
-                f"cannot compose {self.n} -> with {other.m} <-")
-        mat = [[any(other.matrix[i][k] and self.matrix[k][j]
-                    for k in range(self.n))
-                for j in range(self.m)] for i in range(other.n)]
-        return BoolRel(self.m, other.n, mat)
+class BoolRel(_MatrixProp):
+    """A relation between finite sets: an n x m boolean matrix."""
 
-    def __eq__(self, other):
-        return (isinstance(other, BoolRel) and self.m == other.m
-                and self.n == other.n and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.matrix))
-
-    def __repr__(self):
-        return f"BoolRel({self.m}->{self.n}, {self.matrix})"
+    __slots__ = ()
+    _entry = staticmethod(bool)
+    _sum = staticmethod(any)
+    compose = _MatrixProp.compose
 
 
 def support(s: NatSpan) -> BoolRel:
     """The functor M: a span is sent to its underlying relation."""
-    return BoolRel(s.m, s.n, [[x > 0 for x in row] for row in s.matrix])
+    return BoolRel(s.m, s.n, s.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +307,8 @@ class CospanModel(PropModel):
     signature = WIRE_SIGNATURE
     carrier = Cospan
 
-    def gen(self, name):
-        c = CorelModel.GENERATORS.get(name)
-        if c is None:
-            raise UnknownGenerator(name)
-        return Cospan(c.m, c.n, c.blocks)
+    GENERATORS = {name: Cospan(c.m, c.n, c.blocks)
+                  for name, c in CorelModel.GENERATORS.items()}
 
 
 class NatSpanModel(PropModel):
@@ -379,11 +327,8 @@ class BoolRelModel(PropModel):
     signature = WIRE_SIGNATURE
     carrier = BoolRel
 
-    def gen(self, name):
-        s = NatSpanModel.GENERATORS.get(name)
-        if s is None:
-            raise UnknownGenerator(name)
-        return support(s)
+    GENERATORS = {name: support(s)
+                  for name, s in NatSpanModel.GENERATORS.items()}
 
 
 # ---------------------------------------------------------------------------

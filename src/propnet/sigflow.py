@@ -9,6 +9,8 @@ evaluated translation must match black-boxing.
 
 from __future__ import annotations
 
+import functools
+
 from .scalar import Field, QS
 from .linrel import (LinRel, LinRelModel, UnsupportedLabel, blackbox,
                      label_impedance)
@@ -37,6 +39,13 @@ SIGFLOW_SIGNATURE = Signature(
     resolver=_scalar_resolver)
 
 
+@functools.cache
+def _table_gen(field: Field, name: str) -> LinRel:
+    """A generator of ``SIGFLOW_VECTORS``, built once per field."""
+    dom, cod, vecs = SIGFLOW_VECTORS[name]
+    return LinRel.from_vectors(field, dom, cod, vecs)
+
+
 class SigFlowModel(LinRelModel):
     """The functor into linear relations, port width 1."""
 
@@ -47,11 +56,9 @@ class SigFlowModel(LinRelModel):
         if name.startswith("scalar:"):
             c = field.parse(name.split(":", 1)[1])
             return LinRel.from_vectors(field, 1, 1, [[field.one, c]])
-        try:
-            dom, cod, vecs = SIGFLOW_VECTORS[name]
-        except KeyError:
-            raise UnknownGenerator(name) from None
-        return LinRel.from_vectors(field, dom, cod, vecs)
+        if name not in SIGFLOW_VECTORS:
+            raise UnknownGenerator(name)
+        return _table_gen(field, name)
 
 
 def box_eval(t: PropTerm, field: Field = QS) -> LinRel:

@@ -94,13 +94,6 @@ class Signature:
                 return got
         raise UnknownGenerator(name)
 
-    def __contains__(self, name):
-        try:
-            self.arity_of(name)
-            return True
-        except UnknownGenerator:
-            return False
-
 
 def arity(t: PropTerm, sig: Signature):
     """(dom, cod) of a term, checking interfaces along the way."""
@@ -127,9 +120,10 @@ def arity(t: PropTerm, sig: Signature):
 class PropModel:
     """A semantic model.  Subclasses give ``signature`` and the values of
     generators, in ``GENERATORS`` or by overriding ``gen``; values compose
-    with ``compose`` and ``tensor`` and compare with ``==``, and
-    identities and symmetries come from ``carrier`` on ``width`` wires
-    per object (e.g. 2 when a port carries a potential/current pair).
+    with ``compose`` and ``tensor`` and compare with ``==``, symmetries
+    come from ``carrier`` on ``width`` wires per object (e.g. 2 when a
+    port carries a potential/current pair), and the identity on n is the
+    symmetry on 0 and n.
     """
 
     signature: Signature
@@ -144,7 +138,7 @@ class PropModel:
             raise UnknownGenerator(name) from None
 
     def identity(self, n):
-        return self.carrier.identity(self.width * n)
+        return self.symmetry(0, n)
 
     def symmetry(self, m, n):
         return self.carrier.symmetry(self.width * m, self.width * n)

@@ -57,6 +57,26 @@ def test_eval_corel(capsys):
     assert out.strip() == "corel 1 1 { {x1 y1} }"
 
 
+@pytest.mark.parametrize("model, term, printed", [
+    ("cospan", "(seq (gen i) (gen e))", "Cospan('corel 0 0 { }', extras=1)"),
+    ("cospan", "(par (sym 1 1) (gen i))",
+     "Cospan('corel 2 3 { {x1 y2} {x2 y1} {y3} }', extras=0)"),
+    ("natspan", "(seq (gen d) (gen m))", "NatSpan(1->1, ((2,),))"),
+    ("natspan", "(par (sym 1 1) (gen i))",
+     "NatSpan(2->3, ((0, 1), (1, 0), (0, 0)))"),
+    ("natspan", "(seq (gen i) (gen e))", "NatSpan(0->0, ())"),
+    ("boolrel", "(seq (gen d) (gen m))", "BoolRel(1->1, ((True,),))"),
+    ("boolrel", "(par (sym 1 1) (gen i))",
+     "BoolRel(2->3, ((False, True), (True, False), (False, False)))"),
+    ("boolrel", "(seq (gen e) (gen i))", "BoolRel(1->1, ((False,),))"),
+])
+def test_eval_set_props_stdout(capsys, model, term, printed):
+    # a cospan prints with its extras, never as the corelation under it
+    code, out, _err = run(capsys, "eval", "--model", model, "--term", term)
+    assert code == 0
+    assert out == printed + "\n"
+
+
 def test_eval_linrel_field_q(capsys):
     code, out, _err = run(capsys, "eval", "--model", "linrel", "--field", "q",
                           "--term", "(label resistor 2)")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from propnet.setprops import (BoolRel, BoolRelModel, Corelation, CorelModel,
                               Cospan, CospanModel, InterfaceMismatch, NatSpan,
@@ -8,8 +10,8 @@ from propnet.setprops import (BoolRel, BoolRelModel, Corelation, CorelModel,
                               parse_corel, support)
 from propnet.term import Gen, evaluate, seq
 
-from helpers import (all_corelations, compose_oracle, rand_corelation,
-                     rand_cospan)
+from helpers import (PROPERTY, all_corelations, compose_oracle,
+                     rand_corelation, rand_cospan)
 
 
 def test_compose_matches_oracle_exhaustive():
@@ -134,3 +136,108 @@ def test_corel_format_round_trip():
         assert parse_corel(format_corel(c)) == c
     with pytest.raises(ValueError):
         parse_corel("corel 1 1 { {x1} }")
+
+
+# ---------------------------------------------------------------------------
+# prop laws of the four set props, on random values
+
+def _corelations(m, n):
+    tags = [("x", i) for i in range(m)] + [("y", j) for j in range(n)]
+
+    def build(labels):
+        blocks = {}
+        for el, label in zip(tags, labels):
+            blocks.setdefault(label, []).append(el)
+        return Corelation(m, n, list(blocks.values()))
+
+    return st.lists(st.integers(0, max(len(tags) - 1, 0)),
+                    min_size=len(tags), max_size=len(tags)).map(build)
+
+
+def _cospans(m, n):
+    return st.builds(lambda c, k: Cospan(m, n, c.blocks, k),
+                     _corelations(m, n), st.integers(0, 2))
+
+
+def _matrices(m, n, entries):
+    return st.lists(st.lists(entries, min_size=m, max_size=m),
+                    min_size=n, max_size=n)
+
+
+def _natspans(m, n):
+    return _matrices(m, n, st.integers(0, 3)).map(
+        lambda mat: NatSpan(m, n, mat))
+
+
+def _boolrels(m, n):
+    return _matrices(m, n, st.booleans()).map(lambda mat: BoolRel(m, n, mat))
+
+
+CARRIERS = {"corel": (Corelation, _corelations),
+            "cospan": (Cospan, _cospans),
+            "natspan": (NatSpan, _natspans),
+            "boolrel": (BoolRel, _boolrels)}
+
+
+@pytest.mark.parametrize("kind", sorted(CARRIERS))
+@PROPERTY
+@given(data=st.data())
+def test_prop_laws(kind, data):
+    carrier, values = CARRIERS[kind]
+    m, n, p, q, a, b = data.draw(st.lists(st.integers(0, 3), min_size=6,
+                                          max_size=6))
+    f = data.draw(values(m, n))
+    g = data.draw(values(n, p))
+    h = data.draw(values(p, q))
+    k = data.draw(values(p, a))
+    assert f.compose(g).compose(h) == f.compose(g.compose(h))
+    assert carrier.identity(m).compose(f) == f
+    assert f.compose(carrier.identity(n)) == f
+    # interchange: (f + g) ; (g + k) = (f ; g) + (g ; k)
+    assert f.tensor(g).compose(g.tensor(k)) == \
+        f.compose(g).tensor(g.compose(k))
+    assert carrier.symmetry(m, b).compose(carrier.symmetry(b, m)) == \
+        carrier.identity(m + b)
+    assert type(f.tensor(g)) is type(f.compose(g)) is carrier
+
+
+@pytest.mark.parametrize("functor, source, target", [
+    (support, _natspans, BoolRel), (cospan_to_corel, _cospans, Corelation)],
+    ids=["support", "cospan_to_corel"])
+@PROPERTY
+@given(data=st.data())
+def test_forgetful_functors(functor, source, target, data):
+    m, n, p, a, b = data.draw(st.lists(st.integers(0, 3), min_size=5,
+                                       max_size=5))
+    f, g = data.draw(source(m, n)), data.draw(source(n, p))
+    h = data.draw(source(a, b))
+    assert functor(f.compose(g)) == functor(f).compose(functor(g))
+    assert functor(f.tensor(h)) == functor(f).tensor(functor(h))
+    assert type(functor(f)) is target
+    carrier = type(f)
+    assert functor(carrier.symmetry(m, a)) == target.symmetry(m, a)
+    assert functor(carrier.identity(m)) == target.identity(m)
+
+
+def test_cospan_never_equals_corelation():
+    corel = Corelation(1, 1, [(("x", 0), ("y", 0))])
+    cospan = Cospan(1, 1, corel.blocks)
+    assert cospan != corel and corel != cospan
+    assert not (cospan == corel or corel == cospan)
+    assert cospan == Cospan(1, 1, corel.blocks, 0)
+    assert cospan != Cospan(1, 1, corel.blocks, 1)
+    assert cospan_to_corel(cospan) == corel
+    assert len({corel, cospan}) == 2
+    # the same matrix over N and over B are different morphisms
+    assert NatSpan(1, 1, [[1]]) != BoolRel(1, 1, [[True]])
+    assert BoolRel(1, 1, [[True]]) != NatSpan(1, 1, [[1]])
+
+
+def test_matrix_entries_are_checked():
+    with pytest.raises(ValueError):
+        NatSpan(1, 1, [[-1]])
+    with pytest.raises(ValueError):
+        NatSpan(2, 1, [[1]])
+    with pytest.raises(ValueError):
+        BoolRel(1, 2, [[True]])
+    assert BoolRel(2, 1, [[2, 0]]).matrix == ((True, False),)

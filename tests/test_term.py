@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
-from propnet.setprops import CorelModel, CospanModel, WIRE_SIGNATURE
+from propnet.afflag import AffRel
+from propnet.circuit import LCircuit, LGraph
+from propnet.linrel import LinRel
+from propnet.scalar import QQ, QS
+from propnet.setprops import (BoolRel, Corelation, CorelModel, Cospan,
+                              CospanModel, NatSpan, WIRE_SIGNATURE)
 from propnet.term import (ArityMismatch, Gen, Id, Par, Seq, Sym,
                           TermParseError, UnknownGenerator, _tokenize, arity,
                           evaluate, format_term, model_equal, par, parse_term,
@@ -110,3 +115,28 @@ def test_evaluate_units():
     assert evaluate(Id(0), model) == model.identity(0)
     assert model_equal(model, par(Id(0), Gen("m")), Gen("m"))
     assert model_equal(model, seq(Id(2), Gen("m"), Id(1)), Gen("m"))
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+def test_identity_is_the_empty_symmetry(field):
+    for n in range(6):
+        wires = [(("x", i), ("y", i)) for i in range(n)]
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        diagonal = [[field.one if k in (i, n + i) else field.zero
+                     for k in range(2 * n)] for i in range(n)]
+        expected = {
+            Corelation: Corelation(n, n, wires),
+            Cospan: Cospan(n, n, wires),
+            NatSpan: NatSpan(n, n, unit),
+            BoolRel: BoolRel(n, n, unit),
+            LCircuit: LCircuit(LGraph(n, []), range(n), range(n)),
+        }
+        for carrier, ident in expected.items():
+            assert carrier.identity(n) == carrier.symmetry(0, n) == ident
+            assert type(carrier.identity(n)) is carrier
+        lin = LinRel.from_vectors(field, n, n, diagonal)
+        assert LinRel.identity(field, n).space.basis == lin.space.basis
+        assert LinRel.symmetry(field, 0, n).space.basis == lin.space.basis
+        assert AffRel.identity(field, n).hspace.basis == \
+            AffRel.symmetry(field, 0, n).hspace.basis == \
+            AffRel.from_linrel(lin).hspace.basis
