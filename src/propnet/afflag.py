@@ -85,8 +85,8 @@ class AffRel:
             if v[h] != field.zero:
                 c = v[h] / pivot[h]
                 v = [a - c * b for a, b in zip(v, pivot)]
-            vecs.append(list(v[:h]))
-        return LinRel.from_vectors(field, self.dom, self.cod, vecs)
+            vecs.append(v[:h])
+        return LinRel(self.dom, self.cod, Subspace.span(field, h, vecs))
 
     def contains(self, point) -> bool:
         return self.hspace.contains(list(point) + [self.field.one])
@@ -97,7 +97,7 @@ class AffRel:
         copy of its h after its domain.  The middle rows are the wires
         plus h, so h is shared, and the result has the (dom, cod, h)
         layout.  The lifted basis is not reduced when ``other`` has
-        vectors with a nonzero h after its domain, so ``from_vectors``
+        vectors with a nonzero h after its domain, so ``Subspace.span``
         reduces it."""
         if self.cod != other.dom:
             raise InterfaceMismatch(
@@ -106,7 +106,8 @@ class AffRel:
         d = other.dom
         lifted = [w[:d] + w[-1:] + w[d:] for w in other.hspace.basis]
         rel = LinRel(self.dom, self.cod + 1, self.hspace).compose(
-            LinRel.from_vectors(field, d + 1, other.cod + 1, lifted))
+            LinRel(d + 1, other.cod + 1,
+                   Subspace.span(field, d + other.cod + 2, lifted)))
         return AffRel(self.dom, other.cod, rel.space)
 
     def tensor(self, other: "AffRel") -> "AffRel":
@@ -127,7 +128,7 @@ class AffRel:
             gv = lin_comb(field, cvec[a:], gb, 0, hg)
             vecs.append(fv[:self.dom] + gv[:other.dom] + fv[self.dom:hf]
                         + gv[other.dom:] + fv[hf:])
-        return AffRel(dom, cod, Subspace(field, dom + cod + 1, vecs))
+        return AffRel(dom, cod, Subspace.span(field, dom + cod + 1, vecs))
 
     def __eq__(self, other):
         if not isinstance(other, AffRel):
@@ -175,7 +176,7 @@ def aff_blackbox(c: LCircuit, field: Field = QS) -> AffRel:
     boundary and the shared homogenizing constant."""
     nb = 2 * (c.m + c.n)
     vecs = [v[:nb] + v[-1:] for v in circuit_kernel(c, field).basis]
-    return AffRel(2 * c.m, 2 * c.n, Subspace(field, nb + 1, vecs))
+    return AffRel(2 * c.m, 2 * c.n, Subspace.span(field, nb + 1, vecs))
 
 
 def format_affrel(rel: AffRel) -> str:

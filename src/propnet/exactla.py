@@ -14,6 +14,9 @@ Each skipped cell already holds the value it would have been given, and a
 field value has one canonical form, so the reduced basis is exactly the
 dense one.  Constructors whose basis is reduced by construction (identity,
 symmetry, tensor) build ``Subspace(..., _canonical=True)`` and skip ``rref``.
+``Subspace(...)`` coerces every entry of raw data; results computed from
+field elements (compose, dagger, black-boxing) use ``Subspace.span``,
+which only reduces.
 """
 
 from __future__ import annotations
@@ -99,6 +102,12 @@ class Subspace:
             vecs.append(v)
         reduced, _ = rref(vecs, field)
         self.basis = [tuple(v) for v in reduced]
+
+    @classmethod
+    def span(cls, field: Field, ambient: int, vectors) -> "Subspace":
+        """Span of vectors of length ``ambient`` whose entries are already
+        elements of ``field``: reduced, not coerced."""
+        return cls(field, ambient, rref(vectors, field)[0], _canonical=True)
 
     @property
     def dim(self) -> int:

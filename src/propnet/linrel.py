@@ -101,7 +101,8 @@ class LinRel:
             vecs.append(lin_comb(field, cvec[:a], fb, 0, self.dom)
                         + lin_comb(field, cvec[a:], gb, other.dom,
                                    other.dom + other.cod))
-        return LinRel.from_vectors(field, self.dom, other.cod, vecs)
+        return LinRel(self.dom, other.cod,
+                      Subspace.span(field, self.dom + other.cod, vecs))
 
     def tensor(self, other: "LinRel") -> "LinRel":
         """Both bases padded into the (self.dom, other.dom, self.cod,
@@ -126,9 +127,9 @@ class LinRel:
                                          _canonical=True))
 
     def dagger(self) -> "LinRel":
-        vecs = [list(v[self.dom:]) + list(v[:self.dom])
-                for v in self.space.basis]
-        return LinRel.from_vectors(self.field, self.cod, self.dom, vecs)
+        vecs = [v[self.dom:] + v[:self.dom] for v in self.space.basis]
+        return LinRel(self.cod, self.dom,
+                      Subspace.span(self.field, self.space.ambient, vecs))
 
     def __eq__(self, other):
         if not isinstance(other, LinRel):
@@ -336,13 +337,13 @@ def circuit_kernel(c: LCircuit, field: Field) -> Subspace:
 
 def blackbox(c: LCircuit, field: Field = QS) -> LinRel:
     """The boundary behaviour of a circuit without sources.  Its ``h``
-    column is zero, so the kernel vector e_h projects to 0, which
-    ``from_vectors`` drops."""
+    column is zero, so the kernel vector e_h projects to 0, which the
+    reduction drops."""
     if any(lab.kind in SOURCE_KINDS for _s, _t, lab in c.graph.edges):
         raise UnsupportedLabel("source labels need the affine black-boxing")
     nb = 2 * (c.m + c.n)
     vecs = [v[:nb] for v in circuit_kernel(c, field).basis]
-    return LinRel.from_vectors(field, 2 * c.m, 2 * c.n, vecs)
+    return LinRel(2 * c.m, 2 * c.n, Subspace.span(field, nb, vecs))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,22 @@ structural equality.
 
 Most rational functions met in practice have a constant part (circuit
 matrices are full of 0, 1 and -1, and resistor values are constants), and
-a constant part is coprime to anything nonzero.  So ``RatFunc`` runs the
-Euclidean ``poly_gcd`` only when both parts have positive degree.
+a constant part is coprime to anything nonzero.  So ``RatFunc`` runs
+``poly_gcd`` only when both parts have positive degree.
+
+``poly_gcd`` works over the integers: it clears each part's denominators
+and computes the gcd of the primitive integer parts with the heuristic
+GCDHEU of Char, Geddes & Gonnet (1989), which evaluates both parts at an
+integer, takes one integer gcd and reads the candidate off its digits.  A
+candidate is accepted only when it divides both parts exactly; after six
+rejected evaluation points the Euclidean remainder loop over ``Fraction``
+decides.  ``RatFunc`` then divides the primitive parts by the gcd exactly
+over the integers and rescales once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -129,9 +139,6 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
@@ -149,14 +156,141 @@ def _exact(c) -> Fraction:
     return Fraction(c)
 
 
+_ONE = Poly.const(1)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by Euclidean remainders; gcd(0, 0) = 0."""
+    """Monic gcd; gcd(0, 0) = 0.
+
+    Nonconstant parts go to ``_heu_gcd`` as primitive integer coefficient
+    lists, and to ``_euclid_gcd`` only when GCDHEU gives up.
+    """
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return _ONE
+    h = _heu_gcd(_primitive(a.coeffs)[1], _primitive(b.coeffs)[1])
+    if h is None:
+        return _euclid_gcd(a, b)
+    if len(h) == 1:
+        return _ONE
+    lead = h[-1]
+    return Poly(tuple(Fraction(c, lead) for c in h))
+
+
+def _euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclidean remainders over Q; gcd(0, 0) = 0."""
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
 
 
-_ONE = Poly.const(1)
+# Evaluation points GCDHEU tries before it gives up (Char, Geddes & Gonnet).
+HEU_TRIES = 6
+
+
+def _heu_gcd(f, g):
+    """Primitive gcd of two primitive integer coefficient lists (lowest
+    degree first, both of positive degree) by GCDHEU, or None when every
+    evaluation point fails.
+
+    At an integer xi the candidate is the primitive part of the polynomial
+    whose symmetric base-xi digits spell gcd(f(xi), g(xi)).  A candidate
+    that divides f and g is the gcd, as long as xi is more than twice the
+    Cauchy root bound of f or of g: the gcd is the candidate times some c,
+    c(xi) divides the content of the digit polynomial, which is at most
+    xi / 2, and every root of c lies within the root bound, so a
+    nonconstant c would have |c(xi)| > xi / 2.  The second term of the
+    first xi is that bound; the first makes a fit of the gcd's digits
+    likely.  Each next xi is about 2.73 xi^(5/4), as in the paper.
+    """
+    nf = max(map(abs, f))
+    ng = max(map(abs, g))
+    bound = 2 * min(nf, ng) + 29
+    xi = max(min(bound, 99 * math.isqrt(bound)),
+             2 * min(nf // abs(f[-1]), ng // abs(g[-1])) + 4)
+    for _ in range(HEU_TRIES):
+        h = _sym_digits(math.gcd(_evaluate(f, xi), _evaluate(g, xi)), xi)
+        if len(h) == 1:
+            return [1]
+        content = math.gcd(*h)
+        if content != 1:
+            h = [c // content for c in h]
+        if _exact_quo(f, h) is not None and _exact_quo(g, h) is not None:
+            return h
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate(f, x: int) -> int:
+    """f(x) by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _sym_digits(n: int, xi: int):
+    """Digits of n > 0 in base xi, lowest first, each in (-xi/2, xi/2]."""
+    half = xi // 2
+    out = []
+    while n:
+        d = n % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        n = (n - d) // xi
+    return out
+
+
+def _exact_quo(a, b):
+    """a / b for integer coefficient lists (lowest degree first), or None
+    when b does not divide a over the integers."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None
+    a = list(a)
+    lead = b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[k + db], lead)
+        if r:
+            return None
+        if c:
+            q[k] = c
+            for j in range(db):
+                a[k + j] -= c * b[j]
+    if any(a[:db]):
+        return None
+    return q
+
+
+def _primitive(coeffs):
+    """Positive content and primitive integer coefficients of a nonzero
+    list of Fractions: ``coeffs[k] == content * prim[k]``."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    if content != 1:
+        ints = [x // content for x in ints]
+    return Fraction(content, den), ints
+
+
+def _cancel(num: Poly, den: Poly, g: Poly):
+    """Canonical parts of num/den once their common factor g is divided
+    out: exact integer division of the primitive parts, then one scaling
+    that makes the denominator monic."""
+    cn, pn = _primitive(num.coeffs)
+    cd, pd = _primitive(den.coeffs)
+    pg = _primitive(g.coeffs)[1]
+    qn = _exact_quo(pn, pg)
+    qd = _exact_quo(pd, pg)
+    lead = qd[-1]
+    scale = cn / (cd * lead)
+    num = Poly(tuple(scale * c for c in qn))
+    if len(qd) == 1:
+        return num, _ONE
+    return num, Poly(tuple(Fraction(c, lead) for c in qd))
 
 
 class RatFunc:
@@ -165,7 +299,8 @@ class RatFunc:
     Construction takes the shortest route to that form.  A zero numerator
     gives 0/1.  A constant denominator c gives num/c.  A constant numerator
     is coprime to any denominator, so only the denominator is made monic.
-    ``poly_gcd`` runs only when both parts have positive degree.  Every
+    ``poly_gcd`` runs only when both parts have positive degree, and a
+    common factor is divided out over the integers by ``_cancel``.  Every
     constant denominator ends up as the one shared polynomial 1.
 
     Negation and inversion of a canonical value are canonical after at most
@@ -190,8 +325,8 @@ class RatFunc:
         if len(num.coeffs) > 1 and len(den.coeffs) > 1:
             g = poly_gcd(num, den)
             if g.degree > 0:
-                num = num // g
-                den = den // g
+                self.num, self.den = _cancel(num, den, g)
+                return
         lead = den.leading()
         if len(den.coeffs) == 1:
             # every constant denominator is the shared _ONE (see __mul__)

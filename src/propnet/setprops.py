@@ -90,17 +90,11 @@ class Corelation:
         return cls(m + n, n + m, blocks)
 
     def dagger(self) -> "Corelation":
-        swap = {"x": "y", "y": "x"}
-        return Corelation(self.n, self.m,
-                          [tuple((swap[t], i) for t, i in b)
-                           for b in self.blocks])
+        return Corelation(self.n, self.m, _dagger_blocks(self))
 
     def tensor(self, other: "Corelation") -> "Corelation":
-        blocks = list(self.blocks)
-        for b in other.blocks:
-            blocks.append(tuple(
-                (t, i + (self.m if t == "x" else self.n)) for t, i in b))
-        return Corelation(self.m + other.m, self.n + other.n, blocks)
+        return Corelation(self.m + other.m, self.n + other.n,
+                          _tensor_blocks(self, other))
 
     def compose(self, other: "Corelation") -> "Corelation":
         part, _dropped = _compose_blocks(self, other)
@@ -116,6 +110,21 @@ class Corelation:
 
     def __repr__(self):
         return f"Corelation({format_corel(self)!r})"
+
+
+def _dagger_blocks(f):
+    """Blocks of f with its domain and codomain terminals swapped."""
+    swap = {"x": "y", "y": "x"}
+    return [tuple((swap[t], i) for t, i in b) for b in f.blocks]
+
+
+def _tensor_blocks(f, g):
+    """Blocks of f, then those of g shifted past f's terminals."""
+    blocks = list(f.blocks)
+    for b in g.blocks:
+        blocks.append(tuple(
+            (t, i + (f.m if t == "x" else f.n)) for t, i in b))
+    return blocks
 
 
 def _compose_blocks(f, g):
@@ -170,12 +179,12 @@ class Cospan(Corelation):
         self.extras = extras
 
     def dagger(self) -> "Cospan":
-        c = super().dagger()
-        return Cospan(c.m, c.n, c.blocks, self.extras)
+        return Cospan(self.n, self.m, _dagger_blocks(self), self.extras)
 
     def tensor(self, other: "Cospan") -> "Cospan":
-        c = super().tensor(other)
-        return Cospan(c.m, c.n, c.blocks, self.extras + other.extras)
+        return Cospan(self.m + other.m, self.n + other.n,
+                      _tensor_blocks(self, other),
+                      self.extras + other.extras)
 
     def compose(self, other: "Cospan") -> "Cospan":
         part, dropped = _compose_blocks(self, other)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from propnet import scalar
 from propnet.scalar import (DivisionByZero, FIELDS, MAX_EXPONENT, Poly, QQ,
@@ -274,3 +275,136 @@ def test_neg_and_inv_build_canonical_values(x):
             # the shared constant denominator keeps RatFunc.__mul__'s fast
             # path for products of polynomials
             assert got.den is scalar._ONE
+
+
+# ---------------------------------------------------------------------------
+# the gcd over the integers (GCDHEU) against sympy and the Euclidean loop
+
+def _big_poly(rng, degree, bits):
+    """Random polynomial of exactly ``degree`` with coefficients of up to
+    ``bits`` bits, a third of them with a denominator too."""
+    def coeff():
+        c = Fraction(rng.randint(-2 ** bits, 2 ** bits))
+        if rng.random() < 0.33:
+            c /= rng.randint(1, 2 ** bits)
+        return c
+
+    cs = [coeff() for _ in range(degree)]
+    lead = coeff()
+    while not lead:
+        lead = coeff()
+    return Poly(cs + [lead])
+
+
+def _gcd_cases(rng, count):
+    """Pairs with a planted common factor (total degree at most 8), coprime
+    pairs, and pairs where one part is a constant multiple of the other."""
+    for k in range(count):
+        bits = rng.choice([3, 16, 64])
+        kind = k % 3
+        if kind == 0:
+            g = _big_poly(rng, rng.randint(1, 4), bits)
+            a = g * _big_poly(rng, rng.randint(0, 8 - g.degree), bits)
+            b = g * _big_poly(rng, rng.randint(0, 8 - g.degree), bits)
+        elif kind == 1:
+            a = _big_poly(rng, rng.randint(1, 8), bits)
+            b = _big_poly(rng, rng.randint(1, 8), bits)
+        else:
+            a = _big_poly(rng, rng.randint(1, 8), bits)
+            b = a.scale(Fraction(rng.randint(-2 ** bits, -1),
+                                 rng.randint(1, 2 ** bits)))
+        if rng.random() < 0.5:
+            a = -a
+        yield a, b
+
+
+def _sympy_monic_gcd(sympy, s, a, b):
+    g = sympy.gcd(sympy_poly(sympy, s, a), sympy_poly(sympy, s, b))
+    g = sympy.Poly(g, s, domain="QQ").monic()
+    return tuple(Fraction(int(c.p), int(c.q))
+                 for c in reversed(g.all_coeffs()))
+
+
+def test_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    rng = random.Random(7)
+    for a, b in _gcd_cases(rng, 150):
+        want = _sympy_monic_gcd(sympy, s, a, b)
+        assert poly_gcd(a, b).coeffs == want, (a, b)
+        assert poly_gcd(b, a).coeffs == want, (b, a)
+        # the common factor is divided out exactly, the value kept
+        got = RatFunc(a, b)
+        _assert_canonical(got)
+        assert got.num * b == got.den * a
+
+
+def test_euclidean_fallback_agrees_with_gcdheu():
+    rng = random.Random(8)
+    for a, b in _gcd_cases(rng, 90):
+        f = scalar._primitive(a.coeffs)[1]
+        g = scalar._primitive(b.coeffs)[1]
+        assert scalar._heu_gcd(f, g) is not None
+        assert poly_gcd(a, b) == scalar._euclid_gcd(a, b)
+    for a, b in ((Poly(), Poly()), (Poly([0, 2]), Poly()),
+                 (Poly(), Poly([3, -6])), (Poly([5]), Poly([0, 1]))):
+        assert poly_gcd(a, b) == scalar._euclid_gcd(a, b)
+
+
+def test_gcdheu_rejects_a_candidate_that_does_not_divide(monkeypatch):
+    # at the first evaluation point the digits of gcd(f(xi), g(xi)) spell
+    # a polynomial that does not divide f; the next point finds s(2s - 3)
+    s = Poly.s()
+    common = s * Poly([-3, 2])
+    a = common * Poly([-1, -1])
+    b = common * Poly([-2, 1, -3])
+    quotients = []
+    exact_quo = scalar._exact_quo
+
+    def spy(f, g):
+        q = exact_quo(f, g)
+        quotients.append(q)
+        return q
+
+    monkeypatch.setattr(scalar, "_exact_quo", spy)
+    assert poly_gcd(a, b) == common.monic()
+    assert quotients[0] is None
+    assert quotients[-1] is not None
+    monkeypatch.undo()
+    assert RatFunc(a, b) == RatFunc(Poly([-1, -1]), Poly([-2, 1, -3]))
+
+
+# ---------------------------------------------------------------------------
+# field axioms of Q(s), up to degree 3 with rational coefficients
+
+_coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+_polys3 = st.lists(_coeffs, max_size=4).map(Poly)
+_nonzero_polys3 = _polys3.filter(lambda p: not p.is_zero())
+_qs = st.builds(RatFunc, _polys3, _nonzero_polys3)
+
+
+@PROPERTY
+@given(_qs, _qs, _qs)
+def test_qs_ring_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+
+
+@PROPERTY
+@given(_qs.filter(bool))
+def test_qs_inverse(x):
+    one = x * x.inv()
+    assert one == RatFunc(1)
+    assert one.den is scalar._ONE
+
+
+@PROPERTY
+@given(_polys3, _nonzero_polys3, _nonzero_polys3)
+def test_common_factor_cancels(n, d, g):
+    got, want = RatFunc(n * g, d * g), RatFunc(n, d)
+    assert (got.num.coeffs, got.den.coeffs) == \
+        (want.num.coeffs, want.den.coeffs)
+    assert (got.den is scalar._ONE) == (want.den is scalar._ONE)
