@@ -11,7 +11,7 @@ from .scalar import QQ, QS, FIELDS, RatFunc, Poly
 from .term import (Gen, Id, Sym, Seq, Par, seq, par, parse_term,
                    format_term, evaluate, arity)
 from .setprops import Corelation, Cospan, format_corel, parse_corel
-from .circuit import LCircuit, load_circuit, dump_circuit
+from .circuit import LCircuit, load_circuit
 from .linrel import LinRel, K_corel, blackbox, is_lagrangian, format_linrel
 from .afflag import AffRel, aff_blackbox, is_aff_lagrangian, format_affrel
 from .sigflow import box_eval, translate_T, square_check

@@ -1,16 +1,19 @@
-"""Affine relations as homogenized subspaces, with source-aware
-black-boxing.
+"""Affine relations as linear relations with a unit wire, and
+source-aware black-boxing.
 
-An affine relation p -> q is stored as a subspace of k^(p+q+1); the last
-coordinate h is the homogenizing constant, and the relation is the h = 1
-slice.  The relation is empty exactly when h vanishes identically on the
-stored subspace.  Composition and tensor identify the h coordinates, so
-one kernel computation covers both the linear and the translated parts.
+An affine relation f: p -> q is stored as its homogenization f# =
+``LinRel(p, q + 1, hspace)``, whose last wire h carries the constant: f
+is the h = 1 slice, empty exactly when h vanishes on f#.  Operations are
+``LinRel`` operations on f# and three fixed relations: the unit point ONE
+(0 -> 1), the codiagonal MERGE (2 -> 1) and the zero effect ZERO
+(1 -> 0).  The one affine-specific step is the lift in ``compose``.
 """
 
 from __future__ import annotations
 
-from .exactla import Subspace, kernel, lin_comb
+import functools
+
+from .exactla import Subspace
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
 from .linrel import (LinRel, OddDimension, circuit_kernel,
@@ -33,17 +36,15 @@ class AffRel:
     def field(self) -> Field:
         return self.hspace.field
 
+    @property
+    def homogenized(self) -> LinRel:
+        """f#: the relation dom -> cod + 1 whose last wire is h."""
+        return LinRel(self.dom, self.cod + 1, self.hspace)
+
     @classmethod
     def from_linrel(cls, rel: LinRel) -> "AffRel":
-        """The basis of ``rel`` with h = 0, then e_h.  e_h's pivot is the
-        last column, where every other vector is 0, so the basis is already
-        the reduced echelon one."""
-        field = rel.field
-        vecs = [v + (field.zero,) for v in rel.space.basis]
-        vecs.append((field.zero,) * (rel.dom + rel.cod) + (field.one,))
-        return cls(rel.dom, rel.cod,
-                   Subspace(field, rel.dom + rel.cod + 1, vecs,
-                            _canonical=True))
+        """rel (x) ONE: h is free, and every other wire is as in ``rel``."""
+        return cls(rel.dom, rel.cod, rel.tensor(_units(rel.field)[0]).space)
 
     @classmethod
     def from_constraints(cls, field, dom, cod, rows):
@@ -73,20 +74,10 @@ class AffRel:
         return None
 
     def linear_part(self) -> LinRel:
-        """The h = 0 slice as a plain linear relation."""
-        field = self.field
-        h = self.dom + self.cod
-        pivot = None
-        vecs = []
-        for v in self.hspace.basis:
-            if v[h] != field.zero and pivot is None:
-                pivot = v
-                continue
-            if v[h] != field.zero:
-                c = v[h] / pivot[h]
-                v = [a - c * b for a, b in zip(v, pivot)]
-            vecs.append(v[:h])
-        return LinRel(self.dom, self.cod, Subspace.span(field, h, vecs))
+        """The h = 0 slice, f# ; (id_cod (x) ZERO)."""
+        zero = _units(self.field)[2]
+        return self.homogenized.compose(
+            LinRel.identity(self.field, self.cod).tensor(zero))
 
     def contains(self, point) -> bool:
         return self.hspace.contains(list(point) + [self.field.one])
@@ -111,24 +102,17 @@ class AffRel:
         return AffRel(self.dom, other.cod, rel.space)
 
     def tensor(self, other: "AffRel") -> "AffRel":
-        field = self.field
-        fb = self.hspace.basis
-        gb = other.hspace.basis
-        a, b = len(fb), len(gb)
-        hf = self.dom + self.cod
-        hg = other.dom + other.cod
-        row = [v[hf] for v in fb] + [-w[hg] for w in gb]
-        sol = kernel([row], field, a + b)
-        dom = self.dom + other.dom
-        cod = self.cod + other.cod
-        vecs = []
-        for cvec in sol.basis:
-            # f's (u, w, h) and g's (u, w), h taken from f's side
-            fv = lin_comb(field, cvec[:a], fb, 0, hf + 1)
-            gv = lin_comb(field, cvec[a:], gb, 0, hg)
-            vecs.append(fv[:self.dom] + gv[:other.dom] + fv[self.dom:hf]
-                        + gv[other.dom:] + fv[hf:])
-        return AffRel(dom, cod, Subspace.span(field, dom + cod + 1, vecs))
+        """(f# (x) g#) ; (id_c1 (x) sigma(1, c2) (x) id_1) ;
+        (id_(c1+c2) (x) MERGE): g's wires pass f's h, then the two h
+        wires merge."""
+        field, c1, c2 = self.field, self.cod, other.cod
+        swap = (LinRel.identity(field, c1)
+                .tensor(LinRel.symmetry(field, 1, c2))
+                .tensor(LinRel.identity(field, 1)))
+        merge = LinRel.identity(field, c1 + c2).tensor(_units(field)[1])
+        rel = (self.homogenized.tensor(other.homogenized)
+               .compose(swap).compose(merge))
+        return AffRel(self.dom + other.dom, c1 + c2, rel.space)
 
     def __eq__(self, other):
         if not isinstance(other, AffRel):
@@ -149,6 +133,14 @@ class AffRel:
             return f"AffRel({self.dom}->{self.cod}, EMPTY)"
         return (f"AffRel({self.dom}->{self.cod}, "
                 f"dim {self.hspace.dim - 1} affine)")
+
+
+@functools.cache
+def _units(field: Field):
+    """ONE, MERGE and ZERO over ``field``, built once."""
+    return (LinRel.from_vectors(field, 0, 1, [[1]]),
+            LinRel.from_vectors(field, 2, 1, [[1, 1, 1]]),
+            LinRel.from_vectors(field, 1, 0, []))
 
 
 def is_aff_lagrangian(rel: AffRel) -> bool:

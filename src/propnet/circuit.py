@@ -23,6 +23,10 @@ LABEL_KINDS = ("wire", "impedance", "resistor", "inductor", "capacitor",
 
 SOURCE_KINDS = ("vsource", "isource")
 
+# The most nodes a circuit file may declare.  Black-boxing is quadratic
+# in the node count: 2,000 nodes take under a second.
+MAX_NODES = 2000
+
 
 @dataclass(frozen=True)
 class EdgeLabel:
@@ -299,6 +303,9 @@ def circuit_from_json(data) -> LCircuit:
     nodes = data.get("nodes")
     if type(nodes) is not int:
         raise ValueError("'nodes' must be an integer")
+    if nodes > MAX_NODES:
+        raise ValueError(f"'nodes' is {nodes}, over the limit of "
+                         f"{MAX_NODES}")
     return LCircuit(LGraph(nodes, edges),
                     _json_list(data, "inputs", int, "integers"),
                     _json_list(data, "outputs", int, "integers"))
@@ -315,8 +322,3 @@ def _json_list(data: dict, key: str, kind: type, what: str) -> list:
 def load_circuit(path) -> LCircuit:
     with open(path, encoding="utf-8") as fh:
         return circuit_from_json(json.load(fh))
-
-
-def dump_circuit(c: LCircuit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_json(c), fh, indent=2)

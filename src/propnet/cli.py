@@ -11,8 +11,8 @@ from .scalar import FIELDS, QS
 from .term import (Gen, Id, Sym, arity, evaluate, par, parse_term, seq)
 from .setprops import (BoolRelModel, Corelation, CorelModel, CospanModel,
                        NatSpanModel, format_corel)
-from .circuit import CircuitModel, SOURCE_KINDS, load_circuit
-from .linrel import (CorelToLinRelModel, LinRel, blackbox,
+from .circuit import CIRCUIT_SIGNATURE, CircuitModel, load_circuit
+from .linrel import (CorelToLinRelModel, LinRel,
                      format_constraints, format_linrel)
 from .afflag import AffRel, aff_blackbox, format_affrel
 from .sigflow import SigFlowModel, square_check
@@ -21,37 +21,6 @@ from .laws import (bimonoid_laws, frobenius_monoid_laws, run_suite,
 from .bondgraph import (BG_SIGNATURE, FModel, GModel, alpha, bondgraph_laws,
                         check_absorption, check_naturality,
                         discriminating_law)
-
-
-def _suite_fincorel(field):
-    return CorelModel(), frobenius_monoid_laws(
-        "m", "i", "d", "e", commutative=True), ()
-
-
-def _suite_fincospan(field):
-    return CospanModel(), frobenius_monoid_laws(
-        "m", "i", "d", "e", commutative=True), {"extra"}
-
-
-def _suite_finrel_set(field):
-    return BoolRelModel(), bimonoid_laws(
-        "m", "i", "d", "e", special_law=True), ()
-
-
-def _suite_finspan(field):
-    return NatSpanModel(), bimonoid_laws("m", "i", "d", "e"), ()
-
-
-def _suite_finrelk(field):
-    laws = []
-    laws += frobenius_monoid_laws("codup", "codel", "dup", "del",
-                                  prefix="dup_", commutative=True)
-    laws += frobenius_monoid_laws("add", "zero", "coadd", "cozero",
-                                  prefix="add_", commutative=True)
-    laws += bimonoid_laws("add", "zero", "dup", "del", prefix="hopf_")
-    laws += bimonoid_laws("codup", "codel", "coadd", "cozero",
-                          prefix="cohopf_")
-    return SigFlowModel(field), laws, ()
 
 
 def _deg2_laws():
@@ -70,11 +39,7 @@ def _deg2_laws():
     return laws
 
 
-def _suite_fincorel_deg2(field):
-    return GModel(), _deg2_laws(), ()
-
-
-def _suite_lagrel_deg2(field):
+def _lagrel_deg2_laws():
     laws = []
     laws += frobenius_monoid_laws("1j", "1u", "1d", "1e", prefix="one_",
                                   commutative=True)
@@ -87,17 +52,35 @@ def _suite_lagrel_deg2(field):
     laws.append(("mutual_inverse_b",
                  seq(Gen("1d"), Gen("0j"), Gen("0d"), Gen("1j")), Id(1)))
     laws.append(discriminating_law())
-    return FModel(field), laws, {"zero_comult_one_mult"}
+    return laws
 
 
-def _suite_bondgraph_f(field):
-    laws = bondgraph_laws() + [discriminating_law()]
-    return FModel(field), laws, {"zero_comult_one_mult"}
+_WIRE_FROBENIUS = frobenius_monoid_laws("m", "i", "d", "e", commutative=True)
+_BONDGRAPH_LAWS = bondgraph_laws() + [discriminating_law()]
 
-
-def _suite_bondgraph_g(field):
-    laws = bondgraph_laws() + [discriminating_law()]
-    return GModel(), laws, ()
+# suite name -> (model name in ``_models``, laws, ids of the laws that are
+# expected to fail)
+SUITES = {
+    "fincorel": ("corel", _WIRE_FROBENIUS, ()),
+    "fincospan": ("cospan", _WIRE_FROBENIUS, ("extra",)),
+    "finrel-set": ("boolrel",
+                   bimonoid_laws("m", "i", "d", "e", special_law=True), ()),
+    "finspan": ("natspan", bimonoid_laws("m", "i", "d", "e"), ()),
+    "finrelk": ("sigflow",
+                frobenius_monoid_laws("codup", "codel", "dup", "del",
+                                      prefix="dup_", commutative=True)
+                + frobenius_monoid_laws("add", "zero", "coadd", "cozero",
+                                        prefix="add_", commutative=True)
+                + bimonoid_laws("add", "zero", "dup", "del", prefix="hopf_")
+                + bimonoid_laws("codup", "codel", "coadd", "cozero",
+                                prefix="cohopf_"), ()),
+    "fincorel-deg2": ("bondgraph-g", _deg2_laws(), ()),
+    "lagrel-deg2": ("bondgraph-f", _lagrel_deg2_laws(),
+                    ("zero_comult_one_mult",)),
+    "bondgraph-f": ("bondgraph-f", _BONDGRAPH_LAWS,
+                    ("zero_comult_one_mult",)),
+    "bondgraph-g": ("bondgraph-g", _BONDGRAPH_LAWS, ()),
+}
 
 
 def _alpha_checks(field):
@@ -145,18 +128,6 @@ def _square_checks(field):
     ]
     return [(lid, square_check(t, QS), True) for lid, t in terms]
 
-
-SUITES = {
-    "fincorel": _suite_fincorel,
-    "fincospan": _suite_fincospan,
-    "finrel-set": _suite_finrel_set,
-    "finspan": _suite_finspan,
-    "finrelk": _suite_finrelk,
-    "fincorel-deg2": _suite_fincorel_deg2,
-    "lagrel-deg2": _suite_lagrel_deg2,
-    "bondgraph-f": _suite_bondgraph_f,
-    "bondgraph-g": _suite_bondgraph_g,
-}
 
 CHECK_SUITES = {
     "alpha": _alpha_checks,
@@ -221,11 +192,7 @@ def _distinguish(a, b):
 
 def _cmd_blackbox(args) -> int:
     field = FIELDS[args.field]
-    circuit = load_circuit(args.circuit)
-    if any(lab.kind in SOURCE_KINDS for _s, _t, lab in circuit.graph.edges):
-        print(format_affrel(aff_blackbox(circuit, field)))
-    else:
-        print(format_linrel(blackbox(circuit, field)))
+    print(format_affrel(aff_blackbox(load_circuit(args.circuit), field)))
     return 0
 
 
@@ -276,9 +243,10 @@ def _cmd_laws(args) -> int:
     if args.suite not in SUITES:
         raise KeyError(f"unknown suite {args.suite!r}; choose from "
                        f"{sorted(list(SUITES) + list(CHECK_SUITES))}")
-    model, laws, failing = SUITES[args.suite](field)
+    model, laws, failing = SUITES[args.suite]
     return _report([(lid, holds, lid not in failing)
-                    for lid, holds in run_suite(model, laws)])
+                    for lid, holds in run_suite(_models(field)[model],
+                                                laws)])
 
 
 def _cmd_alpha(args) -> int:
@@ -293,6 +261,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_square(args) -> int:
     field = FIELDS[args.field]
     term = _read_term(args.term)
+    arity(term, CIRCUIT_SIGNATURE)
     ok = square_check(term, field)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1

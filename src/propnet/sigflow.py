@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .scalar import Field, QS
+from .scalar import Field, QS, format_scalar
 from .linrel import (LinRel, LinRelModel, UnsupportedLabel, blackbox,
                      label_impedance)
 from .circuit import CircuitModel, SOURCE_KINDS, label_from_gen_name
@@ -69,7 +69,8 @@ def box_eval(t: PropTerm, field: Field = QS) -> LinRel:
 # The translation T from circuit terms, doubling every wire
 
 def _scalar_gen(value) -> PropTerm:
-    from .scalar import format_scalar
+    """``format_scalar`` writes balanced brackets and single spaces, so
+    the printed ``(scalar LIT)`` reads back to this generator."""
     return Gen("scalar:" + format_scalar(value))
 
 

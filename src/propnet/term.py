@@ -95,14 +95,28 @@ class Signature:
         raise UnknownGenerator(name)
 
 
+# The widest interface a term may have, in objects.  Values grow with
+# the width squared: the identity on 1,000 objects is a linear relation
+# on 4,000 wires.
+MAX_WIDTH = 1000
+
+
+def _bounded(n: int) -> int:
+    if n > MAX_WIDTH:
+        raise ValueError(f"interface of {n} objects exceeds the limit "
+                         f"of {MAX_WIDTH}")
+    return n
+
+
 def arity(t: PropTerm, sig: Signature):
-    """(dom, cod) of a term, checking interfaces along the way."""
+    """(dom, cod) of a term, checking interfaces along the way and that
+    none is wider than ``MAX_WIDTH``."""
     if isinstance(t, Gen):
         return sig.arity_of(t.name)
     if isinstance(t, Id):
-        return (t.n, t.n)
+        return (_bounded(t.n), t.n)
     if isinstance(t, Sym):
-        return (t.m + t.n, t.n + t.m)
+        return (_bounded(t.m + t.n), t.n + t.m)
     if isinstance(t, Seq):
         d1, c1 = arity(t.first, sig)
         d2, c2 = arity(t.then, sig)
@@ -113,7 +127,7 @@ def arity(t: PropTerm, sig: Signature):
     if isinstance(t, Par):
         d1, c1 = arity(t.top, sig)
         d2, c2 = arity(t.bottom, sig)
-        return (d1 + d2, c1 + c2)
+        return (_bounded(d1 + d2), _bounded(c1 + c2))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -180,7 +194,8 @@ def model_equal(model: PropModel, s: PropTerm, t: PropTerm) -> bool:
 # S-expression grammar:
 #   (gen NAME) (id N) (sym M N) (seq T1 T2 ...) (par T1 T2 ...)
 #   (label KIND LIT?) and (scalar LIT) are generator sugar; they parse to
-#   Gen nodes with structured names "label:kind:lit" / "scalar:lit".
+#   Gen nodes with structured names "label:kind:lit" / "scalar:lit".  A
+#   literal is a balanced run of tokens, so it may hold brackets.
 
 # a bracket, or a run of characters that are neither brackets nor space
 # (``\s`` in a str pattern matches exactly where ``str.isspace`` is true)
@@ -215,18 +230,11 @@ def _parse_sexpr(tokens, pos):
         name, _ = _expect(tokens, pos, "generator name")
         pos += 1
         term = Gen(name)
-    elif head == "label":
-        parts = []
-        while _expect(tokens, pos, "label literal or ')'")[0] != ")":
-            parts.append(tokens[pos][0])
-            pos += 1
-        if not parts:
-            raise TermParseError(f"empty label at position {at}")
-        term = Gen("label:" + ":".join(parts))
-    elif head == "scalar":
-        lit, _ = _expect(tokens, pos, "scalar literal")
-        pos += 1
-        term = Gen(f"scalar:{lit}")
+    elif head in ("label", "scalar"):
+        lit, pos = _literal(tokens, pos, head, at)
+        # a label's kind is the first word of its literal
+        term = Gen(f"{head}:" + (lit.replace(" ", ":", 1)
+                                 if head == "label" else lit))
     elif head == "id":
         n, _ = _expect(tokens, pos, "object count")
         pos += 1
@@ -250,6 +258,24 @@ def _parse_sexpr(tokens, pos):
     if tok != ")":
         raise TermParseError(f"expected ')' at position {at}")
     return term, pos + 1
+
+
+def _literal(tokens, pos, head, at):
+    """The balanced run of tokens before the form's ')', as one string in
+    which tokens written apart are joined by one space; and the position
+    of that ')'."""
+    text, depth, end = "", 0, 0
+    while True:
+        tok, start = _expect(tokens, pos, f"{head} literal or ')'")
+        if tok == ")" and not depth:
+            break
+        depth += (tok == "(") - (tok == ")")
+        text += (" " if text and start > end else "") + tok
+        end = start + len(tok)
+        pos += 1
+    if not text:
+        raise TermParseError(f"empty {head} at position {at}")
+    return text, pos
 
 
 def _parse_nat(tok, at) -> int:

@@ -174,3 +174,74 @@ def test_compose_matches_stacked_kernel_qq(case):
 @given(composable_rows(QS))
 def test_compose_matches_stacked_kernel_qs(case):
     check_compose_against_stacking(QS, case)
+
+
+@st.composite
+def relation_rows(draw, field):
+    """Interface sizes and constraint rows over (u, w, h), sometimes rows
+    that force h = 0 and so an empty relation."""
+    dom, cod = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.one_of(st.just(field.zero), st.just(field.zero),
+                      st.just(field.one), st.just(-field.one),
+                      scalars(field))
+    width = dom + cod + 1
+    rows = [[draw(entry) for _ in range(width)]
+            for _ in range(draw(st.integers(0, width)))]
+    if draw(st.booleans()):
+        rows.append([field.zero] * (width - 1) + [draw(scalars(field))])
+    return dom, cod, rows
+
+
+def check_tensor_against_stacking(field, fcase, gcase):
+    """f (x) g by a second route: the kernel of f's rows placed on
+    (u1, w1, h) and g's on (u2, w2, h), in the (u1, u2, w1, w2, h)
+    layout."""
+    (d1, c1, frows), (d2, c2, grows) = fcase, gcase
+    zero = field.zero
+    rows = [r[:d1] + [zero] * d2 + r[d1:-1] + [zero] * c2 + r[-1:]
+            for r in frows]
+    rows += [[zero] * d1 + r[:d2] + [zero] * c1 + r[d2:] for r in grows]
+    got = AffRel.from_constraints(field, d1, c1, frows).tensor(
+        AffRel.from_constraints(field, d2, c2, grows))
+    assert (got.dom, got.cod) == (d1 + d2, c1 + c2)
+    assert got.hspace == kernel(rows, field, d1 + d2 + c1 + c2 + 1)
+
+
+def check_linear_part_drops_h(field, case):
+    """The h = 0 slice is cut out by the same rows without their h
+    column, whether or not the relation is empty."""
+    dom, cod, rows = case
+    f = AffRel.from_constraints(field, dom, cod, rows)
+    assert f.linear_part() == LinRel.from_constraints(
+        field, dom, cod, [r[:-1] for r in rows])
+
+
+# {h = 0}: the empty relation 1 -> 1
+_EMPTY = (1, 1, [[QQ.zero, QQ.zero, QQ.one]])
+
+
+@PROPERTY
+@given(relation_rows(QQ), relation_rows(QQ))
+@example(_EMPTY, (0, 2, []))
+@example((2, 0, []), _EMPTY)
+def test_tensor_matches_stacked_kernel_qq(fcase, gcase):
+    check_tensor_against_stacking(QQ, fcase, gcase)
+
+
+@PROPERTY
+@given(relation_rows(QS), relation_rows(QS))
+def test_tensor_matches_stacked_kernel_qs(fcase, gcase):
+    check_tensor_against_stacking(QS, fcase, gcase)
+
+
+@PROPERTY
+@given(relation_rows(QQ))
+@example(_EMPTY)
+def test_linear_part_drops_h_qq(case):
+    check_linear_part_drops_h(QQ, case)
+
+
+@PROPERTY
+@given(relation_rows(QS))
+def test_linear_part_drops_h_qs(case):
+    check_linear_part_drops_h(QS, case)

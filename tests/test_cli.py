@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from propnet.circuit import MAX_NODES, circuit_from_json
 from propnet.cli import SUITES, _models, main
 from propnet.linrel import parse_linrel
 from propnet.scalar import FIELDS, QS
-from propnet.term import Gen, Id, Sym, model_equal, par, seq
+from propnet.term import MAX_WIDTH, Gen, Id, Sym, model_equal, par, seq
 
 
 def run(capsys, *argv):
@@ -202,13 +203,42 @@ def test_printed_relation_reparses(capsys):
 
 
 def test_nested_power_limit_exits_2(tmp_path, capsys):
-    # term literals hold no brackets, but circuit label values do
+    # label values hold brackets, in circuit files and in term literals
     path = write_circuit(tmp_path, {
         "nodes": 2, "inputs": [0], "outputs": [1],
         "edges": [{"src": 0, "tgt": 1, "label": {
             "kind": "impedance", "value": "((s+1)^30)^100"}}]})
     code, _out, err = run(capsys, "blackbox", "--circuit", path)
     assert code == 2 and "degree" in err
+    code, _out, err = run(capsys, "eval", "--model", "linrel", "--term",
+                          "(label impedance ((s+1)^30)^100)")
+    assert code == 2 and "degree" in err
+
+
+WIDE = f"(id {MAX_WIDTH + 1})"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "corel", "--term", WIDE],
+    ["eval", "--model", "corel", "--term", "(id 99999999999)"],
+    ["eval", "--model", "linrel", "--term",
+     f"(par (id {MAX_WIDTH}) (gen i))"],
+    ["eval", "--model", "cospan", "--term", f"(sym {MAX_WIDTH} 1)"],
+    ["eq", "--model", "corel", "--term", "(id 1)", "--term", WIDE],
+    ["alpha", "--term", WIDE],
+    ["square", "--term", WIDE]])
+def test_term_width_limit_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("propnet: error:") and "limit" in err
+
+
+def test_size_limits_are_inclusive(capsys):
+    code, out, _err = run(capsys, "eval", "--model", "corel", "--term",
+                          f"(id {MAX_WIDTH})")
+    assert code == 0 and out.count("x") == MAX_WIDTH
+    assert circuit_from_json({"nodes": MAX_NODES}).graph.node_count == \
+        MAX_NODES
 
 
 MALFORMED_CIRCUITS = [
@@ -234,6 +264,7 @@ MALFORMED_CIRCUITS = [
     ({"nodes": 2, "edges": [{"src": 0, "tgt": 2,
                              "label": {"kind": "wire"}}]}, "out of range"),
     ({"nodes": 2, "inputs": [2]}, "out of range"),
+    ({"nodes": MAX_NODES + 1}, "limit"),
 ]
 
 

@@ -34,3 +34,36 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def identifiers(path):
+    """Every name a module reads, imports or looks up as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_export_is_used():
+    """A name the package exports is referenced by a test or by a module
+    other than the one defining it; otherwise it is dead API."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    in_tests = set().union(*(identifiers(p) for p in TESTS.glob("*.py")))
+    in_src = {p.stem: identifiers(p) for p in MODULES}
+    unused = [f"{module}.{name}" for module, name in exports
+              if name not in in_tests
+              and not any(name in names for stem, names in in_src.items()
+                          if stem != module)]
+    assert unused == []

@@ -4,11 +4,13 @@ import pytest
 
 from propnet.circuit import CircuitModel
 from propnet.laws import bimonoid_laws, frobenius_monoid_laws, run_suite
-from propnet.linrel import LinRel, UnsupportedLabel
-from propnet.scalar import QQ, QS
+from propnet.linrel import (CorelToLinRelModel, LinRel, UnsupportedLabel,
+                            impedance_rel)
+from propnet.scalar import QQ, QS, RatFunc
 from propnet.sigflow import (SIGFLOW_SIGNATURE, SigFlowModel, box_eval,
                              square_check, translate_T)
-from propnet.term import Gen, Id, arity, parse_term, seq
+from propnet.term import (Gen, Id, arity, evaluate, format_term, parse_term,
+                          seq)
 
 from helpers import rand_circuit_gens, rand_term
 
@@ -90,3 +92,31 @@ def test_sources_not_translatable():
         translate_T(parse_term("(label vsource 5)"), QS)
     with pytest.raises(UnsupportedLabel):
         translate_T(parse_term("(label capacitor 2)"), QQ)
+
+
+# every label kind, with literals that print with brackets and spaces
+LABEL_TERMS = ["(label wire)", "(label resistor 3/2)", "(label resistor 4)",
+               "(label inductor 3/2)", "(label capacitor 5/3)",
+               "(label impedance 1/(s+1))",
+               "(label impedance (2*s^2 - 3)/(s + 1/2))",
+               "(label vsource 1/(s+1))", "(label isource -2/3)"]
+
+
+@pytest.mark.parametrize("src", LABEL_TERMS)
+def test_label_and_translation_read_back(src):
+    t = parse_term(src)
+    assert parse_term(format_term(t)) == t
+    if "source" in src:
+        with pytest.raises(UnsupportedLabel):
+            translate_T(t, QS)
+        return
+    tt = translate_T(t, QS)
+    assert parse_term(format_term(tt)) == tt
+    assert box_eval(parse_term(format_term(tt)), QS) == box_eval(tt, QS)
+
+
+def test_bracketed_impedance_literal():
+    t = parse_term("(label impedance 1/(s+1))")
+    assert t == Gen("label:impedance:1/(s+1)")
+    z = QS.one / (QS.coerce(RatFunc.s()) + QS.one)
+    assert evaluate(t, CorelToLinRelModel(QS)) == impedance_rel(QS, z)

@@ -10,7 +10,7 @@ from propnet.linrel import LinRel
 from propnet.scalar import QQ, QS
 from propnet.setprops import (BoolRel, Corelation, CorelModel, Cospan,
                               CospanModel, NatSpan, WIRE_SIGNATURE)
-from propnet.term import (ArityMismatch, Gen, Id, Par, Seq, Sym,
+from propnet.term import (MAX_WIDTH, ArityMismatch, Gen, Id, Par, Seq, Sym,
                           TermParseError, UnknownGenerator, _tokenize, arity,
                           evaluate, format_term, model_equal, par, parse_term,
                           seq)
@@ -43,6 +43,27 @@ def test_parse_sugar():
     assert parse_term("(scalar -2)") == Gen("scalar:-2")
     assert parse_term("(seq (gen m) (gen d) (gen m))") == \
         Seq(Seq(Gen("m"), Gen("d")), Gen("m"))
+
+
+def test_bracketed_literals():
+    assert parse_term("(scalar (3/2)*s)") == Gen("scalar:(3/2)*s")
+    # whitespace between tokens reads as one space, none stays none
+    assert parse_term("(label impedance\t1/( s+1 )\n)") == \
+        Gen("label:impedance:1/( s+1 )")
+    assert parse_term("(seq (scalar 2*s - 3) (scalar ((1))))") == \
+        seq(Gen("scalar:2*s - 3"), Gen("scalar:((1))"))
+    for bad, message in [("(scalar 1/(s+1)", "expected scalar literal"),
+                         ("(scalar)", "empty scalar at position 1")]:
+        with pytest.raises(TermParseError, match=re.escape(message)):
+            parse_term(bad)
+
+
+def test_width_limit():
+    assert arity(Id(MAX_WIDTH), WIRE_SIGNATURE) == (MAX_WIDTH, MAX_WIDTH)
+    for t in (Id(MAX_WIDTH + 1), Sym(MAX_WIDTH, 1),
+              Par(Id(MAX_WIDTH), Gen("i")), Par(Gen("e"), Id(MAX_WIDTH))):
+        with pytest.raises(ValueError, match="limit"):
+            arity(t, WIRE_SIGNATURE)
 
 
 def test_parse_errors():
