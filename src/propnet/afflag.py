@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 
-from .exactla import Subspace
+from .exactla import Subspace, kernel
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
 from .linrel import (LinRel, OddDimension, circuit_kernel,
@@ -44,13 +44,14 @@ class AffRel:
     @classmethod
     def from_linrel(cls, rel: LinRel) -> "AffRel":
         """rel (x) ONE: h is free, and every other wire is as in ``rel``."""
-        return cls(rel.dom, rel.cod, rel.tensor(_units(rel.field)[0]).space)
+        return cls(rel.dom, rel.cod, rel.tensor(_one(rel.field)).space)
 
     @classmethod
     def from_constraints(cls, field, dom, cod, rows):
-        """Rows span dom+cod+1 entries; the last is minus the constant."""
-        return cls(dom, cod,
-                   LinRel.from_constraints(field, dom, cod + 1, rows).space)
+        """Rows span dom+cod+1 entries, coerced into ``field``; the last
+        is minus the constant.  No rows give the whole space."""
+        rows = [[field.coerce(x) for x in r] for r in rows]
+        return cls(dom, cod, kernel(rows, field, dom + cod + 1))
 
     @classmethod
     def identity(cls, field, n: int) -> "AffRel":
@@ -74,8 +75,9 @@ class AffRel:
         return None
 
     def linear_part(self) -> LinRel:
-        """The h = 0 slice, f# ; (id_cod (x) ZERO)."""
-        zero = _units(self.field)[2]
+        """The h = 0 slice, f# ; (id_cod (x) ZERO), with ZERO the zero
+        effect 1 -> 0."""
+        zero = LinRel.from_vectors(self.field, 1, 0, [])
         return self.homogenized.compose(
             LinRel.identity(self.field, self.cod).tensor(zero))
 
@@ -96,22 +98,16 @@ class AffRel:
         field = self.field
         d = other.dom
         lifted = [w[:d] + w[-1:] + w[d:] for w in other.hspace.basis]
-        rel = LinRel(self.dom, self.cod + 1, self.hspace).compose(
+        rel = self.homogenized.compose(
             LinRel(d + 1, other.cod + 1,
                    Subspace.span(field, d + other.cod + 2, lifted)))
         return AffRel(self.dom, other.cod, rel.space)
 
     def tensor(self, other: "AffRel") -> "AffRel":
-        """(f# (x) g#) ; (id_c1 (x) sigma(1, c2) (x) id_1) ;
-        (id_(c1+c2) (x) MERGE): g's wires pass f's h, then the two h
-        wires merge."""
-        field, c1, c2 = self.field, self.cod, other.cod
-        swap = (LinRel.identity(field, c1)
-                .tensor(LinRel.symmetry(field, 1, c2))
-                .tensor(LinRel.identity(field, 1)))
-        merge = LinRel.identity(field, c1 + c2).tensor(_units(field)[1])
+        """(f# (x) g#) ; ``_route``, which merges the two h wires."""
+        c1, c2 = self.cod, other.cod
         rel = (self.homogenized.tensor(other.homogenized)
-               .compose(swap).compose(merge))
+               .compose(_route(self.field, c1, c2)))
         return AffRel(self.dom + other.dom, c1 + c2, rel.space)
 
     def __eq__(self, other):
@@ -136,11 +132,21 @@ class AffRel:
 
 
 @functools.cache
-def _units(field: Field):
-    """ONE, MERGE and ZERO over ``field``, built once."""
-    return (LinRel.from_vectors(field, 0, 1, [[1]]),
-            LinRel.from_vectors(field, 2, 1, [[1, 1, 1]]),
-            LinRel.from_vectors(field, 1, 0, []))
+def _one(field: Field) -> LinRel:
+    """ONE, the unit point 0 -> 1 spanned by (1)."""
+    return LinRel.from_vectors(field, 0, 1, [[1]])
+
+
+@functools.cache
+def _route(field: Field, c1: int, c2: int) -> LinRel:
+    """(id_c1 (x) sigma(1, c2) (x) id_1) ; (id_(c1+c2) (x) MERGE), with
+    MERGE the codiagonal 2 -> 1 spanned by (1, 1, 1)."""
+    merge = LinRel.from_vectors(field, 2, 1, [[1, 1, 1]])
+    swap = (LinRel.identity(field, c1)
+            .tensor(LinRel.symmetry(field, 1, c2))
+            .tensor(LinRel.identity(field, 1)))
+    return swap.compose(LinRel.identity(field, c1 + c2).tensor(merge))
+
 
 
 def is_aff_lagrangian(rel: AffRel) -> bool:

@@ -11,8 +11,9 @@ from .scalar import FIELDS, QS
 from .term import (Gen, Id, Sym, arity, evaluate, par, parse_term, seq)
 from .setprops import (BoolRelModel, Corelation, CorelModel, CospanModel,
                        NatSpanModel, format_corel)
-from .circuit import CIRCUIT_SIGNATURE, CircuitModel, load_circuit
-from .linrel import (CorelToLinRelModel, LinRel,
+from .circuit import (CIRCUIT_SIGNATURE, CircuitModel, SOURCE_KINDS,
+                      load_circuit)
+from .linrel import (CorelToLinRelModel, LinRel, blackbox,
                      format_constraints, format_linrel)
 from .afflag import AffRel, aff_blackbox, format_affrel
 from .sigflow import SigFlowModel, square_check
@@ -192,7 +193,11 @@ def _distinguish(a, b):
 
 def _cmd_blackbox(args) -> int:
     field = FIELDS[args.field]
-    print(format_affrel(aff_blackbox(load_circuit(args.circuit), field)))
+    circuit = load_circuit(args.circuit)
+    if any(lab.kind in SOURCE_KINDS for _s, _t, lab in circuit.graph.edges):
+        print(format_affrel(aff_blackbox(circuit, field)))
+    else:
+        print(format_linrel(blackbox(circuit, field)))
     return 0
 
 

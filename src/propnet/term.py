@@ -95,9 +95,8 @@ class Signature:
         raise UnknownGenerator(name)
 
 
-# The widest interface a term may have, in objects.  Values grow with
-# the width squared: the identity on 1,000 objects is a linear relation
-# on 4,000 wires.
+# The widest interface a term may have, in objects.  Values grow with the
+# width squared: the identity on 1,000 objects is a 4,000-wire relation.
 MAX_WIDTH = 1000
 
 
@@ -109,8 +108,7 @@ def _bounded(n: int) -> int:
 
 
 def arity(t: PropTerm, sig: Signature):
-    """(dom, cod) of a term, checking interfaces along the way and that
-    none is wider than ``MAX_WIDTH``."""
+    """(dom, cod) of a term, checking interfaces and ``MAX_WIDTH``."""
     if isinstance(t, Gen):
         return sig.arity_of(t.name)
     if isinstance(t, Id):
