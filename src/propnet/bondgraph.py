@@ -139,23 +139,25 @@ def check_absorption(t: PropTerm, field: Field = QQ) -> bool:
 # ---------------------------------------------------------------------------
 # The defining law list
 
+def junction_laws(zero="symmetric"):
+    """The Frobenius monoid of each junction family, the weak bimonoid
+    laws between them and the mixed extra laws.  ``zero`` names the
+    ``frobenius_monoid_laws`` flag set for the 0-junctions."""
+    return (frobenius_monoid_laws("1j", "1u", "1d", "1e", prefix="one_",
+                                  symmetric=True)
+            + frobenius_monoid_laws("0j", "0u", "0d", "0e", prefix="zero_",
+                                    **{zero: True})
+            + weak_bimonoid_laws("1j", "1u", "0d", "0e", prefix="one_zero_")
+            + weak_bimonoid_laws("0j", "0u", "1d", "1e", prefix="zero_one_")
+            + [("extra_mixed_a", seq(Gen("0u"), Gen("1e")), Id(0)),
+               ("extra_mixed_b", seq(Gen("1u"), Gen("0e")), Id(0))])
+
+
 def bondgraph_laws():
-    laws = []
-    laws += frobenius_monoid_laws("1j", "1u", "1d", "1e", prefix="one_",
-                                  symmetric=True)
-    laws += frobenius_monoid_laws("0j", "0u", "0d", "0e", prefix="zero_",
-                                  symmetric=True)
-    laws += weak_bimonoid_laws("1j", "1u", "0d", "0e", prefix="one_zero_")
-    laws += weak_bimonoid_laws("0j", "0u", "1d", "1e", prefix="zero_one_")
-    laws.append(("extra_mixed_a",
-                 seq(Gen("0u"), Gen("1e")), Id(0)))
-    laws.append(("extra_mixed_b",
-                 seq(Gen("1u"), Gen("0e")), Id(0)))
     p = seq(Gen("0d"), Gen("1j"), Gen("1d"), Gen("0j"))
     q = seq(Gen("1d"), Gen("0j"), Gen("0d"), Gen("1j"))
-    laws.append(("idempotent_a", seq(p, p), p))
-    laws.append(("idempotent_b", seq(q, q), q))
-    return laws
+    return junction_laws() + [("idempotent_a", seq(p, p), p),
+                              ("idempotent_b", seq(q, q), q)]
 
 
 def discriminating_law():

@@ -135,34 +135,22 @@ class LCircuit:
         if self.n != other.m:
             raise InterfaceMismatch(
                 f"cannot compose {self.n} -> with {other.m} <-")
-        off = self.graph.node_count
-        total = off + other.graph.node_count
+        both = self.tensor(other)
         uf = _UnionFind()
-        for v in range(total):
-            uf.find(v)
-        for a, b in zip(self.outputs, other.inputs):
-            uf.union(a, b + off)
+        for a, b in zip(both.outputs[:self.n], both.inputs[self.m:]):
+            uf.union(a, b)
         # renumber quotient classes by first occurrence
-        order = []
-        seen = {}
+        index = {}
 
         def visit(v):
-            r = uf.find(v)
-            if r not in seen:
-                seen[r] = len(order)
-                order.append(r)
-            return seen[r]
+            return index.setdefault(uf.find(v), len(index))
 
-        inputs = [visit(i) for i in self.inputs]
-        outputs_pending = [o + off for o in other.outputs]
-        edges_pending = list(self.graph.edges)
-        edges_pending += [(s + off, t + off, lab)
-                          for s, t, lab in other.graph.edges]
-        outputs = [visit(o) for o in outputs_pending]
-        edges = [(visit(s), visit(t), lab) for s, t, lab in edges_pending]
-        for v in range(total):
+        inputs = [visit(i) for i in both.inputs[:self.m]]
+        outputs = [visit(o) for o in both.outputs[self.n:]]
+        edges = [(visit(s), visit(t), lab) for s, t, lab in both.graph.edges]
+        for v in range(both.graph.node_count):
             visit(v)
-        return LCircuit(LGraph(len(order), edges), inputs, outputs)
+        return LCircuit(LGraph(len(index), edges), inputs, outputs)
 
     def canonical_key(self):
         if self._canon is not None:
@@ -189,11 +177,6 @@ class LCircuit:
                    tuple(edges))
             if best is None or key < best:
                 best = key
-        if best is None:
-            best = (g.node_count,
-                    tuple(placed[i] for i in self.inputs),
-                    tuple(placed[o] for o in self.outputs),
-                    ())
         self._canon = best
         return best
 
@@ -321,4 +304,8 @@ def _json_list(data: dict, key: str, kind: type, what: str) -> list:
 
 def load_circuit(path) -> LCircuit:
     with open(path, encoding="utf-8") as fh:
-        return circuit_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("circuit JSON is nested too deeply") from None
+    return circuit_from_json(data)

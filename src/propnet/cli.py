@@ -17,27 +17,17 @@ from .linrel import (CorelToLinRelModel, LinRel, blackbox,
                      format_constraints, format_linrel)
 from .afflag import AffRel, aff_blackbox, format_affrel
 from .sigflow import SigFlowModel, square_check
-from .laws import (bimonoid_laws, frobenius_monoid_laws, run_suite,
-                   weak_bimonoid_laws)
+from .laws import bimonoid_laws, frobenius_monoid_laws, run_suite
 from .bondgraph import (BG_SIGNATURE, FModel, GModel, alpha, bondgraph_laws,
                         check_absorption, check_naturality,
-                        discriminating_law)
+                        discriminating_law, junction_laws)
 
 
 def _deg2_laws():
-    laws = []
-    laws += frobenius_monoid_laws("1j", "1u", "1d", "1e", prefix="one_",
-                                  symmetric=True)
-    laws += frobenius_monoid_laws("0j", "0u", "0d", "0e", prefix="zero_",
-                                  commutative=True)
-    laws += weak_bimonoid_laws("1j", "1u", "0d", "0e", prefix="one_zero_")
-    laws += weak_bimonoid_laws("0j", "0u", "1d", "1e", prefix="zero_one_")
-    laws.append(("extra_mixed_a", seq(Gen("0u"), Gen("1e")), Id(0)))
-    laws.append(("extra_mixed_b", seq(Gen("1u"), Gen("0e")), Id(0)))
     dm = seq(Gen("0d"), Gen("1j"))
-    laws.append(discriminating_law())
-    laws.append(("zero_comult_one_mult_idempotent", seq(dm, dm), dm))
-    return laws
+    return junction_laws(zero="commutative") + [
+        discriminating_law(),
+        ("zero_comult_one_mult_idempotent", seq(dm, dm), dm)]
 
 
 def _lagrel_deg2_laws():
@@ -254,22 +244,36 @@ def _cmd_laws(args) -> int:
                                                 laws)])
 
 
-def _cmd_alpha(args) -> int:
-    field = FIELDS[args.field]
+def _check_term(args, signature, check) -> int:
     term = _read_term(args.term)
-    arity(term, BG_SIGNATURE)
-    ok = check_naturality(term, field)
+    arity(term, signature)
+    ok = check(term, FIELDS[args.field])
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
-def _cmd_square(args) -> int:
-    field = FIELDS[args.field]
-    term = _read_term(args.term)
-    arity(term, CIRCUIT_SIGNATURE)
-    ok = square_check(term, field)
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+# name -> (handler, help, arguments before ``--field`` as (name, options));
+# the checks are looked up when a command runs, not bound here
+COMMANDS = {
+    "blackbox": (_cmd_blackbox, "behavior of a circuit JSON file",
+                 [("--circuit", dict(required=True,
+                                     help="circuit JSON file"))]),
+    "eval": (_cmd_eval, "evaluate a term in a model",
+             [("--model", dict(required=True)),
+              ("--term", dict(required=True,
+                              help="term file or literal s-expression"))]),
+    "eq": (_cmd_eq, "compare two terms in a model",
+           [("--model", dict(required=True)),
+            ("--term", dict(action="append", required=True,
+                            help="give twice: the two terms to compare"))]),
+    "laws": (_cmd_laws, "run a registered law suite", [("suite", {})]),
+    "alpha": (lambda a: _check_term(a, BG_SIGNATURE, check_naturality),
+              "naturality check for a bond-graph term",
+              [("--term", dict(required=True))]),
+    "square": (lambda a: _check_term(a, CIRCUIT_SIGNATURE, square_check),
+               "commuting-square check for a circuit term",
+               [("--term", dict(required=True))]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,45 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="propnet",
         description="evaluate and audit network diagram languages")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_field(p):
+    for name, (func, help_, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
         p.add_argument("--field", choices=sorted(FIELDS), default="qs",
                        help="scalar field (default qs)")
-
-    p = sub.add_parser("blackbox", help="behavior of a circuit JSON file")
-    p.add_argument("--circuit", required=True, help="circuit JSON file")
-    add_field(p)
-    p.set_defaults(func=_cmd_blackbox)
-
-    p = sub.add_parser("eval", help="evaluate a term in a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--term", required=True,
-                   help="term file or literal s-expression")
-    add_field(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("eq", help="compare two terms in a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--term", action="append", required=True,
-                   help="give twice: the two terms to compare")
-    add_field(p)
-    p.set_defaults(func=_cmd_eq)
-
-    p = sub.add_parser("laws", help="run a registered law suite")
-    p.add_argument("suite")
-    add_field(p)
-    p.set_defaults(func=_cmd_laws)
-
-    p = sub.add_parser("alpha", help="naturality check for a bond-graph term")
-    p.add_argument("--term", required=True)
-    add_field(p)
-    p.set_defaults(func=_cmd_alpha)
-
-    p = sub.add_parser("square", help="commuting-square check for a circuit term")
-    p.add_argument("--term", required=True)
-    add_field(p)
-    p.set_defaults(func=_cmd_square)
-
+        p.set_defaults(func=func)
     return parser
 
 

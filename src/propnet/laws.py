@@ -28,8 +28,7 @@ def _monoid_comonoid_laws(m, i, d, e, prefix):
 
 
 def frobenius_monoid_laws(mult, unit, comult, counit, prefix="",
-                          special=True, extra=True, commutative=False,
-                          symmetric=False):
+                          commutative=False, symmetric=False):
     m, i, d, e = Gen(mult), Gen(unit), Gen(comult), Gen(counit)
     one = Id(1)
     laws = _monoid_comonoid_laws(m, i, d, e, prefix) + [
@@ -37,11 +36,9 @@ def frobenius_monoid_laws(mult, unit, comult, counit, prefix="",
          seq(par(d, one), par(one, m)), seq(m, d)),
         (prefix + "frobenius_right",
          seq(par(one, d), par(m, one)), seq(m, d)),
+        (prefix + "special", seq(d, m), one),
+        (prefix + "extra", seq(i, e), Id(0)),
     ]
-    if special:
-        laws.append((prefix + "special", seq(d, m), one))
-    if extra:
-        laws.append((prefix + "extra", seq(i, e), Id(0)))
     if commutative:
         laws.append((prefix + "commutative", seq(Sym(1, 1), m), m))
         laws.append((prefix + "cocommutative", seq(d, Sym(1, 1)), d))
@@ -52,7 +49,7 @@ def frobenius_monoid_laws(mult, unit, comult, counit, prefix="",
 
 
 def bimonoid_laws(mult, unit, comult, counit, prefix="",
-                  special_law=False, bicommutative=True):
+                  special_law=False):
     m, i, d, e = Gen(mult), Gen(unit), Gen(comult), Gen(counit)
     one = Id(1)
     laws = _monoid_comonoid_laws(m, i, d, e, prefix) + [
@@ -62,10 +59,9 @@ def bimonoid_laws(mult, unit, comult, counit, prefix="",
         (prefix + "mult_counit", seq(m, e), par(e, e)),
         (prefix + "unit_comult", seq(i, d), par(i, i)),
         (prefix + "unit_counit", seq(i, e), Id(0)),
+        (prefix + "commutative", seq(Sym(1, 1), m), m),
+        (prefix + "cocommutative", seq(d, Sym(1, 1)), d),
     ]
-    if bicommutative:
-        laws.append((prefix + "commutative", seq(Sym(1, 1), m), m))
-        laws.append((prefix + "cocommutative", seq(d, Sym(1, 1)), d))
     if special_law:
         laws.append((prefix + "special", seq(d, m), one))
     return laws

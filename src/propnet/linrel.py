@@ -151,34 +151,17 @@ def _pivot(v) -> int:
 
 
 def is_lagrangian(rel: LinRel) -> bool:
-    """Maximal isotropy under the conjugate-domain symplectic form, with
-    coordinates read as (phi, I) pairs."""
+    """Whether the relation is its own complement under the conjugate-domain
+    symplectic form, with coordinates read as (phi, I) pairs."""
     if rel.dom % 2 or rel.cod % 2:
         raise OddDimension("ports carry (phi, I) pairs; dimensions must be even")
-    mports = rel.dom // 2
-    nports = rel.cod // 2
-    if rel.space.dim != mports + nports:
-        return False
-    field = rel.field
-
-    def omega(u, v):
-        acc = field.zero
-        for p in range(mports + nports):
-            phi_u, i_u = u[2 * p], u[2 * p + 1]
-            phi_v, i_v = v[2 * p], v[2 * p + 1]
-            term = phi_u * i_v - phi_v * i_u
-            if p < mports:
-                acc = acc - term
-            else:
-                acc = acc + term
-        return acc
-
-    basis = rel.space.basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if omega(basis[i], basis[j]) != field.zero:
-                return False
-    return True
+    # per basis vector v, the covector u -> w(v, u): (-I, phi) on each
+    # codomain port, negated on the domain ports
+    rows = [[x for p in range(0, len(v), 2)
+             for x in ((v[p + 1], -v[p]) if p < rel.dom
+                       else (-v[p + 1], v[p]))]
+            for v in rel.space.basis]
+    return kernel(rows, rel.field, rel.space.ambient) == rel.space
 
 
 def K_corel(field: Field, c: Corelation) -> LinRel:

@@ -46,6 +46,10 @@ MAX_EXPONENT = 1000
 # multiplications slow down with them.
 MAX_POWER_BITS = 20000
 
+# Deepest nesting of brackets and unary minus signs in a scalar literal:
+# the parser recurses once per level.  Printed literals nest at most 3 deep.
+MAX_NESTING = 100
+
 
 class Poly:
     """Polynomial in ``s`` with Fraction coefficients.
@@ -480,6 +484,7 @@ class _Lexer:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -528,10 +533,21 @@ def _parse_term(lx, atom):
             return val
 
 
+def _nested(lx, parse, atom):
+    """parse(lx, atom) one bracket or unary minus deeper."""
+    if lx.depth == MAX_NESTING:
+        raise ScalarParseError(f"literal nests deeper than the limit "
+                               f"{MAX_NESTING} at position {lx.pos}")
+    lx.depth += 1
+    val = parse(lx, atom)
+    lx.depth -= 1
+    return val
+
+
 def _parse_factor(lx, atom):
     if lx.peek() == "-":
         lx.take()
-        return -_parse_factor(lx, atom)
+        return -_nested(lx, _parse_factor, atom)
     base = _parse_atom(lx, atom)
     if lx.peek() == "^":
         lx.take()
@@ -602,7 +618,7 @@ def _parse_atom(lx, atom):
     ch = lx.peek()
     if ch == "(":
         lx.take()
-        val = _parse_expr(lx, atom)
+        val = _nested(lx, _parse_expr, atom)
         if lx.peek() != ")":
             raise ScalarParseError(f"expected ')' at position {lx.pos}")
         lx.take()
@@ -615,30 +631,27 @@ def _parse_atom(lx, atom):
     raise ScalarParseError(f"unexpected character {ch!r} at position {lx.pos}")
 
 
+def _parse(src: str, atom):
+    """The value of a literal; ``atom`` reads its integers and ``s``."""
+    lx = _Lexer(src)
+    val = _parse_expr(lx, atom)
+    if lx.peek() is not None:
+        raise ScalarParseError(f"trailing input at position {lx.pos}")
+    return val
+
+
 def parse_rat(src: str) -> Fraction:
     def atom(x):
         if x == "s":
             raise ScalarParseError("variable s is not a rational number")
         return Fraction(x)
 
-    lx = _Lexer(src)
-    val = _parse_expr(lx, atom)
-    if lx.peek() is not None:
-        raise ScalarParseError(f"trailing input at position {lx.pos}")
-    return val
+    return _parse(src, atom)
 
 
 def parse_ratfunc(src: str) -> RatFunc:
-    def atom(x):
-        if x == "s":
-            return RatFunc.s()
-        return RatFunc.const(x)
-
-    lx = _Lexer(src)
-    val = _parse_expr(lx, atom)
-    if lx.peek() is not None:
-        raise ScalarParseError(f"trailing input at position {lx.pos}")
-    return val
+    return _parse(src, lambda x: RatFunc.s() if x == "s"
+                  else RatFunc.const(x))
 
 
 def format_poly(p: Poly) -> str:

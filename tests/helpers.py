@@ -164,6 +164,27 @@ def dense_rref(rows, field):
     return rows[:r], pivots
 
 
+def lagrangian_oracle(rel) -> bool:
+    """Pairwise isotropy of the basis at half the ambient dimension, under
+    the conjugate-domain symplectic form on (phi, I) pairs; the interface
+    dimensions must be even."""
+    mports, nports = rel.dom // 2, rel.cod // 2
+    if rel.space.dim != mports + nports:
+        return False
+    field = rel.field
+
+    def omega(u, v):
+        acc = field.zero
+        for p in range(mports + nports):
+            term = u[2 * p] * v[2 * p + 1] - v[2 * p] * u[2 * p + 1]
+            acc = acc - term if p < mports else acc + term
+        return acc
+
+    basis = rel.space.basis
+    return all(omega(u, v) == field.zero
+               for u, v in itertools.combinations(basis, 2))
+
+
 def sympy_poly(sympy, s, p):
     return sum((sympy.Rational(c.numerator, c.denominator) * s ** k
                 for k, c in enumerate(p.coeffs)), sympy.Integer(0))

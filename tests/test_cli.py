@@ -5,7 +5,7 @@ import pytest
 from propnet.circuit import MAX_NODES, circuit_from_json
 from propnet.cli import SUITES, _models, main
 from propnet.linrel import parse_linrel
-from propnet.scalar import FIELDS, QS
+from propnet.scalar import FIELDS, MAX_NESTING, QS
 from propnet.term import MAX_WIDTH, Gen, Id, Sym, model_equal, par, seq
 
 
@@ -213,6 +213,34 @@ def test_nested_power_limit_exits_2(tmp_path, capsys):
     code, _out, err = run(capsys, "eval", "--model", "linrel", "--term",
                           "(label impedance ((s+1)^30)^100)")
     assert code == 2 and "degree" in err
+
+
+@pytest.mark.parametrize("nest", [
+    lambda k: "(" * k + "s" + ")" * k,
+    lambda k: "-" * k + "s",
+    lambda k: "-" * (k % 2) + "-(" * (k // 2) + "s" + ")" * (k // 2)],
+    ids=["brackets", "minus", "mixed"])
+def test_scalar_nesting_limit_exits_2(tmp_path, capsys, nest):
+    # in a term literal and in a circuit file's label value
+    for depth, status in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+        lit = nest(depth)
+        code, _out, err = run(capsys, "eval", "--model", "sigflow",
+                              "--term", f"(scalar {lit})")
+        assert code == status and (status == 0 or "nests deeper" in err)
+        path = write_circuit(tmp_path, {
+            "nodes": 2, "inputs": [0], "outputs": [1],
+            "edges": [{"src": 0, "tgt": 1, "label": {
+                "kind": "impedance", "value": lit}}]})
+        code, _out, err = run(capsys, "blackbox", "--circuit", path)
+        assert code == status and (status == 0 or "nests deeper" in err)
+
+
+def test_deeply_nested_circuit_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "blackbox", "--circuit", str(path))
+    assert code == 2 and out == ""
+    assert err == "propnet: error: circuit JSON is nested too deeply\n"
 
 
 WIDE = f"(id {MAX_WIDTH + 1})"

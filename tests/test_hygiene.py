@@ -1,7 +1,9 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every public
+name it defines is used somewhere else."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -37,33 +39,80 @@ def test_no_unused_imports(path):
 
 
 TESTS = pathlib.Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
-def identifiers(path):
-    """Every name a module reads, imports or looks up as an attribute."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    names = set()
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def identifiers(tree):
+    """How often a tree reads, imports or looks up each name as an
+    attribute."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.alias):
-            names.add(node.name)
+            names[node.name] += 1
     return names
 
 
 def test_every_export_is_used():
     """A name the package exports is referenced by a test or by a module
     other than the one defining it; otherwise it is dead API."""
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    tree = parse(SRC / "__init__.py")
     exports = [(node.module, alias.name) for node in tree.body
                if isinstance(node, ast.ImportFrom)
                for alias in node.names]
-    in_tests = set().union(*(identifiers(p) for p in TESTS.glob("*.py")))
-    in_src = {p.stem: identifiers(p) for p in MODULES}
+    in_tests = set().union(*(identifiers(parse(p))
+                             for p in TESTS.glob("*.py")))
+    in_src = {p.stem: identifiers(parse(p)) for p in MODULES}
     unused = [f"{module}.{name}" for module, name in exports
               if name not in in_tests
               and not any(name in names for stem, names in in_src.items()
                           if stem != module)]
+    assert unused == []
+
+
+def public_definitions(tree):
+    """The public top-level functions and classes of a module, and the
+    public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (m for m in node.body
+                            if isinstance(m, ast.FunctionDef))
+
+
+def unreferenced(defining, counts):
+    """Public names defined in the tree ``defining`` that the name counts
+    ``counts`` (of every tree, ``defining`` included) hold only inside
+    their own definitions."""
+    return [d.name for d in public_definitions(defining)
+            if not d.name.startswith("_")
+            and counts[d.name] == identifiers(d)[d.name]]
+
+
+def test_finds_an_unreferenced_definition():
+    src = ast.parse("def used():\n    return 1\n\n"
+                    "def recursive(n):\n    return recursive(n - 1)\n\n"
+                    "class Box:\n    def get(self):\n        return used()\n"
+                    "    def _hidden(self):\n        pass\n")
+    counts = identifiers(src) + identifiers(ast.parse("Box()"))
+    assert unreferenced(src, counts) == ["recursive", "get"]
+
+
+def test_every_public_definition_is_used():
+    """A public function, class or method of ``src/propnet`` is referenced
+    by name outside its own definition: by a test, by the benchmark or by
+    the engine; otherwise it is dead code."""
+    trees = {p: parse(p) for p in [*SRC.glob("*.py"), *TESTS.glob("*.py"),
+                                   *PERFBENCH.glob("*.py")]}
+    counts = sum((identifiers(t) for t in trees.values()), Counter())
+    unused = [f"{path.stem}.{name}" for path in MODULES
+              for name in unreferenced(trees[path], counts)]
     assert unused == []

@@ -16,9 +16,9 @@ from propnet.scalar import QQ, QS, RatFunc
 from propnet.setprops import CorelModel
 from propnet.term import evaluate
 
-from helpers import (PROPERTY, ladder_circuit, rand_circuit,
-                     rand_circuit_gens, rand_corelation, rand_term,
-                     sparse_rows)
+from helpers import (PROPERTY, RLC_KINDS, ladder_circuit, lagrangian_oracle,
+                     rand_circuit, rand_circuit_gens, rand_corelation,
+                     rand_term, scalars, sparse_rows)
 
 
 def _member(rel, vec):
@@ -226,3 +226,61 @@ def test_from_constraints_coerces_and_checks_widths():
     for rows in ([[1, 0, 0]], [[1, 0], [1]], [[1, 0], [0, 1, 0]]):
         with pytest.raises(ValueError):
             LinRel.from_constraints(QQ, 1, 1, rows)
+
+
+# ---------------------------------------------------------------------------
+# is_lagrangian against the pairwise isotropy oracle
+
+@st.composite
+def _lagrangians(draw, field):
+    """The graph I = D S phi of a symmetric S, where D negates the domain
+    ports, with (phi, I) -> (I, -phi) on some ports: each step keeps the
+    relation Lagrangian."""
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    ports = m + n
+    entry = st.one_of(st.just(field.zero), st.just(field.one),
+                      scalars(field))
+    s = [[field.zero] * ports for _ in range(ports)]
+    for i in range(ports):
+        for j in range(i, ports):
+            s[i][j] = s[j][i] = draw(entry)
+    turned = draw(st.sets(st.integers(0, ports - 1)) if ports
+                  else st.just(set()))
+    vecs = []
+    for k in range(ports):
+        v = []
+        for p in range(ports):
+            phi = field.one if p == k else field.zero
+            cur = -s[p][k] if p < m else s[p][k]
+            v += [cur, -phi] if p in turned else [phi, cur]
+        vecs.append(v)
+    return LinRel.from_vectors(field, 2 * m, 2 * n, vecs)
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@PROPERTY
+@given(data=st.data())
+def test_is_lagrangian_matches_pairwise_oracle(field, data):
+    lag = data.draw(_lagrangians(field))
+    assert is_lagrangian(lag) and lagrangian_oracle(lag)
+    width = lag.dom + lag.cod
+    if width:
+        # some basis vectors swapped for arbitrary ones: often of the
+        # same dimension, seldom isotropic
+        keep = data.draw(st.integers(0, lag.space.dim))
+        rows = data.draw(sparse_rows(field, max_rows=width // 2 + 1,
+                                     min_cols=width, max_cols=width))
+        rel = LinRel.from_vectors(field, lag.dom, lag.cod,
+                                  lag.space.basis[:keep] + rows)
+        assert is_lagrangian(rel) == lagrangian_oracle(rel)
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_blackboxed_passive_circuits_are_lagrangian(field, seed):
+    kinds = RLC_KINDS if field is QS else ("wire", "resistor")
+    c = rand_circuit(random.Random(seed), max_nodes=5, max_edges=6,
+                     kinds=kinds)
+    rel = blackbox(c, field)
+    assert is_lagrangian(rel) and lagrangian_oracle(rel)
