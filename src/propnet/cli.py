@@ -7,7 +7,7 @@ import argparse
 import os
 import sys
 
-from .scalar import FIELDS, QS
+from .scalar import FIELDS, QS, format_scalar
 from .term import (Gen, Id, Sym, arity, evaluate, par, parse_term, seq)
 from .setprops import (BoolRelModel, Corelation, CorelModel, CospanModel,
                        NatSpanModel, format_corel)
@@ -172,11 +172,11 @@ def _distinguish(a, b):
             return f"interface {a.dom}->{a.cod} vs {b.dom}->{b.cod}"
         for v in a.space.basis:
             if not b.space.contains(v):
-                lits = ", ".join(a.field.fmt(x) for x in v)
+                lits = ", ".join(map(format_scalar, v))
                 return f"vector ({lits}) in first only"
         for v in b.space.basis:
             if not a.space.contains(v):
-                lits = ", ".join(b.field.fmt(x) for x in v)
+                lits = ", ".join(map(format_scalar, v))
                 return f"vector ({lits}) in second only"
     return f"first: {_show_value(a)}\nsecond: {_show_value(b)}"
 

@@ -369,7 +369,7 @@ def format_linear_combination(field, coeffs, names) -> str:
         if cval == field.zero:
             continue
         neg = _is_negative(cval)
-        mag = field.fmt(-cval if neg else cval)
+        mag = format_scalar(-cval if neg else cval)
         if mag == "1":
             text = name
         else:
@@ -391,7 +391,7 @@ def format_constraints(field, rows, names) -> str:
         return "(no constraints)"
     lines = []
     for row in rows:
-        const = field.fmt(-row[-1]) if len(row) > len(names) else "0"
+        const = format_scalar(-row[-1]) if len(row) > len(names) else "0"
         lines.append(
             f"{format_linear_combination(field, row, names)} = {const}")
     return "\n".join(lines)

@@ -360,7 +360,8 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, (int, Fraction)):
@@ -447,13 +448,12 @@ class RatFunc:
 # Field descriptors.  exactla and everything above it is generic over these.
 
 class Field:
-    def __init__(self, name, zero, one, coerce, parse, fmt):
+    def __init__(self, name, zero, one, coerce, parse):
         self.name = name
         self.zero = zero
         self.one = one
         self.coerce = coerce
         self.parse = parse
-        self.fmt = fmt
 
     def __repr__(self):
         return f"Field({self.name})"
@@ -468,13 +468,10 @@ def _coerce_q(x):
 
 
 def _coerce_qs(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RatFunc.const(x)
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    raise TypeError(f"not a rational function: {x!r}")
+    out = RatFunc._coerce(x)
+    if out is NotImplemented:
+        raise TypeError(f"not a rational function: {x!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +688,7 @@ def format_scalar(x) -> str:
     raise TypeError(f"not a scalar: {x!r}")
 
 
-QQ = Field("q", Fraction(0), Fraction(1), _coerce_q, parse_rat, format_scalar)
-QS = Field("qs", RatFunc.const(0), RatFunc.const(1), _coerce_qs, parse_ratfunc,
-           format_scalar)
+QQ = Field("q", Fraction(0), Fraction(1), _coerce_q, parse_rat)
+QS = Field("qs", RatFunc.const(0), RatFunc.const(1), _coerce_qs, parse_ratfunc)
 
 FIELDS = {"q": QQ, "qs": QS}

@@ -108,10 +108,8 @@ def translate_T(t: PropTerm, field: Field = QS) -> PropTerm:
         return Id(2 * t.n)
     if isinstance(t, Sym):
         return Sym(2 * t.m, 2 * t.n)
-    if isinstance(t, Seq):
-        return Seq(translate_T(t.first, field), translate_T(t.then, field))
-    if isinstance(t, Par):
-        return Par(translate_T(t.top, field), translate_T(t.bottom, field))
+    if isinstance(t, (Seq, Par)):
+        return type(t)(tuple(translate_T(s, field) for s in t.terms))
     raise TypeError(f"not a term: {t!r}")
 
 

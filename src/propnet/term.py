@@ -1,13 +1,16 @@
 """Free symmetric monoidal syntax over a signature, plus generic evaluation.
 
-Terms are immutable trees.  ``Seq(f, g)`` is diagrammatic order: f happens
-first, g second.  A model supplies the meaning of generators, identities,
+Terms are immutable trees.  ``Seq`` and ``Par`` hold the children of one
+``(seq ...)`` or ``(par ...)`` form, as composition and tensor are strictly
+associative; a ``Seq`` is in diagrammatic order: its first term happens
+first.  A model supplies the meaning of generators, identities,
 symmetries and the two compositions; ``evaluate`` is then the unique strict
 symmetric monoidal extension.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -46,32 +49,26 @@ class Sym(PropTerm):
 
 @dataclass(frozen=True)
 class Seq(PropTerm):
-    first: PropTerm
-    then: PropTerm
+    """Two or more terms composed in order; build it with ``seq``."""
+    terms: tuple[PropTerm, ...]
 
 
 @dataclass(frozen=True)
 class Par(PropTerm):
-    top: PropTerm
-    bottom: PropTerm
+    """Two or more terms side by side, top first; build it with ``par``."""
+    terms: tuple[PropTerm, ...]
 
 
 def seq(*terms: PropTerm) -> PropTerm:
     if not terms:
         raise ValueError("seq needs at least one term")
-    out = terms[0]
-    for t in terms[1:]:
-        out = Seq(out, t)
-    return out
+    return Seq(terms) if len(terms) > 1 else terms[0]
 
 
 def par(*terms: PropTerm) -> PropTerm:
-    if not terms:
-        return Id(0)
-    out = terms[0]
-    for t in terms[1:]:
-        out = Par(out, t)
-    return out
+    if len(terms) < 2:
+        return terms[0] if terms else Id(0)
+    return Par(terms)
 
 
 class Signature:
@@ -116,16 +113,21 @@ def arity(t: PropTerm, sig: Signature):
     if isinstance(t, Sym):
         return (_bounded(t.m + t.n), t.n + t.m)
     if isinstance(t, Seq):
-        d1, c1 = arity(t.first, sig)
-        d2, c2 = arity(t.then, sig)
-        if c1 != d2:
-            raise ArityMismatch(
-                f"cannot compose: codomain {c1} != domain {d2} at {t!r}")
-        return (d1, c2)
+        dom, cod = arity(t.terms[0], sig)
+        for k, s in enumerate(t.terms[1:], 2):
+            d, c = arity(s, sig)
+            if d != cod:
+                raise ArityMismatch(
+                    f"cannot compose: term {k - 1} of a seq has codomain "
+                    f"{cod}, term {k} has domain {d}")
+            cod = c
+        return (dom, cod)
     if isinstance(t, Par):
-        d1, c1 = arity(t.top, sig)
-        d2, c2 = arity(t.bottom, sig)
-        return (_bounded(d1 + d2), _bounded(c1 + c2))
+        dom = cod = 0
+        for s in t.terms:
+            d, c = arity(s, sig)
+            dom, cod = _bounded(dom + d), _bounded(cod + c)
+        return (dom, cod)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -177,10 +179,10 @@ def _eval(t, model):
         return model.identity(t.n)
     if isinstance(t, Sym):
         return model.symmetry(t.m, t.n)
-    if isinstance(t, Seq):
-        return model.seq(_eval(t.first, model), _eval(t.then, model))
-    if isinstance(t, Par):
-        return model.par(_eval(t.top, model), _eval(t.bottom, model))
+    if isinstance(t, (Seq, Par)):
+        # a left fold over the children, each evaluated only when needed
+        op = model.seq if isinstance(t, Seq) else model.par
+        return functools.reduce(op, (_eval(s, model) for s in t.terms))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -293,8 +295,7 @@ def format_term(t: PropTerm) -> str:
         return f"(id {t.n})"
     if isinstance(t, Sym):
         return f"(sym {t.m} {t.n})"
-    if isinstance(t, Seq):
-        return f"(seq {format_term(t.first)} {format_term(t.then)})"
-    if isinstance(t, Par):
-        return f"(par {format_term(t.top)} {format_term(t.bottom)})"
+    if isinstance(t, (Seq, Par)):
+        head = "seq" if isinstance(t, Seq) else "par"
+        return f"({head} " + " ".join(map(format_term, t.terms)) + ")"
     raise TypeError(f"not a term: {t!r}")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from propnet.scalar import QQ, QS, RatFunc, Poly
 from propnet.setprops import Corelation, Cospan
 from propnet.circuit import EdgeLabel, LCircuit, LGraph
-from propnet.term import Gen, Id, Par, Seq, Sym, arity, par, seq
+from propnet.term import Gen, Id, Sym, arity, par, seq
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,8 @@ def _rand_gen_name(rng, gens):
 
 
 def rand_term(rng, sig, gens, depth, max_width=3):
-    """A random well-typed term over the given generator names."""
+    """A random well-typed term over the given generator names; a quarter
+    of its ``seq`` and ``par`` nodes have 3 to 5 children, the rest 2."""
     if depth <= 0:
         roll = rng.random()
         if roll < 0.6:
@@ -282,17 +283,29 @@ def rand_term(rng, sig, gens, depth, max_width=3):
         if roll < 0.8:
             return Id(rng.randint(0, max_width))
         return Sym(rng.randint(0, max_width), rng.randint(0, max_width))
+    children = rng.randint(3, 5) if rng.random() < 0.25 else 2
     if rng.random() < 0.5:
-        top = rand_term(rng, sig, gens, depth - 1, max_width)
-        bottom = rand_term(rng, sig, gens, depth - 1, max_width)
-        return Par(top, bottom)
-    first = rand_term(rng, sig, gens, depth - 1, max_width)
-    _d, c = arity(first, sig)
-    return Seq(first, rand_term_with_dom(rng, sig, gens, c, depth - 1))
+        return par(*(rand_term(rng, sig, gens, depth - 1, max_width)
+                     for _ in range(children)))
+    terms = [rand_term(rng, sig, gens, depth - 1, max_width)]
+    for _ in range(children - 1):
+        _d, c = arity(terms[-1], sig)
+        terms.append(rand_term_with_dom(rng, sig, gens, c, depth - 1))
+    return seq(*terms)
 
 
 def rand_term_with_dom(rng, sig, gens, dom, depth):
-    """A random well-typed term whose domain is exactly dom."""
+    """A random well-typed term whose domain is exactly dom: one ``par``
+    layer, then while depth lasts, more layers in the same ``seq``."""
+    layers = [_rand_layer(rng, sig, gens, dom)]
+    while depth > 0 and rng.random() < 0.6:
+        _d, c = arity(layers[-1], sig)
+        layers.append(_rand_layer(rng, sig, gens, c))
+        depth -= 1
+    return seq(*layers)
+
+
+def _rand_layer(rng, sig, gens, dom):
     parts = []
     left = dom
     while left > 0:
@@ -309,13 +322,7 @@ def rand_term_with_dom(rng, sig, gens, dom, depth):
         if zero_dom:
             parts.insert(rng.randrange(len(parts) + 1),
                          Gen(rng.choice(zero_dom)))
-    if not parts:
-        return Id(0)
-    t = par(*parts)
-    if depth > 0 and rng.random() < 0.6:
-        _d, c = arity(t, sig)
-        return Seq(t, rand_term_with_dom(rng, sig, gens, c, depth - 1))
-    return t
+    return par(*parts)
 
 
 def rand_circuit_gens(rng, with_sources=False):

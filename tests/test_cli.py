@@ -269,6 +269,25 @@ def test_size_limits_are_inclusive(capsys):
         MAX_NODES
 
 
+def test_wide_forms_evaluate(capsys):
+    pairs = "(gen d) (gen m) " * 50_000
+    code, out, _err = run(capsys, "eval", "--model", "corel", "--field", "q",
+                          "--term", f"(seq {pairs})")
+    assert code == 0 and out == "corel 1 1 { {x1 y1} }\n"
+    units = "(seq (gen i) (gen e)) " * 100_000
+    code, out, _err = run(capsys, "eval", "--model", "corel", "--field", "q",
+                          "--term", f"(par {units})")
+    assert code == 0 and out == "corel 0 0 { }\n"
+
+
+def test_long_ill_typed_chain_exits_2(capsys):
+    gens = "(gen d) (gen m) " * 250 + "(gen m)"
+    code, out, err = run(capsys, "eval", "--model", "corel", "--field", "q",
+                         "--term", f"(seq {gens})")
+    assert code == 2 and out == ""
+    assert err.startswith("propnet: error: cannot compose") and len(err) < 200
+
+
 MALFORMED_CIRCUITS = [
     ([], "JSON object"),
     ({"nodes": -1}, "negative"),

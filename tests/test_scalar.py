@@ -170,7 +170,7 @@ def test_field_descriptors():
     assert QQ.coerce(3) == Fraction(3)
     assert QS.coerce(Fraction(1, 2)) == RatFunc.const(Fraction(1, 2))
     assert QS.parse("s/2") == RatFunc.s() * QS.coerce(Fraction(1, 2))
-    assert QQ.fmt(Fraction(-1, 3)) == "-1/3"
+    assert format_scalar(Fraction(-1, 3)) == "-1/3"
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_parse_sugar():
     assert t == Gen("label:resistor:3/2")
     assert parse_term("(scalar -2)") == Gen("scalar:-2")
     assert parse_term("(seq (gen m) (gen d) (gen m))") == \
-        Seq(Seq(Gen("m"), Gen("d")), Gen("m"))
+        Seq((Gen("m"), Gen("d"), Gen("m")))
 
 
 def test_bracketed_literals():
@@ -61,9 +61,57 @@ def test_bracketed_literals():
 def test_width_limit():
     assert arity(Id(MAX_WIDTH), WIRE_SIGNATURE) == (MAX_WIDTH, MAX_WIDTH)
     for t in (Id(MAX_WIDTH + 1), Sym(MAX_WIDTH, 1),
-              Par(Id(MAX_WIDTH), Gen("i")), Par(Gen("e"), Id(MAX_WIDTH))):
+              par(Id(MAX_WIDTH), Gen("i")), par(Gen("e"), Id(MAX_WIDTH))):
         with pytest.raises(ValueError, match="limit"):
             arity(t, WIRE_SIGNATURE)
+
+
+def test_forms_print_as_written():
+    flat = ["(seq (gen m) (gen d) (gen m) (gen d))",
+            "(par (gen i) (id 2) (sym 1 2) (label resistor 3/2) (scalar -2))"]
+    for src in flat:
+        assert format_term(parse_term(src)) == src
+    nested = "(seq (seq (gen m) (gen d)) (par (par (gen e) (gen i)) (id 1)))"
+    t = parse_term(nested)
+    assert t == Seq((Seq((Gen("m"), Gen("d"))),
+                     Par((Par((Gen("e"), Gen("i"))), Id(1)))))
+    assert format_term(t) == nested
+    assert seq(Gen("m")) == par(Gen("m")) == Gen("m") and par() == Id(0)
+
+
+def test_arity_mismatch_names_the_place():
+    t = parse_term("(seq (gen d) (gen m) (gen d) (gen d))")
+    with pytest.raises(ArityMismatch, match=re.escape(
+            "cannot compose: term 3 of a seq has codomain 2, "
+            "term 4 has domain 1")):
+        arity(t, WIRE_SIGNATURE)
+
+
+class _CountingModel(CorelModel):
+    def __init__(self):
+        self.calls = []
+
+    def seq(self, a, b):
+        self.calls.append(("seq", a.m, a.n, b.m, b.n))
+        return super().seq(a, b)
+
+    def par(self, a, b):
+        self.calls.append(("par", a.m, a.n, b.m, b.n))
+        return super().par(a, b)
+
+
+def test_evaluation_folds_children_left_to_right():
+    # d : 1 -> 2 and m : 2 -> 1; a left fold sees the accumulated value
+    # first, so every call after the first starts from domain 1
+    model = _CountingModel()
+    evaluate(seq(*[Gen("d"), Gen("m")] * 3), model)
+    assert model.calls == [("seq", 1, 2, 2, 1), ("seq", 1, 1, 1, 2),
+                           ("seq", 1, 2, 2, 1), ("seq", 1, 1, 1, 2),
+                           ("seq", 1, 2, 2, 1)]
+    model = _CountingModel()
+    evaluate(par(Gen("d"), Gen("e"), Gen("i"), Gen("m")), model)
+    assert model.calls == [("par", 1, 2, 1, 0), ("par", 2, 2, 0, 1),
+                           ("par", 2, 3, 2, 1)]
 
 
 def test_parse_errors():
