@@ -170,14 +170,11 @@ def _distinguish(a, b):
     if isinstance(a, LinRel) and isinstance(b, LinRel):
         if (a.dom, a.cod) != (b.dom, b.cod):
             return f"interface {a.dom}->{a.cod} vs {b.dom}->{b.cod}"
-        for v in a.space.basis:
-            if not b.space.contains(v):
-                lits = ", ".join(map(format_scalar, v))
-                return f"vector ({lits}) in first only"
-        for v in b.space.basis:
-            if not a.space.contains(v):
-                lits = ", ".join(map(format_scalar, v))
-                return f"vector ({lits}) in second only"
+        for x, y, which in ((a, b, "first"), (b, a, "second")):
+            for v in x.space.basis:
+                if not y.space.contains(v):
+                    lits = ", ".join(map(format_scalar, v))
+                    return f"vector ({lits}) in {which} only"
     return f"first: {_show_value(a)}\nsecond: {_show_value(b)}"
 
 

@@ -109,7 +109,9 @@ def translate_T(t: PropTerm, field: Field = QS) -> PropTerm:
     if isinstance(t, Sym):
         return Sym(2 * t.m, 2 * t.n)
     if isinstance(t, (Seq, Par)):
-        return type(t)(tuple(translate_T(s, field) for s in t.terms))
+        # map, not a generator: one stack frame per level of nesting
+        return type(t)(tuple(map(translate_T, t.terms,
+                                 [field] * len(t.terms))))
     raise TypeError(f"not a term: {t!r}")
 
 

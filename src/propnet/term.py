@@ -10,7 +10,6 @@ symmetric monoidal extension.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -112,21 +111,22 @@ def arity(t: PropTerm, sig: Signature):
         return (_bounded(t.n), t.n)
     if isinstance(t, Sym):
         return (_bounded(t.m + t.n), t.n + t.m)
-    if isinstance(t, Seq):
-        dom, cod = arity(t.terms[0], sig)
-        for k, s in enumerate(t.terms[1:], 2):
-            d, c = arity(s, sig)
-            if d != cod:
-                raise ArityMismatch(
-                    f"cannot compose: term {k - 1} of a seq has codomain "
-                    f"{cod}, term {k} has domain {d}")
-            cod = c
-        return (dom, cod)
-    if isinstance(t, Par):
+    if isinstance(t, (Seq, Par)):
+        head = "seq" if isinstance(t, Seq) else "par"
         dom = cod = 0
-        for s in t.terms:
-            d, c = arity(s, sig)
-            dom, cod = _bounded(dom + d), _bounded(cod + c)
+        for k, s in enumerate(t.terms, 1):
+            try:
+                d, c = arity(s, sig)
+            except ArityMismatch as e:
+                raise ArityMismatch(f"in term {k} of a {head}: {e}") from None
+            if head == "par":
+                dom, cod = _bounded(dom + d), _bounded(cod + c)
+            elif k > 1 and d != cod:
+                raise ArityMismatch(f"cannot compose: term {k - 1} of a seq "
+                                    f"has codomain {cod}, term {k} has "
+                                    f"domain {d}")
+            else:
+                dom, cod = (d if k == 1 else dom), c
         return (dom, cod)
     raise TypeError(f"not a term: {t!r}")
 
@@ -180,9 +180,12 @@ def _eval(t, model):
     if isinstance(t, Sym):
         return model.symmetry(t.m, t.n)
     if isinstance(t, (Seq, Par)):
-        # a left fold over the children, each evaluated only when needed
+        # a left fold as a plain loop, one stack frame per nesting level
         op = model.seq if isinstance(t, Seq) else model.par
-        return functools.reduce(op, (_eval(s, model) for s in t.terms))
+        value = _eval(t.terms[0], model)
+        for s in t.terms[1:]:
+            value = op(value, _eval(s, model))
+        return value
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -296,6 +299,8 @@ def format_term(t: PropTerm) -> str:
     if isinstance(t, Sym):
         return f"(sym {t.m} {t.n})"
     if isinstance(t, (Seq, Par)):
-        head = "seq" if isinstance(t, Seq) else "par"
-        return f"({head} " + " ".join(map(format_term, t.terms)) + ")"
+        parts = ["(seq" if isinstance(t, Seq) else "(par"]
+        for s in t.terms:
+            parts.append(format_term(s))
+        return " ".join(parts) + ")"
     raise TypeError(f"not a term: {t!r}")

@@ -129,6 +129,11 @@ def test_eq_equal_and_differ(capsys):
     assert code == 1
     assert out.splitlines()[0] == "DIFFER"
     assert "vector" in out
+    # the first relation is a proper subspace of the second
+    code, out, _err = run(capsys, "eq", "--model", "sigflow",
+                          "--term", "(seq (gen del) (gen zero))",
+                          "--term", "(seq (gen del) (gen codel))")
+    assert code == 1 and out == "DIFFER\nvector (0, 1) in second only\n"
 
 
 def test_laws_suites_all_expected(capsys):
@@ -286,6 +291,18 @@ def test_long_ill_typed_chain_exits_2(capsys):
                          "--term", f"(seq {gens})")
     assert code == 2 and out == ""
     assert err.startswith("propnet: error: cannot compose") and len(err) < 200
+
+
+def test_deep_nesting_evaluates(capsys):
+    # the left-nested binary chain an older printer wrote for 700 generators
+    src = "(gen d)"
+    for k in range(699):
+        src = f"(seq {src} (gen {'md'[k % 2]}))"
+    code, out, _err = run(capsys, "eval", "--model", "corel", "--field", "q",
+                          "--term", src)
+    assert code == 0 and out == "corel 1 1 { {x1 y1} }\n"
+    code, out, _err = run(capsys, "square", "--field", "q", "--term", src)
+    assert code == 0 and out == "PASS\n"
 
 
 MALFORMED_CIRCUITS = [

@@ -77,6 +77,10 @@ def test_forms_print_as_written():
                      Par((Par((Gen("e"), Gen("i"))), Id(1)))))
     assert format_term(t) == nested
     assert seq(Gen("m")) == par(Gen("m")) == Gen("m") and par() == Id(0)
+    deep = "(gen d)"
+    for k in range(699):
+        deep = f"(seq {deep} (gen {'md'[k % 2]}))"
+    assert format_term(parse_term(deep)) == deep
 
 
 def test_arity_mismatch_names_the_place():
@@ -84,6 +88,16 @@ def test_arity_mismatch_names_the_place():
     with pytest.raises(ArityMismatch, match=re.escape(
             "cannot compose: term 3 of a seq has codomain 2, "
             "term 4 has domain 1")):
+        arity(t, WIRE_SIGNATURE)
+
+
+def test_arity_mismatch_names_the_enclosing_forms():
+    t = parse_term("(par (gen d) (seq (gen e) (par (id 1) "
+                   "(seq (gen d) (gen m) (gen m)))))")
+    with pytest.raises(ArityMismatch, match=re.escape(
+            "in term 2 of a par: in term 2 of a seq: in term 2 of a par: "
+            "cannot compose: term 2 of a seq has codomain 1, "
+            "term 3 has domain 2")):
         arity(t, WIRE_SIGNATURE)
 
 
