@@ -16,7 +16,7 @@ import functools
 from .exactla import Subspace, kernel
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
-from .linrel import (LinRel, OddDimension, circuit_kernel,
+from .linrel import (LinRel, OddDimension, boundary_rows,
                      format_constraints, is_lagrangian, label_rows,
                      port_var_names)
 from .circuit import LCircuit
@@ -170,11 +170,10 @@ def isource_rel(field: Field, i) -> AffRel:
 
 
 def aff_blackbox(c: LCircuit, field: Field = QS) -> AffRel:
-    """Black-boxing with sources: the circuit's kernel projected to the
-    boundary and the shared homogenizing constant."""
-    nb = 2 * (c.m + c.n)
-    vecs = [v[:nb] + v[-1:] for v in circuit_kernel(c, field).basis]
-    return AffRel(2 * c.m, 2 * c.n, Subspace.span(field, nb + 1, vecs))
+    """Black-boxing with sources: the kernel of the circuit's rows over
+    its boundary and the shared homogenizing constant."""
+    return AffRel(2 * c.m, 2 * c.n, kernel(boundary_rows(c, field), field,
+                                           2 * (c.m + c.n) + 1))
 
 
 def format_affrel(rel: AffRel) -> str:

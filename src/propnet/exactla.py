@@ -15,13 +15,16 @@ field value has one canonical form, so the reduced basis is exactly the
 dense one.  Constructors whose basis is reduced by construction (identity,
 symmetry, tensor) build ``Subspace(..., _canonical=True)`` and skip ``rref``.
 ``Subspace(...)`` coerces every entry of raw data; results computed from
-field elements (compose, dagger, black-boxing) use ``Subspace.span``,
-which only reduces.
+field elements (compose, dagger) use ``Subspace.span``, which only reduces.
+``eliminate`` projects columns off sparse rows one pivot at a time; a
+circuit's black box is ``eliminate`` of its internal unknowns, then ``kernel``.
 """
 
 from __future__ import annotations
 
-from .scalar import Field
+import heapq
+
+from .scalar import Field, RatFunc
 
 
 class DimensionMismatch(ValueError):
@@ -166,8 +169,6 @@ def kernel(rows, field: Field, width: int) -> Subspace:
     (back in natural order) 0 before f, because a reduced row has no entry
     to the left of its pivot.  Taken in increasing order of f, these vectors
     are the reduced echelon basis itself, so no second ``rref`` is needed.
-    Reversing also eliminates the trailing columns first; ``blackbox`` puts
-    its internal unknowns there.
     """
     if any(len(r) != width for r in rows):
         raise DimensionMismatch(f"row length differs from width {width}")
@@ -190,3 +191,70 @@ def kernel(rows, field: Field, width: int) -> Subspace:
 
 def rank(rows, field: Field) -> int:
     return len(rref(rows, field)[0])
+
+
+def _is_constant(x) -> bool:
+    """Every rational is; a rational function is when both parts are."""
+    return not isinstance(x, RatFunc) or x.num.degree + x.den.degree == 0
+
+
+def _product(f, x, one, minus_one):
+    """f * x, with no multiplication when either factor is 1 or -1."""
+    for a, b in ((f, x), (x, f)):
+        if b == one:
+            return a
+        if b == minus_one:
+            return -a
+    return f * x
+
+
+def eliminate(rows, field: Field, columns):
+    """Sparse rows (dicts from column to nonzero entry) whose solutions are
+    those of ``rows`` (not changed) projected off ``columns``: each step
+    subtracts a pivot row from the other rows holding its column, then
+    drops it and any empty row.  Pivots have the least Markowitz cost
+    (row length - 1) * (column count - 1) (Tinney & Walker 1967), then a
+    constant entry, then the lowest column and row.  A heap holds each
+    column's best pivot, re-keyed when the column gains or loses a row;
+    other stale keys are recomputed when they come up.
+    """
+    rows = [dict(r) for r in rows]
+    where = {c: set() for c in columns}
+    for i, row in enumerate(rows):
+        for c in row.keys() & where.keys():
+            where[c].add(i)
+
+    def key(c):
+        n = len(where[c]) - 1
+        return min(((len(rows[i]) - 1) * n, not _is_constant(rows[i][c]),
+                    c, i) for i in where[c])
+
+    heap = sorted(key(c) for c in where if where[c])  # a sorted list is a heap
+    one, minus_one = field.one, -field.one
+    while heap:
+        best = heapq.heappop(heap)
+        c, r = best[2:]
+        if not where.get(c):
+            continue
+        if (now := key(c)) != best:
+            heapq.heappush(heap, now)
+            continue
+        prow, rows[r] = rows[r], None
+        p = prow.pop(c)
+        inv = p if p in (one, minus_one) else one / p
+        changed = [j for j in prow if j in where]
+        for i in where.pop(c) - {r}:
+            row = rows[i]
+            g = _product(-row.pop(c), inv, one, minus_one)
+            for j, x in prow.items():
+                t = _product(g, x, one, minus_one)
+                row[j] = row[j] + t if j in row else t
+                if not row[j]:
+                    del row[j]
+            for j in changed:
+                (where[j].add if j in row else where[j].discard)(i)
+        for j in changed:
+            where[j].discard(r)
+            if where[j]:
+                heapq.heappush(heap, key(j))
+    return [row for row in rows if row]

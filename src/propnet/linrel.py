@@ -10,7 +10,7 @@ port is w((phi, I), (phi', I')) = phi I' - phi' I, with the conjugate
 
 from __future__ import annotations
 
-from .exactla import Subspace, kernel, lin_comb
+from .exactla import Subspace, eliminate, kernel, lin_comb
 from .scalar import Field, QS, RatFunc, format_scalar
 from .setprops import Corelation, InterfaceMismatch
 from .circuit import (CIRCUIT_SIGNATURE, SOURCE_KINDS, EdgeLabel, LCircuit,
@@ -273,60 +273,51 @@ def rlc_rel(field: Field, label: EdgeLabel) -> LinRel:
                          label_impedance(field, label.kind, label.value))
 
 
-def circuit_kernel(c: LCircuit, field: Field) -> Subspace:
-    """Solutions of a circuit's equations over its boundary (phi, I) pairs,
-    one potential per node, one current per edge and h, in that order.
-
-    The rows are, in order: each terminal's potential equals its node's;
-    both label rows of every edge, kept even when one folds to zero; and
-    Kirchhoff's current balance at each node, where it is not trivial.
-    The kernel is canonical, so the row order never changes the result,
-    but it changes the cost: ``rref`` swaps rows, so the pivot rows it
-    picks, and with them the size of the Q(s) intermediates, depend on
-    row positions.
-    """
-    m = c.m
-    nb = 2 * (m + c.n)
-    nnodes = c.graph.node_count
-    width = nb + nnodes + len(c.graph.edges) + 1
+def circuit_rows(c: LCircuit, field: Field):
+    """A circuit's equations, as sparse rows, over its boundary (phi, I)
+    pairs, one potential per node, one current per edge and h, in that
+    order: terminal potentials equal their node's; label rows per edge;
+    current balance per node.  Rows that fold to zero are left out."""
+    nb = 2 * (c.m + c.n)
+    cur = nb + c.graph.node_count
+    h = cur + len(c.graph.edges)
     zero, one = field.zero, field.one
-    rows = []
+    rows, kcl = [], [{} for _ in range(c.graph.node_count)]
     for k, v in enumerate(c.inputs + c.outputs):
-        row = [zero] * width
-        row[2 * k] = one
-        row[nb + v] = -one
-        rows.append(row)
-    # label rows on (phi_src, J, phi_tgt, J, h)
+        rows.append({2 * k: one, nb + v: -one})
+        kcl[v][2 * k + 1] = one if k < c.m else -one
     for e, (s, t, lab) in enumerate(c.graph.edges):
-        for a_phi1, a_i1, a_phi2, a_i2, a_h in label_rows(field, lab.kind,
-                                                          lab.value):
-            row = [zero] * width
-            row[nb + s] = row[nb + s] + a_phi1
-            row[nb + t] = row[nb + t] + a_phi2
-            row[nb + nnodes + e] = a_i1 + a_i2
-            row[-1] = a_h
+        # label rows on (phi_src, J, phi_tgt, J, h)
+        for coeffs in label_rows(field, lab.kind, lab.value):
+            row = {}
+            for col, x in zip((nb + s, cur + e, nb + t, cur + e, h), coeffs):
+                if x:
+                    row[col] = row[col] + x if col in row else x
             rows.append(row)
-    kcl = [[zero] * width for _ in range(nnodes)]
-    for i, v in enumerate(c.inputs):
-        kcl[v][2 * i + 1] = one
-    for j, v in enumerate(c.outputs):
-        kcl[v][2 * (m + j) + 1] = -one
-    for e, (s, t, _lab) in enumerate(c.graph.edges):
-        kcl[s][nb + nnodes + e] = -one
-        kcl[t][nb + nnodes + e] = kcl[t][nb + nnodes + e] + one
-    rows += [row for row in kcl if any(row)]
-    return kernel(rows, field, width)
+        kcl[s][cur + e] = -one
+        kcl[t][cur + e] = zero if s == t else one
+    rows = [{j: x for j, x in row.items() if x} for row in rows + kcl]
+    return [row for row in rows if row]
+
+
+def boundary_rows(c: LCircuit, field: Field):
+    """``circuit_rows`` with every node potential and edge current
+    eliminated, as dense rows over the boundary (phi, I) pairs and h."""
+    nb = 2 * (c.m + c.n)
+    h = nb + c.graph.node_count + len(c.graph.edges)
+    return [[row.get(j, field.zero) for j in (*range(nb), h)]
+            for row in eliminate(circuit_rows(c, field), field,
+                                 range(nb, h))]
 
 
 def blackbox(c: LCircuit, field: Field = QS) -> LinRel:
-    """The boundary behaviour of a circuit without sources.  Its ``h``
-    column is zero, so the kernel vector e_h projects to 0, which the
-    reduction drops."""
+    """The boundary behaviour of a circuit without sources, whose rows
+    have no h entries."""
     if any(lab.kind in SOURCE_KINDS for _s, _t, lab in c.graph.edges):
         raise UnsupportedLabel("source labels need the affine black-boxing")
     nb = 2 * (c.m + c.n)
-    vecs = [v[:nb] for v in circuit_kernel(c, field).basis]
-    return LinRel(2 * c.m, 2 * c.n, Subspace.span(field, nb, vecs))
+    rows = [row[:nb] for row in boundary_rows(c, field)]
+    return LinRel(2 * c.m, 2 * c.n, kernel(rows, field, nb))
 
 
 # ---------------------------------------------------------------------------

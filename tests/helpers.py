@@ -7,6 +7,8 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from propnet.exactla import kernel
+from propnet.linrel import label_rows
 from propnet.scalar import QQ, QS, RatFunc, Poly
 from propnet.setprops import Corelation, Cospan
 from propnet.circuit import EdgeLabel, LCircuit, LGraph
@@ -251,6 +253,76 @@ def rand_label(rng, kinds=RLC_KINDS):
         return EdgeLabel(kind, rand_fraction(rng, positive=True))
     value = rand_ratfunc(rng)
     return EdgeLabel(kind, value)
+
+
+@st.composite
+def circuits(draw, field, sources=False):
+    """Small circuits with labels that ``field`` can read.  Self-loops,
+    parallel edges, isolated nodes and legs that share a node all come
+    up; with sources, so do sources that conflict."""
+    nodes = draw(st.integers(0, 5))
+    kinds = ["wire", "resistor", "impedance"]
+    if field is QS:
+        kinds += ["inductor", "capacitor"]
+    if sources:
+        kinds += ["vsource", "isource"]
+    positive = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+    # a value 0 sometimes, so that impedances and sources can vanish
+    value = (st.just(Fraction(0)) | _fractions).map(RatFunc.const)
+    if field is QS:
+        value = value | scalars(QS)
+
+    @st.composite
+    def label(draw):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "wire":
+            return EdgeLabel(kind)
+        if kind in ("resistor", "inductor", "capacitor"):
+            return EdgeLabel(kind, draw(positive))
+        return EdgeLabel(kind, draw(value))
+
+    if not nodes:
+        return LCircuit(LGraph(0, []), [], [])
+    node = st.integers(0, nodes - 1)
+    edges = draw(st.lists(st.tuples(node, node, label()), max_size=7))
+    legs = st.lists(node, max_size=3)
+    return LCircuit(LGraph(nodes, edges), draw(legs), draw(legs))
+
+
+def circuit_kernel(c, field):
+    """Solutions of a circuit's equations over its boundary (phi, I)
+    pairs, one potential per node, one current per edge and h, in that
+    order: the dense oracle for black-boxing, one kernel of every row."""
+    m = c.m
+    nb = 2 * (m + c.n)
+    nnodes = c.graph.node_count
+    width = nb + nnodes + len(c.graph.edges) + 1
+    zero, one = field.zero, field.one
+    rows = []
+    for k, v in enumerate(c.inputs + c.outputs):
+        row = [zero] * width
+        row[2 * k] = one
+        row[nb + v] = -one
+        rows.append(row)
+    # label rows on (phi_src, J, phi_tgt, J, h)
+    for e, (s, t, lab) in enumerate(c.graph.edges):
+        for a_phi1, a_i1, a_phi2, a_i2, a_h in label_rows(field, lab.kind,
+                                                          lab.value):
+            row = [zero] * width
+            row[nb + s] = row[nb + s] + a_phi1
+            row[nb + t] = row[nb + t] + a_phi2
+            row[nb + nnodes + e] = a_i1 + a_i2
+            row[-1] = a_h
+            rows.append(row)
+    kcl = [[zero] * width for _ in range(nnodes)]
+    for i, v in enumerate(c.inputs):
+        kcl[v][2 * i + 1] = one
+    for j, v in enumerate(c.outputs):
+        kcl[v][2 * (m + j) + 1] = -one
+    for e, (s, t, _lab) in enumerate(c.graph.edges):
+        kcl[s][nb + nnodes + e] = -one
+        kcl[t][nb + nnodes + e] = kcl[t][nb + nnodes + e] + one
+    return kernel(rows + kcl, field, width)
 
 
 def rand_circuit(rng, max_nodes=6, max_edges=8, kinds=RLC_KINDS):

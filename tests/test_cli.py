@@ -1,11 +1,12 @@
 import json
+import time
 
 import pytest
 
 from propnet.circuit import MAX_NODES, circuit_from_json
 from propnet.cli import SUITES, _models, main
-from propnet.linrel import parse_linrel
-from propnet.scalar import FIELDS, MAX_NESTING, QS
+from propnet.linrel import impedance_rel, parse_linrel
+from propnet.scalar import FIELDS, MAX_NESTING, QQ, QS
 from propnet.term import MAX_WIDTH, Gen, Id, Sym, model_equal, par, seq
 
 
@@ -49,6 +50,24 @@ def test_blackbox_with_source(tmp_path, capsys):
     assert code == 0
     assert "= 0" in out and any(line.strip().endswith(("2", "-2"))
                                 for line in out.splitlines())
+
+
+def test_blackbox_of_the_longest_chain(tmp_path, capsys):
+    resistor = {"kind": "resistor", "value": "1"}
+    path = write_circuit(tmp_path, {
+        "nodes": MAX_NODES,
+        "edges": [{"src": k, "tgt": k + 1, "label": resistor}
+                  for k in range(MAX_NODES - 1)],
+        "inputs": [0], "outputs": [MAX_NODES - 1],
+    })
+    start = time.process_time()
+    code, out, _err = run(capsys, "blackbox", "--field", "q",
+                          "--circuit", path)
+    took = time.process_time() - start
+    assert code == 0
+    assert parse_linrel(out, 1, 1, QQ) == \
+        impedance_rel(QQ, QQ.coerce(MAX_NODES - 1))
+    assert took < 5
 
 
 def test_eval_corel(capsys):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propnet.exactla import DimensionMismatch, Subspace, kernel, rank, rref
+from propnet.exactla import (DimensionMismatch, Subspace, eliminate, kernel,
+                             rank, rref)
 from propnet.scalar import QQ, QS, RatFunc
 
 from helpers import (PROPERTY, dense_rref, rand_fraction, rand_ratfunc,
@@ -182,6 +183,37 @@ def test_rref_is_idempotent(field, data):
     again, pivots2 = rref(red, field)
     assert pivots2 == pivots
     assert _forms(again) == _forms(red)
+
+
+# ---------------------------------------------------------------------------
+# eliminate: its rows cut out the projection of the kernel
+
+def _kernel_of_sparse(rows, field, columns):
+    """Kernel of sparse rows over the listed columns, in their order."""
+    return kernel([[r.get(j, field.zero) for j in columns] for r in rows],
+                  field, len(columns))
+
+
+@over_fields
+@PROPERTY
+@given(data=st.data())
+def test_eliminate_projects_the_kernel(field, data):
+    dense = data.draw(sparse_rows(field, max_rows=6, max_cols=7))
+    width = len(dense[0])
+    gone = data.draw(st.sets(st.integers(0, width - 1)))
+    kept = [j for j in range(width) if j not in gone]
+    rows = [{j: x for j, x in enumerate(r) if x} for r in dense]
+    before = [dict(r) for r in rows]
+    left = eliminate(rows, field, sorted(gone))
+    assert rows == before
+    assert all(row and gone.isdisjoint(row) for row in left)
+    projected = Subspace.span(field, len(kept),
+                              [[v[j] for j in kept]
+                               for v in kernel(dense, field, width).basis])
+    assert _kernel_of_sparse(left, field, kept) == projected
+    shuffled = data.draw(st.permutations(rows))
+    assert _kernel_of_sparse(eliminate(shuffled, field, gone), field,
+                             kept) == projected
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from propnet.afflag import AffRel
-from propnet.circuit import CircuitModel, LCircuit, LGraph, parse_label
+from propnet.afflag import AffRel, aff_blackbox
+from propnet.circuit import (MAX_NODES, SOURCE_KINDS, WIRE, CircuitModel,
+                             EdgeLabel, LCircuit, LGraph, parse_label)
 from propnet.linrel import (CorelToLinRelModel, K_corel, LinRel, OddDimension,
                             UnsupportedLabel, blackbox, format_linrel,
                             impedance_rel, is_lagrangian, parse_linrel,
@@ -16,9 +18,10 @@ from propnet.scalar import QQ, QS, RatFunc
 from propnet.setprops import CorelModel
 from propnet.term import evaluate
 
-from helpers import (PROPERTY, RLC_KINDS, ladder_circuit, lagrangian_oracle,
-                     rand_circuit, rand_circuit_gens, rand_corelation,
-                     rand_term, scalars, sparse_rows)
+from helpers import (PROPERTY, RLC_KINDS, circuit_kernel, circuits,
+                     ladder_circuit, lagrangian_oracle, rand_circuit,
+                     rand_circuit_gens, rand_corelation, rand_term, scalars,
+                     sparse_rows)
 
 
 def _member(rel, vec):
@@ -284,3 +287,75 @@ def test_blackboxed_passive_circuits_are_lagrangian(field, seed):
                      kinds=kinds)
     rel = blackbox(c, field)
     assert is_lagrangian(rel) and lagrangian_oracle(rel)
+
+
+# ---------------------------------------------------------------------------
+# black-boxing against the dense oracle: one kernel of all the equations,
+# projected to the boundary and h
+
+def _check_blackbox_against_oracle(c, field):
+    nb = 2 * (c.m + c.n)
+    full = circuit_kernel(c, field).basis
+    aff = aff_blackbox(c, field)
+    assert aff.hspace == Subspace.span(field, nb + 1,
+                                       [v[:nb] + v[-1:] for v in full])
+    if not any(lab.kind in SOURCE_KINDS for _s, _t, lab in c.graph.edges):
+        assert blackbox(c, field).space == \
+            Subspace.span(field, nb, [v[:nb] for v in full])
+    return aff
+
+
+@pytest.mark.parametrize("sources", [False, True], ids=["linear", "sources"])
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@PROPERTY
+@given(data=st.data())
+def test_blackbox_matches_dense_oracle(field, sources, data):
+    _check_blackbox_against_oracle(data.draw(circuits(field, sources)), field)
+
+
+def _resistor(r):
+    return EdgeLabel("resistor", Fraction(r))
+
+
+def _vsource(v):
+    return EdgeLabel("vsource", RatFunc.const(v))
+
+
+CORNER_CIRCUITS = {
+    "self-loops": LCircuit(LGraph(2, [
+        (0, 0, _resistor(2)), (1, 1, WIRE), (0, 1, _resistor(3)),
+        (1, 1, EdgeLabel("isource", RatFunc.const(4)))]), [0], [1]),
+    "parallel edges": LCircuit(LGraph(2, [
+        (0, 1, _resistor(2)), (1, 0, _resistor(3)), (0, 1, _vsource(1))]),
+        [0], [1]),
+    "isolated nodes": LCircuit(LGraph(4, [(0, 1, _resistor(2))]),
+                               [0, 2], [1]),
+    "shared legs": LCircuit(LGraph(2, [(0, 1, _resistor(2))]),
+                            [0, 0, 1], [1, 0]),
+    "no nodes": LCircuit(LGraph(0, []), [], []),
+    "conflicting sources": LCircuit(LGraph(2, [
+        (0, 1, _vsource(1)), (0, 1, _vsource(2))]), [0], [1]),
+    "source on a self-loop": LCircuit(LGraph(1, [(0, 0, _vsource(1))]),
+                                      [0], []),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@pytest.mark.parametrize("name", CORNER_CIRCUITS)
+def test_blackbox_corner_cases_match_dense_oracle(field, name):
+    aff = _check_blackbox_against_oracle(CORNER_CIRCUITS[name], field)
+    assert aff.is_empty() == ("source" in name)
+
+
+def test_blackbox_of_many_edgeless_nodes_stays_small():
+    c = LCircuit(LGraph(MAX_NODES, []), [0], [MAX_NODES - 1])
+    tracemalloc.start()
+    try:
+        rel = blackbox(c, QQ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    # two open terminals: free potentials, no current
+    assert rel == LinRel.from_constraints(QQ, 2, 2, [[0, 1, 0, 0],
+                                                     [0, 0, 0, 1]])
