@@ -116,23 +116,25 @@ def alpha(n: int, field: Field = QQ) -> LinRel:
     return out
 
 
+def _alpha_kg(t: PropTerm, field: Field):
+    """alpha_m then K(G(t)), and alpha_n, for t : m -> n."""
+    m, n = arity(t, BG_SIGNATURE)
+    kg = K_corel(field, G_eval(t))
+    return alpha(m, field).compose(kg), alpha(n, field)
+
+
 def check_naturality(t: PropTerm, field: Field = QQ) -> bool:
     """Conjugating the corelation behavior by alpha recovers the
     effort/flow behavior: alpha_m then K(G(t)) then alpha_n dagger
     equals F(t)."""
-    m, n = arity(t, BG_SIGNATURE)
-    kg = K_corel(field, G_eval(t))
-    am, an = alpha(m, field), alpha(n, field)
-    return am.compose(kg).compose(an.dagger()) == F_eval(t, field)
+    lhs, an = _alpha_kg(t, field)
+    return lhs.compose(an.dagger()) == F_eval(t, field)
 
 
 def check_absorption(t: PropTerm, field: Field = QQ) -> bool:
     """K(G(t)) after alpha is unchanged by the alpha alpha-dagger
     idempotent on the codomain side."""
-    m, n = arity(t, BG_SIGNATURE)
-    kg = K_corel(field, G_eval(t))
-    am, an = alpha(m, field), alpha(n, field)
-    lhs = am.compose(kg)
+    lhs, an = _alpha_kg(t, field)
     return lhs == lhs.compose(an.dagger()).compose(an)
 
 

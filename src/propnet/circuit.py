@@ -226,9 +226,9 @@ CIRCUIT_SIGNATURE = Signature({"m": (2, 1), "i": (0, 1), "d": (1, 2),
 
 
 def label_from_gen_name(name: str) -> EdgeLabel:
-    parts = name.split(":")
-    if parts[0] != "label":
+    if not name.startswith("label:"):
         raise UnknownGenerator(name)
+    parts = name.split(":")
     kind = parts[1]
     literal = ":".join(parts[2:]) if len(parts) > 2 else None
     return parse_label(kind, literal)

@@ -37,20 +37,21 @@ def rref(rows, field: Field):
     Returns (rows, pivot_columns); zero rows are removed.
 
     Only arithmetic whose result is not known in advance is done.  A pivot
-    row is scaled only when its pivot is not 1, by one inverse times each
-    nonzero entry.  A row is updated only when its entry at the pivot column
-    is nonzero, and only at the pivot row's nonzero columns; those all lie
-    at or right of the pivot column, because every row at or below the
-    pivot is zero left of it.  The skipped cells would have been ``x / 1``,
-    ``0 / p``, ``a - f * 0`` or ``a - 0 * b``, each equal to the value left
-    in place, and the pivot cells are set to the 1 and 0 they would have
-    become.  Equal field values have equal canonical forms, so the result
-    is the one the dense elimination gives, entry by entry.
+    row is scaled only when its pivot is not 1: negated when it is -1,
+    else by one inverse times each nonzero entry.  A row is updated only
+    when its entry at the pivot column is nonzero, and only at the pivot
+    row's nonzero columns; those all lie at or right of the pivot column,
+    because every row at or below the pivot is zero left of it.  The
+    skipped cells would have been ``x / 1``, ``0 / p``, ``a - f * 0`` or
+    ``a - 0 * b``, each equal to the value left in place, and the pivot
+    cells are set to the 1 and 0 they would have become.  Equal field
+    values have equal canonical forms, so the result is the one the dense
+    elimination gives, entry by entry.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    zero, one = field.zero, field.one
+    zero, one, minus_one = field.zero, field.one, -field.one
     pivots = []
     r = 0
     for c in range(ncols):
@@ -67,9 +68,13 @@ def rref(rows, field: Field):
         nz = [j for j in range(c + 1, ncols) if prow[j]]
         p = prow[c]
         if p != one:
-            inv = one / p
-            for j in nz:
-                prow[j] = prow[j] * inv
+            if p == minus_one:
+                for j in nz:
+                    prow[j] = -prow[j]
+            else:
+                inv = one / p
+                for j in nz:
+                    prow[j] = prow[j] * inv
             prow[c] = one
         for i in range(nrows):
             row = rows[i]

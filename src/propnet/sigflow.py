@@ -15,8 +15,8 @@ from .scalar import Field, QS, format_scalar
 from .linrel import (LinRel, LinRelModel, UnsupportedLabel, blackbox,
                      label_impedance)
 from .circuit import CircuitModel, SOURCE_KINDS, label_from_gen_name
-from .term import (Gen, Id, Par, PropTerm, Seq, Signature, Sym,
-                   UnknownGenerator, evaluate, par, seq)
+from .term import (Gen, Id, PropTerm, Signature, Sym, UnknownGenerator,
+                   evaluate, fold, gather, par, seq)
 
 
 def _scalar_resolver(name):
@@ -89,30 +89,22 @@ def _label_term(name: str, field: Field) -> PropTerm:
     return _impedance_term(label_impedance(field, label.kind, label.value))
 
 
+# T on the junctions; a label's image is its ``_label_term``
+_T_IMAGES = {
+    "m": seq(par(Id(1), Sym(1, 1), Id(1)), par(Gen("codup"), Gen("add"))),
+    "d": seq(par(Gen("dup"), Gen("coadd")), par(Id(1), Sym(1, 1), Id(1))),
+    "i": par(Gen("codel"), Gen("zero")),
+    "e": par(Gen("del"), Gen("cozero")),
+}
+
+
 def translate_T(t: PropTerm, field: Field = QS) -> PropTerm:
-    if isinstance(t, Gen):
-        if t.name == "m":
-            return seq(par(Id(1), Sym(1, 1), Id(1)),
-                       par(Gen("codup"), Gen("add")))
-        if t.name == "d":
-            return seq(par(Gen("dup"), Gen("coadd")),
-                       par(Id(1), Sym(1, 1), Id(1)))
-        if t.name == "i":
-            return par(Gen("codel"), Gen("zero"))
-        if t.name == "e":
-            return par(Gen("del"), Gen("cozero"))
-        if t.name.startswith("label:"):
-            return _label_term(t.name, field)
-        raise UnknownGenerator(t.name)
-    if isinstance(t, Id):
-        return Id(2 * t.n)
-    if isinstance(t, Sym):
-        return Sym(2 * t.m, 2 * t.n)
-    if isinstance(t, (Seq, Par)):
-        # map, not a generator: one stack frame per level of nesting
-        return type(t)(tuple(map(translate_T, t.terms,
-                                 [field] * len(t.terms))))
-    raise TypeError(f"not a term: {t!r}")
+    """T names where the generators go, doubles every object and keeps
+    every form."""
+    def image(name):
+        return _T_IMAGES.get(name) or _label_term(name, field)
+    return fold(t, image, lambda n: Id(2 * n), lambda m, n: Sym(2 * m, 2 * n),
+                gather, gather, lambda form, terms: type(form)(tuple(terms)))
 
 
 def square_check(t: PropTerm, field: Field = QS) -> bool:

@@ -50,12 +50,14 @@ class Sym(PropTerm):
 class Seq(PropTerm):
     """Two or more terms composed in order; build it with ``seq``."""
     terms: tuple[PropTerm, ...]
+    head = "seq"
 
 
 @dataclass(frozen=True)
 class Par(PropTerm):
     """Two or more terms side by side, top first; build it with ``par``."""
     terms: tuple[PropTerm, ...]
+    head = "par"
 
 
 def seq(*terms: PropTerm) -> PropTerm:
@@ -103,32 +105,75 @@ def _bounded(n: int) -> int:
     return n
 
 
+def fold(t: PropTerm, gen, ident, sym, seq, par, close=None):
+    """The value of ``t``, over an explicit stack: nesting costs no Python
+    stack.  Leaves take ``gen(name)``, ``ident(n)`` and ``sym(m, n)``.  A
+    ``Seq`` folds each child in from the left once it is done, by
+    ``seq(acc, value, k)`` for child k = 2, 3, ..., so the first fault met
+    from the left is raised; a ``Par`` likewise with ``par``.  ``close(form,
+    acc)`` turns a last accumulator into the form's value.  An
+    ``ArityMismatch`` gets "in term k of a seq: " for each form around
+    where it arose, outermost first."""
+    stack, node = [], t  # stack: [form, its fold, k, acc] per open form
+    try:
+        while True:
+            kind = type(node)
+            if kind is Gen:
+                value = gen(node.name)
+            elif kind is Id:
+                value = ident(node.n)
+            elif kind is Sym:
+                value = sym(node.m, node.n)
+            elif kind is Seq or kind is Par:
+                stack.append([node, seq if kind is Seq else par, 1, None])
+                node = node.terms[0]
+                continue
+            else:
+                raise TypeError(f"not a term: {node!r}")
+            while stack:
+                # off the stack while it folds: a mismatch it raises is
+                # placed by the forms around it
+                frame = stack.pop()
+                form, op, k, acc = frame
+                if k > 1:
+                    value = op(acc, value, k)
+                if k < len(form.terms):
+                    frame[2:] = k + 1, value
+                    stack.append(frame)
+                    node = form.terms[k]
+                    break
+                if close is not None:
+                    value = close(form, value)
+            else:
+                return value
+    except ArityMismatch as e:
+        where = "".join(f"in term {k} of a {form.head}: "
+                        for form, _op, k, _acc in stack)
+        raise ArityMismatch(where + str(e)) from None
+
+
+def _seq_arity(acc, value, k):
+    (dom, cod), (d, c) = acc, value
+    if d != cod:
+        raise ArityMismatch(f"cannot compose: term {k - 1} of a seq has "
+                            f"codomain {cod}, term {k} has domain {d}")
+    return (dom, c)
+
+
 def arity(t: PropTerm, sig: Signature):
     """(dom, cod) of a term, checking interfaces and ``MAX_WIDTH``."""
-    if isinstance(t, Gen):
-        return sig.arity_of(t.name)
-    if isinstance(t, Id):
-        return (_bounded(t.n), t.n)
-    if isinstance(t, Sym):
-        return (_bounded(t.m + t.n), t.n + t.m)
-    if isinstance(t, (Seq, Par)):
-        head = "seq" if isinstance(t, Seq) else "par"
-        dom = cod = 0
-        for k, s in enumerate(t.terms, 1):
-            try:
-                d, c = arity(s, sig)
-            except ArityMismatch as e:
-                raise ArityMismatch(f"in term {k} of a {head}: {e}") from None
-            if head == "par":
-                dom, cod = _bounded(dom + d), _bounded(cod + c)
-            elif k > 1 and d != cod:
-                raise ArityMismatch(f"cannot compose: term {k - 1} of a seq "
-                                    f"has codomain {cod}, term {k} has "
-                                    f"domain {d}")
-            else:
-                dom, cod = (d if k == 1 else dom), c
-        return (dom, cod)
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, sig.arity_of, lambda n: (_bounded(n), n),
+                lambda m, n: (_bounded(m + n), n + m), _seq_arity,
+                lambda a, b, _k: (_bounded(a[0] + b[0]),
+                                  _bounded(a[1] + b[1])))
+
+
+def gather(acc, value, k):
+    """A ``fold`` step that collects a form's child values in a list."""
+    if k == 2:
+        return [acc, value]
+    acc.append(value)
+    return acc
 
 
 class PropModel:
@@ -169,24 +214,9 @@ class PropModel:
 
 def evaluate(t: PropTerm, model: PropModel):
     arity(t, model.signature)
-    return _eval(t, model)
-
-
-def _eval(t, model):
-    if isinstance(t, Gen):
-        return model.gen(t.name)
-    if isinstance(t, Id):
-        return model.identity(t.n)
-    if isinstance(t, Sym):
-        return model.symmetry(t.m, t.n)
-    if isinstance(t, (Seq, Par)):
-        # a left fold as a plain loop, one stack frame per nesting level
-        op = model.seq if isinstance(t, Seq) else model.par
-        value = _eval(t.terms[0], model)
-        for s in t.terms[1:]:
-            value = op(value, _eval(s, model))
-        return value
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, model.gen, model.identity, model.symmetry,
+                lambda a, b, _k: model.seq(a, b),
+                lambda a, b, _k: model.par(a, b))
 
 
 def model_equal(model: PropModel, s: PropTerm, t: PropTerm) -> bool:
@@ -205,102 +235,97 @@ def model_equal(model: PropModel, s: PropTerm, t: PropTerm) -> bool:
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _tokenize(src: str):
-    return [(m.group(), m.start()) for m in _TOKEN.finditer(src)]
-
-
 def parse_term(src: str) -> PropTerm:
-    tokens = _tokenize(src)
-    term, pos = _parse_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise TermParseError(f"trailing input at token {pos}")
-    return term
+    """One pass over the tokens; each open ``(seq ...)`` or ``(par ...)``
+    form waits on a list with its children read so far."""
+    tokens = _TOKEN.findall(src)
+    starts = []
 
+    def at(k):  # where token k starts, worked out when first needed
+        if not starts:
+            starts.extend(m.start() for m in _TOKEN.finditer(src))
+        return starts[k]
 
-def _expect(tokens, pos, what):
-    if pos >= len(tokens):
+    def need(k, what):
+        if k < len(tokens):
+            return tokens[k]
         raise TermParseError(f"unexpected end of input, expected {what}")
-    return tokens[pos]
 
+    def nat(tok, k):
+        if tok.isdigit():
+            return int(tok)
+        raise TermParseError(f"expected a natural number near position "
+                             f"{at(k)}")
 
-def _parse_sexpr(tokens, pos):
-    tok, at = _expect(tokens, pos, "'('")
-    if tok != "(":
-        raise TermParseError(f"expected '(' at position {at}")
-    head, at = _expect(tokens, pos + 1, "form head")
-    pos += 2
-    if head == "gen":
-        name, _ = _expect(tokens, pos, "generator name")
-        pos += 1
-        term = Gen(name)
-    elif head in ("label", "scalar"):
-        lit, pos = _literal(tokens, pos, head, at)
-        # a label's kind is the first word of its literal
-        term = Gen(f"{head}:" + (lit.replace(" ", ":", 1)
-                                 if head == "label" else lit))
-    elif head == "id":
-        n, _ = _expect(tokens, pos, "object count")
-        pos += 1
-        term = Id(_parse_nat(n, at))
-    elif head == "sym":
-        m, _ = _expect(tokens, pos, "object count")
-        n, _ = _expect(tokens, pos + 1, "object count")
-        pos += 2
-        term = Sym(_parse_nat(m, at), _parse_nat(n, at))
-    elif head in ("seq", "par"):
-        subterms = []
-        while _expect(tokens, pos, "term or ')'")[0] != ")":
-            sub, pos = _parse_sexpr(tokens, pos)
-            subterms.append(sub)
-        if not subterms:
-            raise TermParseError(f"empty ({head} ...) at position {at}")
-        term = seq(*subterms) if head == "seq" else par(*subterms)
-    else:
-        raise TermParseError(f"unknown form {head!r} at position {at}")
-    tok, at = _expect(tokens, pos, "')'")
-    if tok != ")":
-        raise TermParseError(f"expected ')' at position {at}")
-    return term, pos + 1
-
-
-def _literal(tokens, pos, head, at):
-    """The balanced run of tokens before the form's ')', as one string in
-    which tokens written apart are joined by one space; and the position
-    of that ')'."""
-    text, depth, end = "", 0, 0
+    forms, gens, i = [], {}, 0  # forms: (seq or par, head's index, children)
     while True:
-        tok, start = _expect(tokens, pos, f"{head} literal or ')'")
-        if tok == ")" and not depth:
-            break
-        depth += (tok == "(") - (tok == ")")
-        text += (" " if text and start > end else "") + tok
-        end = start + len(tok)
-        pos += 1
-    if not text:
-        raise TermParseError(f"empty {head} at position {at}")
-    return text, pos
+        tok = need(i, "term or ')'" if forms else "'('")
+        if tok == ")" and forms:
+            build, h, children = forms.pop()
+            if not children:
+                raise TermParseError(f"empty ({tokens[h]} ...) at position "
+                                     f"{at(h)}")
+            term = build(*children)
+        elif tok != "(":
+            raise TermParseError(f"expected '(' at position {at(i)}")
+        else:
+            head = need(i + 1, "form head")
+            i += 2
+            if head == "seq" or head == "par":
+                forms.append((seq if head == "seq" else par, i - 1, []))
+                continue
+            if head == "gen":
+                # one node per name, as terms are immutable
+                name = need(i, "generator name")
+                term = gens.get(name) or gens.setdefault(name, Gen(name))
+                i += 1
+            elif head == "id" or head == "sym":
+                end = i + (1 if head == "id" else 2)
+                counts = [need(j, "object count") for j in range(i, end)]
+                term = (Id if head == "id" else Sym)(
+                    *[nat(c, i - 1) for c in counts])
+                i = end
+            elif head == "label" or head == "scalar":
+                j, depth = i, 0  # the literal: a balanced run of tokens
+                while (tok := need(j, f"{head} literal or ')'")) != ")" \
+                        or depth:
+                    depth += (tok == "(") - (tok == ")")
+                    j += 1
+                if j == i:
+                    raise TermParseError(f"empty {head} at position "
+                                         f"{at(i - 1)}")
+                # tokens written apart read as one space, none as none;
+                # only a bracket can touch another token
+                words = tokens[i:j]
+                if "(" in words or ")" in words:
+                    words = src[at(i):at(j)].split()
+                lit = " ".join(words)
+                # a label's kind is the first word of its literal
+                term = Gen(f"{head}:" + (lit.replace(" ", ":", 1)
+                                         if head == "label" else lit))
+                i = j
+            else:
+                raise TermParseError(f"unknown form {head!r} at position "
+                                     f"{at(i - 1)}")
+            if need(i, "')'") != ")":
+                raise TermParseError(f"expected ')' at position {at(i)}")
+        i += 1
+        if not forms:
+            if i != len(tokens):
+                raise TermParseError(f"trailing input at token {i}")
+            return term
+        forms[-1][2].append(term)
 
 
-def _parse_nat(tok, at) -> int:
-    if not tok.isdigit():
-        raise TermParseError(f"expected a natural number near position {at}")
-    return int(tok)
+def _format_gen(name: str) -> str:
+    if name.startswith("label:"):
+        return "(label " + " ".join(name.split(":")[1:]) + ")"
+    if name.startswith("scalar:"):
+        return f"(scalar {name.split(':', 1)[1]})"
+    return f"(gen {name})"
 
 
 def format_term(t: PropTerm) -> str:
-    if isinstance(t, Gen):
-        if t.name.startswith("label:"):
-            return "(label " + " ".join(t.name.split(":")[1:]) + ")"
-        if t.name.startswith("scalar:"):
-            return f"(scalar {t.name.split(':', 1)[1]})"
-        return f"(gen {t.name})"
-    if isinstance(t, Id):
-        return f"(id {t.n})"
-    if isinstance(t, Sym):
-        return f"(sym {t.m} {t.n})"
-    if isinstance(t, (Seq, Par)):
-        parts = ["(seq" if isinstance(t, Seq) else "(par"]
-        for s in t.terms:
-            parts.append(format_term(s))
-        return " ".join(parts) + ")"
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, _format_gen, "(id {})".format, "(sym {} {})".format,
+                gather, gather,
+                lambda form, parts: f"({form.head} {' '.join(parts)})")

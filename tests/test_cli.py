@@ -312,15 +312,23 @@ def test_long_ill_typed_chain_exits_2(capsys):
     assert err.startswith("propnet: error: cannot compose") and len(err) < 200
 
 
-def test_deep_nesting_evaluates(capsys):
-    # the left-nested binary chain an older printer wrote for 700 generators
+def chain(gens):
+    """The left-nested binary chain an older printer wrote for ``gens``
+    generators, one ``seq`` per generator after the first."""
     src = "(gen d)"
-    for k in range(699):
+    for k in range(gens - 1):
         src = f"(seq {src} (gen {'md'[k % 2]}))"
+    return src
+
+
+def test_deep_nesting_evaluates(capsys):
+    # nested past the recursion limit; ``square`` stays shallower to keep
+    # the suite quick, as it also translates and black-boxes the term
     code, out, _err = run(capsys, "eval", "--model", "corel", "--field", "q",
-                          "--term", src)
+                          "--term", chain(10_000))
     assert code == 0 and out == "corel 1 1 { {x1 y1} }\n"
-    code, out, _err = run(capsys, "square", "--field", "q", "--term", src)
+    code, out, _err = run(capsys, "square", "--field", "q",
+                          "--term", chain(1_200))
     assert code == 0 and out == "PASS\n"
 
 

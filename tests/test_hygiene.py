@@ -116,3 +116,37 @@ def test_every_public_definition_is_used():
     unused = [f"{path.stem}.{name}" for path in MODULES
               for name in unreferenced(trees[path], counts)]
     assert unused == []
+
+
+# Functions that may name themselves in their own body, each with what
+# bounds its depth; every other walk keeps its own stack.
+SELF_NAMING = {
+    "scalar._parse_factor": "a literal nests at most MAX_NESTING deep",
+    "scalar._size": "one level: the coefficients of a RatFunc",
+}
+
+
+def self_naming(tree):
+    """The functions of a tree that name themselves in their own body.  A
+    method calling a same-named method of another object names an
+    attribute, not itself, and is not counted."""
+    return [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and any(isinstance(n, ast.Name) and n.id == f.name
+                    for stmt in f.body for n in ast.walk(stmt))]
+
+
+def test_finds_a_self_naming_function():
+    src = ast.parse("def walk(t):\n    return [walk(c) for c in t]\n\n"
+                    "def outer():\n    def inner(n):\n        return inner\n"
+                    "    return inner\n\n"
+                    "class Box:\n    def get(self):\n"
+                    "        return self.get\n")
+    assert self_naming(src) == ["walk", "inner"]
+
+
+def test_no_function_names_itself():
+    """Recursion only where its depth is bounded, so that no input meets
+    the interpreter's recursion limit."""
+    found = [f"{path.stem}.{name}" for path in MODULES
+             for name in self_naming(parse(path))]
+    assert sorted(found) == sorted(SELF_NAMING)

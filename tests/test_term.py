@@ -11,9 +11,8 @@ from propnet.scalar import QQ, QS
 from propnet.setprops import (BoolRel, Corelation, CorelModel, Cospan,
                               CospanModel, NatSpan, WIRE_SIGNATURE)
 from propnet.term import (MAX_WIDTH, ArityMismatch, Gen, Id, Par, Seq, Sym,
-                          TermParseError, UnknownGenerator, _tokenize, arity,
-                          evaluate, format_term, model_equal, par, parse_term,
-                          seq)
+                          TermParseError, UnknownGenerator, arity, evaluate,
+                          format_term, model_equal, par, parse_term, seq)
 
 from helpers import rand_term
 
@@ -77,10 +76,33 @@ def test_forms_print_as_written():
                      Par((Par((Gen("e"), Gen("i"))), Id(1)))))
     assert format_term(t) == nested
     assert seq(Gen("m")) == par(Gen("m")) == Gen("m") and par() == Id(0)
+    # nested past the recursion limit; a term this deep compares by its
+    # printed form, as the generated ``==`` recurses
     deep = "(gen d)"
-    for k in range(699):
+    for k in range(9_999):
         deep = f"(seq {deep} (gen {'md'[k % 2]}))"
     assert format_term(parse_term(deep)) == deep
+
+
+def test_first_fault_from_the_left_is_reported():
+    # each child is folded into its form as soon as it is done, so a
+    # form's own fault comes before a later child's, and a width is
+    # checked as it grows
+    model = CorelModel()
+    cases = [("(seq (gen d) (gen d) (gen bogus))", ArityMismatch,
+              "cannot compose: term 1 of a seq has codomain 2, "
+              "term 2 has domain 1"),
+             ("(par (id 1000) (gen i) (id 5))", ValueError,
+              f"interface of 1001 objects exceeds the limit of {MAX_WIDTH}"),
+             ("(par (gen e) (id 1000) (gen i))", ValueError,
+              f"interface of 1001 objects exceeds the limit of {MAX_WIDTH}")]
+    for src, kind, message in cases:
+        for walk in (lambda t: arity(t, WIRE_SIGNATURE),
+                     lambda t: evaluate(t, model)):
+            with pytest.raises(kind) as caught:
+                walk(parse_term(src))
+            assert type(caught.value) is kind
+            assert str(caught.value) == message
 
 
 def test_arity_mismatch_names_the_place():
@@ -137,10 +159,19 @@ def test_parse_errors():
 def test_tokens_split_on_unicode_space():
     src = "(seq\u00a0(gen m)\u2003(gen\td))"
     assert parse_term(src) == seq(Gen("m"), Gen("d"))
-    assert _tokenize(src) == [("(", 0), ("seq", 1), ("(", 5), ("gen", 6),
-                              ("m", 10), (")", 11), ("(", 13), ("gen", 14),
-                              ("d", 18), (")", 19), (")", 20)]
-    assert _tokenize(" \n ") == []
+    # the tokens are at 0 1 5 6 10 11 13 14 18 19 20
+    for bad, message in [(src + "\u2003x", "trailing input at token 11"),
+                         (src[:-1] + "\u00a0x)",
+                          "expected '(' at position 21"),
+                         ("(seq\u00a0(gen m)\u2003(frob\td))",
+                          "unknown form 'frob' at position 14"),
+                         ("(seq\u00a0(gen m)\u2003(id\td))",
+                          "near position 14"),
+                         ("(seq\u00a0(gen m)\u2003(gen\td\u2003x))",
+                          "expected ')' at position 20"),
+                         (" \n ", "end of input, expected '('")]:
+        with pytest.raises(TermParseError, match=re.escape(message)):
+            parse_term(bad)
     # the token pattern's \s is exactly str.isspace
     space = re.compile(r"\s")
     assert all(bool(space.match(chr(c))) == chr(c).isspace()
