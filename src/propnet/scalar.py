@@ -1,23 +1,24 @@
 """Exact scalar arithmetic: rationals and rational functions in ``s``.
 
 Plain rationals are ``fractions.Fraction`` (already canonical: positive
-denominator, reduced).  Rational functions are kept canonical with a monic
-denominator and coprime numerator/denominator, so equality is plain
-structural equality.
+denominator, reduced).  A polynomial is stored fraction-free, as one
+Fraction content times a primitive integer tuple, so its arithmetic is
+integer arithmetic plus one Fraction operation.  Rational functions are
+kept canonical with a monic denominator and coprime numerator/denominator,
+so equality is plain structural equality.
 
 Most rational functions met in practice have a constant part (circuit
 matrices are full of 0, 1 and -1, and resistor values are constants), and
 a constant part is coprime to anything nonzero.  So ``RatFunc`` runs
 ``poly_gcd`` only when both parts have positive degree.
 
-``poly_gcd`` works over the integers: it clears each part's denominators
-and computes the gcd of the primitive integer parts with the heuristic
-GCDHEU of Char, Geddes & Gonnet (1989), which evaluates both parts at an
-integer, takes one integer gcd and reads the candidate off its digits.  A
-candidate is accepted only when it divides both parts exactly; after six
-rejected evaluation points the Euclidean remainder loop over ``Fraction``
+``poly_gcd`` computes the gcd of the stored primitive parts with the
+heuristic GCDHEU of Char, Geddes & Gonnet (1989), which evaluates both
+parts at an integer, takes one integer gcd and reads the candidate off its
+digits.  A candidate is accepted only when it divides both parts exactly;
+after six rejected evaluation points the Euclidean remainder loop over Q
 decides.  ``RatFunc`` then divides the primitive parts by the gcd exactly
-over the integers and rescales once.
+over the integers and rescales the contents once.
 """
 
 from __future__ import annotations
@@ -50,92 +51,108 @@ MAX_POWER_BITS = 20000
 # the parser recurses once per level.  Printed literals nest at most 3 deep.
 MAX_NESTING = 100
 
+# str.isdigit also passes "²", which int() refuses, and "٣", which it reads
+_DIGITS = "0123456789"
+
 
 class Poly:
-    """Polynomial in ``s`` with Fraction coefficients.
-
-    ``coeffs[k]`` is the coefficient of ``s^k``; the zero polynomial is the
-    empty tuple, any other polynomial has a nonzero leading coefficient.
+    """Polynomial in ``s``: ``content * prim[k]`` is the coefficient of
+    ``s^k``.  ``prim`` is a tuple of coprime integers whose last is
+    positive, ``content`` a nonzero Fraction with the sign; the zero
+    polynomial is ``()`` with content 0.  The form is unique, so equality
+    is structural.  Products of primitive parts are primitive (Gauss's
+    lemma): a product takes no gcd, and negation, scaling and ``monic``
+    change only the content.  A sum takes one gcd in ``_primitive``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "prim")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else _exact(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        self.content, self.prim = _primitive(
+            [c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls((c,))
+        c = c if isinstance(c, Fraction) else _exact(c)
+        return _poly(c, (1,)) if c else _ZERO
 
     @classmethod
     def s(cls) -> "Poly":
         return cls((0, 1))
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        n, d = self.content.numerator, self.content.denominator
+        return tuple(Fraction(n * x, d) for x in self.prim)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     @property
     def degree(self) -> int:
         # -1 is the sentinel degree of the zero polynomial
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        p = self.prim
+        return self.content * p[-1] if p and p[-1] != 1 else self.content
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        # over the common denominator of the contents
+        a, b, ca, cb = self.prim, other.prim, self.content, other.content
+        da, db = ca.denominator, cb.denominator
+        den = math.lcm(da, db)
+        ma, mb = ca.numerator * (den // da), cb.numerator * (den // db)
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a, b, ma, mb = b, a, mb, ma
+        out = [ma * x for x in a]
+        for i, y in enumerate(b):
+            out[i] += mb * y
+        return _poly(*_primitive(out, den))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly(-self.content, self.prim)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        if len(self.coeffs) == 1:
-            return other.scale(self.coeffs[0])
-        if len(other.coeffs) == 1:
-            return self.scale(other.coeffs[0])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        a, b = self.prim, other.prim
+        if not a or not b:
+            return _ZERO
+        if len(a) == 1 or len(b) == 1:
+            prim = b if len(a) == 1 else a
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            prim = tuple(out)
+        return _poly(self.content * other.content, prim)
 
     def scale(self, c) -> "Poly":
         if not isinstance(c, Fraction):
             c = _exact(c)
-        return Poly(tuple(a * c for a in self.coeffs))
+        if not c or not self.prim:
+            return _ZERO
+        return _poly(self.content * c, self.prim)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
+        p = self.prim
+        return _poly(Fraction(1, p[-1]), p) if p else self
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        q = Poly()
-        r = self
+        q, r = _ZERO, self
         dlead = other.leading()
         while not r.is_zero() and r.degree >= other.degree:
-            shift = r.degree - other.degree
-            c = r.leading() / dlead
-            t = Poly([Fraction(0)] * shift + [c])
+            t = _poly(r.leading() / dlead,
+                      (0,) * (r.degree - other.degree) + (1,))
             q = q + t
             r = r - t * other
         return q, r
@@ -144,13 +161,37 @@ class Poly:
         return divmod(self, other)[1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return self is other or isinstance(other, Poly) and \
+            self.prim == other.prim and self.content == other.content
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.content, self.prim))
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
+
+
+def _poly(content: Fraction, prim: tuple) -> Poly:
+    """The polynomial whose stored form, already canonical, is given."""
+    p = object.__new__(Poly)
+    p.content, p.prim = content, prim
+    return p
+
+
+def _primitive(ints, den: int):
+    """Content and primitive part of the polynomial with coefficients
+    ``ints[k] / den``: trailing zeros dropped, the integers divided by
+    their gcd, and the sign of the last one moved into the content."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return Fraction(0), ()
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [x // g for x in ints]
+    return Fraction(g, den), tuple(ints)
 
 
 def _exact(c) -> Fraction:
@@ -160,26 +201,24 @@ def _exact(c) -> Fraction:
     return Fraction(c)
 
 
+_ZERO = Poly()
 _ONE = Poly.const(1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0.
 
-    Nonconstant parts go to ``_heu_gcd`` as primitive integer coefficient
-    lists, and to ``_euclid_gcd`` only when GCDHEU gives up.
+    Nonconstant parts go to ``_heu_gcd`` as their stored primitive parts,
+    and to ``_euclid_gcd`` only when GCDHEU gives up.
     """
     if a.is_zero() or b.is_zero():
         return (b if a.is_zero() else a).monic()
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+    if len(a.prim) == 1 or len(b.prim) == 1:
         return _ONE
-    h = _heu_gcd(_primitive(a.coeffs)[1], _primitive(b.coeffs)[1])
+    h = _heu_gcd(a.prim, b.prim)
     if h is None:
         return _euclid_gcd(a, b)
-    if len(h) == 1:
-        return _ONE
-    lead = h[-1]
-    return Poly(tuple(Fraction(c, lead) for c in h))
+    return _ONE if len(h) == 1 else _poly(Fraction(1, h[-1]), tuple(h))
 
 
 def _euclid_gcd(a: Poly, b: Poly) -> Poly:
@@ -269,32 +308,16 @@ def _exact_quo(a, b):
     return q
 
 
-def _primitive(coeffs):
-    """Positive content and primitive integer coefficients of a nonzero
-    list of Fractions: ``coeffs[k] == content * prim[k]``."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    content = math.gcd(*ints)
-    if content != 1:
-        ints = [x // content for x in ints]
-    return Fraction(content, den), ints
-
-
 def _cancel(num: Poly, den: Poly, g: Poly):
     """Canonical parts of num/den once their common factor g is divided
-    out: exact integer division of the primitive parts, then one scaling
-    that makes the denominator monic."""
-    cn, pn = _primitive(num.coeffs)
-    cd, pd = _primitive(den.coeffs)
-    pg = _primitive(g.coeffs)[1]
-    qn = _exact_quo(pn, pg)
-    qd = _exact_quo(pd, pg)
+    out: exact integer division of the stored primitive parts, whose
+    quotients are primitive again, then one scaling of the contents that
+    makes the denominator monic."""
+    qn = _exact_quo(num.prim, g.prim)
+    qd = _exact_quo(den.prim, g.prim)
     lead = qd[-1]
-    scale = cn / (cd * lead)
-    num = Poly(tuple(scale * c for c in qn))
-    if len(qd) == 1:
-        return num, _ONE
-    return num, Poly(tuple(Fraction(c, lead) for c in qd))
+    num = _poly(num.content / (den.content * lead), tuple(qn))
+    return num, (_ONE if len(qd) == 1 else _poly(Fraction(1, lead), tuple(qd)))
 
 
 class RatFunc:
@@ -315,32 +338,27 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, Poly):
             num = Poly.const(num)
         if den is None:
             den = _ONE
-        elif isinstance(den, (int, Fraction)):
+        elif not isinstance(den, Poly):
             den = Poly.const(den)
         if den.is_zero():
             raise DivisionByZero("zero denominator in rational function")
         if num.is_zero():
             self.num, self.den = num, _ONE
             return
-        if len(num.coeffs) > 1 and len(den.coeffs) > 1:
+        if len(num.prim) > 1 and len(den.prim) > 1:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 self.num, self.den = _cancel(num, den, g)
                 return
         lead = den.leading()
-        if len(den.coeffs) == 1:
-            # every constant denominator is the shared _ONE (see __mul__)
-            self.num = num if lead == 1 else num.scale(1 / lead)
-            self.den = _ONE
-        elif lead == 1:
-            self.num, self.den = num, den
-        else:
-            self.num = num.scale(1 / lead)
-            self.den = den.scale(1 / lead)
+        if lead != 1:
+            num, den = num.scale(1 / lead), den.monic()
+        # every constant denominator is the shared _ONE (see __mul__)
+        self.num, self.den = num, (_ONE if len(den.prim) == 1 else den)
 
     @classmethod
     def _canonical(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -410,14 +428,10 @@ class RatFunc:
         num, den = self.num, self.den
         if num.is_zero():
             raise DivisionByZero("inverse of zero rational function")
-        lead = num.coeffs[-1]
-        if len(num.coeffs) == 1:
-            return RatFunc._canonical(
-                den if lead == 1 else den.scale(1 / lead), _ONE)
-        if lead == 1:
-            return RatFunc._canonical(den, num)
-        c = 1 / lead
-        return RatFunc._canonical(den.scale(c), num.scale(c))
+        lead = num.leading()
+        if lead != 1:
+            num, den = num.monic(), den.scale(1 / lead)
+        return RatFunc._canonical(den, _ONE if len(num.prim) == 1 else num)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -429,9 +443,10 @@ class RatFunc:
         return self.inv() * other
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RatFunc:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __bool__(self):
@@ -523,7 +538,7 @@ def _parse_term(lx, atom):
             if not rhs:
                 raise DivisionByZero("division by zero in scalar literal")
             val = val / rhs
-        elif ch is not None and (ch.isdigit() or ch == "s" or ch == "("):
+        elif ch is not None and ch in _DIGITS + "s(":
             # implicit multiplication, e.g. "2s"
             val = val * _parse_factor(lx, atom)
         else:
@@ -603,10 +618,10 @@ def _size(x):
 
 def _parse_int(lx) -> int:
     ch = lx.peek()
-    if ch is None or not ch.isdigit():
+    if ch is None or ch not in _DIGITS:
         raise ScalarParseError(f"expected integer at position {lx.pos}")
     digits = ""
-    while lx.peek() is not None and lx.peek().isdigit():
+    while lx.peek() is not None and lx.peek() in _DIGITS:
         digits += lx.take()
     return int(digits)
 
@@ -623,7 +638,7 @@ def _parse_atom(lx, atom):
     if ch == "s":
         lx.take()
         return atom("s")
-    if ch is not None and ch.isdigit():
+    if ch is not None and ch in _DIGITS:
         return atom(_parse_int(lx))
     raise ScalarParseError(f"unexpected character {ch!r} at position {lx.pos}")
 
@@ -655,8 +670,7 @@ def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+    for k, c in reversed(list(enumerate(p.coeffs))):
         if c == 0:
             continue
         if k == 0:

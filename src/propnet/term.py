@@ -46,15 +46,35 @@ class Sym(PropTerm):
     n: int
 
 
-@dataclass(frozen=True)
-class Seq(PropTerm):
+class _Form(PropTerm):
+    """A ``Seq`` or ``Par``, compared pairwise and hashed by its printed
+    form, both over an explicit stack: forms may nest thousands deep."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        pairs = [(self, other)]
+        while pairs:
+            s, t = pairs.pop()
+            if isinstance(s, _Form) and type(s) is type(t) \
+                    and len(s.terms) == len(t.terms):
+                pairs += zip(s.terms, t.terms)
+            elif isinstance(s, _Form) or s != t:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(format_term(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Seq(_Form):
     """Two or more terms composed in order; build it with ``seq``."""
     terms: tuple[PropTerm, ...]
     head = "seq"
 
 
-@dataclass(frozen=True)
-class Par(PropTerm):
+@dataclass(frozen=True, eq=False)
+class Par(_Form):
     """Two or more terms side by side, top first; build it with ``par``."""
     terms: tuple[PropTerm, ...]
     head = "par"
@@ -113,7 +133,8 @@ def fold(t: PropTerm, gen, ident, sym, seq, par, close=None):
     from the left is raised; a ``Par`` likewise with ``par``.  ``close(form,
     acc)`` turns a last accumulator into the form's value.  An
     ``ArityMismatch`` gets "in term k of a seq: " for each form around
-    where it arose, outermost first."""
+    where it arose, outermost first; past 8 forms, for the outermost and
+    innermost 4 only."""
     stack, node = [], t  # stack: [form, its fold, k, acc] per open form
     try:
         while True:
@@ -147,9 +168,11 @@ def fold(t: PropTerm, gen, ident, sym, seq, par, close=None):
             else:
                 return value
     except ArityMismatch as e:
-        where = "".join(f"in term {k} of a {form.head}: "
-                        for form, _op, k, _acc in stack)
-        raise ArityMismatch(where + str(e)) from None
+        where = [f"in term {k} of a {form.head}: "
+                 for form, _op, k, _acc in stack]
+        if len(where) > 8:
+            where[4:-4] = [f"… {len(where) - 8} more forms … "]
+        raise ArityMismatch("".join(where) + str(e)) from None
 
 
 def _seq_arity(acc, value, k):
@@ -252,7 +275,7 @@ def parse_term(src: str) -> PropTerm:
         raise TermParseError(f"unexpected end of input, expected {what}")
 
     def nat(tok, k):
-        if tok.isdigit():
+        if tok.isascii() and tok.isdigit():
             return int(tok)
         raise TermParseError(f"expected a natural number near position "
                              f"{at(k)}")

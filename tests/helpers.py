@@ -115,6 +115,61 @@ def rand_poly(rng, max_deg=2):
     return Poly(coeffs)
 
 
+# Polynomial arithmetic on tuples of Fraction coefficients, lowest degree
+# first with no trailing zero: the oracle for the stored form of ``Poly``.
+
+def oracle_trim(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def oracle_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return oracle_trim(out)
+
+
+def oracle_neg(a):
+    return tuple(-c for c in a)
+
+
+def oracle_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return oracle_trim(out)
+
+
+def oracle_scale(a, c):
+    return oracle_trim(x * c for x in a)
+
+
+def oracle_monic(a):
+    return oracle_scale(a, 1 / a[-1]) if a else a
+
+
+def oracle_divmod(a, b):
+    """Quotient and remainder of long division by a nonzero b."""
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b):
+        c = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = c
+        for j, y in enumerate(b):
+            r[shift + j] -= c * y
+        r = list(oracle_trim(r))
+    return oracle_trim(q), tuple(r)
+
+
 def rand_ratfunc(rng, max_deg=2):
     num = rand_poly(rng, max_deg)
     den = rand_poly(rng, max_deg)

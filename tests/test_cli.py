@@ -206,6 +206,20 @@ def test_arithmetic_errors_exit_2(capsys):
     assert code == 2 and err.startswith("propnet: error:")
 
 
+@pytest.mark.parametrize("model, term, message", [
+    ("corel", "(id ²)", "expected a natural number near position 1"),
+    ("corel", "(id ٣)", "expected a natural number near position 1"),
+    ("sigflow", "(scalar s^²)", "expected integer at position 2"),
+    ("sigflow", "(scalar s^٣)", "expected integer at position 2"),
+    ("sigflow", "(scalar ٣)", "unexpected character '٣' at position 0")])
+def test_only_ascii_digits_are_numbers(capsys, model, term, message):
+    # str.isdigit passes superscripts, which int() refuses, and digits of
+    # other scripts, which int() reads
+    code, out, err = run(capsys, "eval", "--model", model, "--term", term)
+    assert code == 2 and out == ""
+    assert err == f"propnet: error: {message}\n"
+
+
 def test_scalar_exponent_limit_exits_2(capsys):
     code, _out, err = run(capsys, "eval", "--model", "sigflow", "--term",
                           "(scalar s^100000)")
@@ -319,6 +333,18 @@ def chain(gens):
     for k in range(gens - 1):
         src = f"(seq {src} (gen {'md'[k % 2]}))"
     return src
+
+
+def test_deep_ill_typed_chain_has_a_short_message(capsys):
+    # the innermost of 10,000 seq forms is ill-typed; only the outermost
+    # and innermost four forms around it are named
+    src = "(seq (gen m) (gen m))"
+    for k in range(9_999):
+        src = f"(seq {src} (gen {'md'[k % 2]}))"
+    code, out, err = run(capsys, "eval", "--model", "corel", "--field", "q",
+                         "--term", src)
+    assert code == 2 and out == ""
+    assert "… 9991 more forms …" in err and len(err) < 1_000
 
 
 def test_deep_nesting_evaluates(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -11,8 +12,9 @@ from propnet.scalar import (DivisionByZero, FIELDS, MAX_EXPONENT, Poly, QQ,
                             QS, RatFunc, ScalarParseError, format_poly,
                             format_scalar, parse_rat, parse_ratfunc, poly_gcd)
 
-from helpers import (PROPERTY, rand_poly, rand_ratfunc, scalars, sympy_poly,
-                     to_sympy)
+from helpers import (PROPERTY, oracle_add, oracle_divmod, oracle_monic,
+                     oracle_mul, oracle_neg, oracle_scale, oracle_trim,
+                     rand_poly, rand_ratfunc, scalars, sympy_poly, to_sympy)
 
 
 def test_poly_basics():
@@ -32,6 +34,54 @@ def test_poly_rejects_floats():
     with pytest.raises(TypeError):
         Poly([1, 2]).scale(0.5)
     assert Poly([Fraction(1, 10), 1]).coeffs == (Fraction(1, 10), 1)
+
+
+@st.composite
+def _wide_coeffs(draw):
+    """Zero to five coefficients of 3 to 64 bits, zero ones and a
+    negative leading one included."""
+    bits = draw(st.integers(3, 64))
+    top = 2 ** bits
+    coeff = st.one_of(st.just(Fraction(0)), st.builds(
+        Fraction, st.integers(-top, top), st.integers(1, top)))
+    return tuple(draw(st.lists(coeff, max_size=5)))
+
+
+def _assert_stored_form(p):
+    """Primitive integers with a positive leading one, or none and content
+    0; rebuilt from its coefficients it is equal and hashes equal."""
+    if p.prim:
+        assert all(type(x) is int for x in p.prim)
+        assert math.gcd(*p.prim) == 1 and p.prim[-1] > 0
+        assert type(p.content) is Fraction and p.content != 0
+    else:
+        assert p.content == 0
+    assert all(type(c) is Fraction for c in p.coeffs)
+    again = Poly(p.coeffs)
+    assert again == p and hash(again) == hash(p)
+
+
+@PROPERTY
+@given(_wide_coeffs(), _wide_coeffs(), _wide_coeffs())
+def test_poly_matches_fraction_oracle(a, b, c):
+    pa, pb = Poly(a), Poly(b)
+    a, b = oracle_trim(a), oracle_trim(b)
+    c = c[0] if c else Fraction(0)
+    cases = [(pa, a), (pb, b),
+             (pa + pb, oracle_add(a, b)),
+             (pa - pb, oracle_add(a, oracle_neg(b))),
+             (pa - Poly(a), ()),
+             (-pa, oracle_neg(a)),
+             (pa * pb, oracle_mul(a, b)),
+             (pa.scale(c), oracle_scale(a, c)),
+             (pa.monic(), oracle_monic(a))]
+    if b:
+        q, r = divmod(pa, pb)
+        want_q, want_r = oracle_divmod(a, b)
+        cases += [(q, want_q), (r, want_r)]
+    for got, want in cases:
+        assert got.coeffs == want
+        _assert_stored_form(got)
 
 
 def test_poly_divmod():
@@ -342,9 +392,7 @@ def test_poly_gcd_matches_sympy():
 def test_euclidean_fallback_agrees_with_gcdheu():
     rng = random.Random(8)
     for a, b in _gcd_cases(rng, 90):
-        f = scalar._primitive(a.coeffs)[1]
-        g = scalar._primitive(b.coeffs)[1]
-        assert scalar._heu_gcd(f, g) is not None
+        assert scalar._heu_gcd(a.prim, b.prim) is not None
         assert poly_gcd(a, b) == scalar._euclid_gcd(a, b)
     for a, b in ((Poly(), Poly()), (Poly([0, 2]), Poly()),
                  (Poly(), Poly([3, -6])), (Poly([5]), Poly([0, 1]))):

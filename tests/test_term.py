@@ -76,12 +76,18 @@ def test_forms_print_as_written():
                      Par((Par((Gen("e"), Gen("i"))), Id(1)))))
     assert format_term(t) == nested
     assert seq(Gen("m")) == par(Gen("m")) == Gen("m") and par() == Id(0)
-    # nested past the recursion limit; a term this deep compares by its
-    # printed form, as the generated ``==`` recurses
+    # nested past the recursion limit: prints back, and two separate
+    # parses compare and hash equal; one generator changed compares unequal
     deep = "(gen d)"
     for k in range(9_999):
         deep = f"(seq {deep} (gen {'md'[k % 2]}))"
-    assert format_term(parse_term(deep)) == deep
+    t = parse_term(deep)
+    assert format_term(t) == deep
+    u = parse_term(deep)
+    assert t == u and hash(t) == hash(u)
+    near = parse_term(deep.replace("(gen m)", "(gen e)", 1))
+    assert t != near
+    assert t != parse_term(deep.replace("(seq", "(par", 1))
 
 
 def test_first_fault_from_the_left_is_reported():
@@ -121,6 +127,25 @@ def test_arity_mismatch_names_the_enclosing_forms():
             "cannot compose: term 2 of a seq has codomain 1, "
             "term 3 has domain 2")):
         arity(t, WIRE_SIGNATURE)
+    # up to 8 forms around the fault are all named; past that, the
+    # outermost four and the innermost four
+    fault = "(seq (gen d) (gen d))"
+    named = {}
+    for depth in (8, 9, 10_000):
+        src = fault
+        for _ in range(depth):
+            src = f"(seq (gen i) {src})"
+        with pytest.raises(ArityMismatch) as e:
+            arity(parse_term(src), WIRE_SIGNATURE)
+        named[depth] = str(e.value)
+    cannot = ("cannot compose: term 1 of a seq has codomain 2, "
+              "term 2 has domain 1")
+    assert named[8] == "in term 2 of a seq: " * 8 + cannot
+    assert named[9] == ("in term 2 of a seq: " * 4 + "… 1 more forms … "
+                        + "in term 2 of a seq: " * 4 + cannot)
+    assert named[10_000] == ("in term 2 of a seq: " * 4
+                             + "… 9992 more forms … "
+                             + "in term 2 of a seq: " * 4 + cannot)
 
 
 class _CountingModel(CorelModel):
