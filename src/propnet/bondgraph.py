@@ -100,16 +100,22 @@ def G_eval(t: PropTerm) -> Corelation:
 # ---------------------------------------------------------------------------
 # alpha and naturality
 
-def alpha(n: int, field: Field = QQ) -> LinRel:
-    """{(V, I, phi1, I1, phi2, I2) : V = phi2 - phi1, I = I1 = -I2},
-    tensored n times."""
+@functools.cache
+def _alpha1(field: Field) -> LinRel:
+    """alpha on one port, built once per field."""
     one, zero = field.one, field.zero
     rows = [
         [one, zero, one, zero, -one, zero],
         [zero, one, zero, -one, zero, zero],
         [zero, one, zero, zero, zero, one],
     ]
-    a1 = LinRel.from_constraints(field, 2, 4, rows)
+    return LinRel.from_constraints(field, 2, 4, rows)
+
+
+def alpha(n: int, field: Field = QQ) -> LinRel:
+    """{(V, I, phi1, I1, phi2, I2) : V = phi2 - phi1, I = I1 = -I2},
+    tensored n times; the one-port relation is built once per field."""
+    a1 = _alpha1(field)
     out = LinRel.identity(field, 0)
     for _ in range(n):
         out = out.tensor(a1)

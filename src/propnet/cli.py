@@ -1,9 +1,14 @@
 """Command-line front end: black-boxing, term evaluation, equivalence
-checking, and the registered law suites."""
+checking, and the registered law suites.
+
+The argument parser is built on the first ``main`` call and reused by every
+later one; its handlers still look up the names they call when they run,
+so a rebound ``propnet.cli.check_naturality`` or ``square_check`` is seen."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -273,6 +278,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="propnet",

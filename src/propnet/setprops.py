@@ -353,10 +353,17 @@ def format_corel(c: Corelation) -> str:
     return f"corel {c.m} {c.n} {{ {inner} }}".replace("{  }", "{ }")
 
 
+def _is_number(tok: str) -> bool:
+    """A count or terminal index is written in ASCII digits only."""
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_corel(src: str) -> Corelation:
     tokens = src.replace("{", " { ").replace("}", " } ").split()
     if len(tokens) < 5 or tokens[0] != "corel":
         raise ValueError("expected: corel m n { ... }")
+    if not (_is_number(tokens[1]) and _is_number(tokens[2])):
+        raise ValueError(f"bad counts {tokens[1]!r} {tokens[2]!r}")
     m, n = int(tokens[1]), int(tokens[2])
     if tokens[3] != "{" or tokens[-1] != "}":
         raise ValueError("expected braces around block list")
@@ -374,8 +381,10 @@ def parse_corel(src: str) -> Corelation:
             cur = None
         else:
             tag, idx = tok[0], tok[1:]
-            if tag not in "xy" or not idx.isdigit():
+            if tag not in "xy" or not _is_number(idx):
                 raise ValueError(f"bad terminal {tok!r}")
+            if cur is None:
+                raise ValueError(f"terminal {tok!r} outside a block")
             cur.append((tag, int(idx) - 1))
     if cur is not None:
         raise ValueError("unbalanced '{'")

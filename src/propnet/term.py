@@ -65,15 +65,24 @@ class _Form(PropTerm):
     def __hash__(self):
         return hash(format_term(self))
 
+    def __repr__(self):
+        """The dataclass ``repr``, over ``fold``'s explicit stack."""
+        def close(form, parts):
+            parts = parts if isinstance(parts, list) else [parts]
+            tail = "," if len(parts) == 1 else ""
+            return f"{type(form).__name__}(terms=({', '.join(parts)}{tail}))"
+        return fold(self, "Gen(name={!r})".format, "Id(n={!r})".format,
+                    "Sym(m={!r}, n={!r})".format, gather, gather, close)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Seq(_Form):
     """Two or more terms composed in order; build it with ``seq``."""
     terms: tuple[PropTerm, ...]
     head = "seq"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Par(_Form):
     """Two or more terms side by side, top first; build it with ``par``."""
     terms: tuple[PropTerm, ...]

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from propnet.circuit import MAX_NODES, circuit_from_json
-from propnet.cli import SUITES, _models, main
+from propnet.cli import SUITES, _models, build_parser, main
 from propnet.linrel import impedance_rel, parse_linrel
 from propnet.scalar import FIELDS, MAX_NESTING, QQ, QS
 from propnet.term import MAX_WIDTH, Gen, Id, Sym, model_equal, par, seq
@@ -153,6 +153,35 @@ def test_eq_equal_and_differ(capsys):
                           "--term", "(seq (gen del) (gen zero))",
                           "--term", "(seq (gen del) (gen codel))")
     assert code == 1 and out == "DIFFER\nvector (0, 1) in second only\n"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_eq_calls_see_only_their_own_terms(capsys):
+    # the parser is reused, so an ``append`` list must not carry over
+    for a, b in (("(gen a)", "(gen b)"), ("(gen c)", "(gen d)")):
+        args = build_parser().parse_args(["eq", "--model", "corel",
+                                          "--term", a, "--term", b])
+        assert args.term == [a, b]
+    code, out, _err = run(capsys, "eq", "--model", "corel",
+                          "--term", "(seq (gen d) (gen m))",
+                          "--term", "(id 1)")
+    assert code == 0 and out == "EQUAL\n"
+    code, out, _err = run(capsys, "eq", "--model", "corel",
+                          "--term", "(gen m)", "--term", "(gen m)")
+    assert code == 0 and out == "EQUAL\n"
+
+
+def test_usage_error_then_valid_call(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--term", "(gen m)"])
+    assert exc.value.code == 2
+    assert "--model" in capsys.readouterr().err
+    code, out, err = run(capsys, "eval", "--model", "corel",
+                         "--term", "(seq (gen d) (gen m))")
+    assert (code, out, err) == (0, "corel 1 1 { {x1 y1} }\n", "")
 
 
 def test_laws_suites_all_expected(capsys):

@@ -138,6 +138,18 @@ def test_corel_format_round_trip():
         parse_corel("corel 1 1 { {x1} }")
 
 
+@pytest.mark.parametrize("src, message", [
+    ("corel 1 1 { {x\u0661 y1} }", "bad terminal 'x\u0661'"),
+    ("corel \u0661 1 { {x1 y1} }", "bad counts '\u0661' '1'"),
+    ("corel -1 1 { }", "bad counts '-1' '1'"),
+    ("corel 1 1 { x1 }", "terminal 'x1' outside a block"),
+])
+def test_parse_corel_refuses_malformed_input(src, message):
+    with pytest.raises(ValueError) as exc:
+        parse_corel(src)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # prop laws of the four set props, on random values
 

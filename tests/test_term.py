@@ -90,6 +90,25 @@ def test_forms_print_as_written():
     assert t != parse_term(deep.replace("(seq", "(par", 1))
 
 
+def test_repr_of_forms():
+    assert repr(seq(Gen("m"), Id(1))) == \
+        "Seq(terms=(Gen(name='m'), Id(n=1)))"
+    assert repr(par(Sym(1, 2), seq(Gen("a'b"), Id(0)))) == \
+        "Par(terms=(Sym(m=1, n=2), Seq(terms=(Gen(name=\"a'b\"), Id(n=0)))))"
+    assert repr(Seq((Gen("m"),))) == "Seq(terms=(Gen(name='m'),))"
+    # nested past the recursion limit: the same text, built without
+    # recursion (a recursing repr fails here, not in pytest's traceback)
+    t = Gen("m")
+    for _ in range(10_000):
+        t = seq(t, Gen("m"))
+    try:
+        text = repr(t)
+    except RecursionError:
+        text = "RecursionError"
+    assert text == ("Seq(terms=(" * 10_000 + "Gen(name='m')"
+                    + ", Gen(name='m')))" * 10_000)
+
+
 def test_first_fault_from_the_left_is_reported():
     # each child is folded into its form as soon as it is done, so a
     # form's own fault comes before a later child's, and a width is
