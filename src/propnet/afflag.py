@@ -16,7 +16,7 @@ import functools
 from .exactla import Subspace, kernel
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
-from .linrel import (LinRel, OddDimension, boundary_rows,
+from .linrel import (LinRel, OddDimension, boundary_rows, compose_bases,
                      format_constraints, is_lagrangian, label_rows,
                      port_var_names)
 from .circuit import LCircuit
@@ -50,8 +50,8 @@ class AffRel:
     def from_constraints(cls, field, dom, cod, rows):
         """Rows span dom+cod+1 entries, coerced into ``field``; the last
         is minus the constant.  No rows give the whole space."""
-        rows = [[field.coerce(x) for x in r] for r in rows]
-        return cls(dom, cod, kernel(rows, field, dom + cod + 1))
+        return cls(dom, cod,
+                   LinRel.from_constraints(field, dom, cod + 1, rows).space)
 
     @classmethod
     def identity(cls, field, n: int) -> "AffRel":
@@ -85,23 +85,17 @@ class AffRel:
         return self.hspace.contains(list(point) + [self.field.one])
 
     def compose(self, other: "AffRel") -> "AffRel":
-        """``LinRel.compose`` of ``self.hspace``, read as a relation
-        dom -> cod+1, with ``other`` lifted to (mid+1) -> (cod+1) by a
-        copy of its h after its domain.  The middle rows are the wires
-        plus h, so h is shared, and the result has the (dom, cod, h)
-        layout.  The lifted basis is not reduced when ``other`` has
-        vectors with a nonzero h after its domain, so ``Subspace.span``
-        reduces it."""
+        """``compose_bases`` of f#, read as dom -> cod+1, and g's basis
+        lifted, unreduced, to (mid+1) -> (cod+1) by a copy of its h after
+        its domain: the middle is the wires plus h, so h is shared."""
         if self.cod != other.dom:
             raise InterfaceMismatch(
                 f"cannot compose {self.cod} -> with {other.dom} <-")
-        field = self.field
         d = other.dom
         lifted = [w[:d] + w[-1:] + w[d:] for w in other.hspace.basis]
-        rel = self.homogenized.compose(
-            LinRel(d + 1, other.cod + 1,
-                   Subspace.span(field, d + other.cod + 2, lifted)))
-        return AffRel(self.dom, other.cod, rel.space)
+        return AffRel(self.dom, other.cod,
+                      compose_bases(self.field, self.hspace.basis, lifted,
+                                    self.dom, d + 1, other.cod + 1))
 
     def tensor(self, other: "AffRel") -> "AffRel":
         """(f# (x) g#) ; ``_route``, which merges the two h wires."""

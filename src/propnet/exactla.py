@@ -15,9 +15,11 @@ field value has one canonical form, so the reduced basis is exactly the
 dense one.  Constructors whose basis is reduced by construction (identity,
 symmetry, tensor) build ``Subspace(..., _canonical=True)`` and skip ``rref``.
 ``Subspace(...)`` coerces every entry of raw data; results computed from
-field elements (compose, dagger) use ``Subspace.span``, which only reduces.
-``eliminate`` projects columns off sparse rows one pivot at a time; a
-circuit's black box is ``eliminate`` of its internal unknowns, then ``kernel``.
+field elements (``dagger``, and the rows ``eliminate`` leaves) use
+``Subspace.span``, which only reduces.  ``eliminate`` projects columns off
+sparse rows one pivot at a time: a composite of relations is the span of
+what is left of both bases once their middle is eliminated, and a circuit's
+black box is ``eliminate`` of its internal unknowns, then ``kernel``.
 """
 
 from __future__ import annotations
@@ -145,24 +147,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field.name}^{self.ambient})"
-
-
-def lin_comb(field: Field, coeffs, vectors, lo: int, hi: int):
-    """Sum of ``c * v[lo:hi]`` over the pairs of coeffs and vectors.
-
-    Zero coefficients, zero entries and additions to a zero sum are
-    skipped: their results (no change, or the term itself) are known.
-    """
-    out = [field.zero] * (hi - lo)
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for k in range(lo, hi):
-                x = v[k]
-                if x:
-                    t = c * x
-                    acc = out[k - lo]
-                    out[k - lo] = acc + t if acc else t
-    return out
 
 
 def kernel(rows, field: Field, width: int) -> Subspace:

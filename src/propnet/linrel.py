@@ -10,7 +10,7 @@ port is w((phi, I), (phi', I')) = phi I' - phi' I, with the conjugate
 
 from __future__ import annotations
 
-from .exactla import Subspace, eliminate, kernel, lin_comb
+from .exactla import Subspace, eliminate, kernel
 from .scalar import Field, QS, RatFunc, format_scalar
 from .setprops import Corelation, InterfaceMismatch
 from .circuit import (CIRCUIT_SIGNATURE, SOURCE_KINDS, EdgeLabel, LCircuit,
@@ -50,10 +50,9 @@ class LinRel:
     @classmethod
     def from_constraints(cls, field, dom, cod, rows) -> "LinRel":
         """Relation cut out by homogeneous constraint rows, whose entries
-        are coerced into ``field``; no rows give the whole space."""
+        are coerced into ``field``; no rows give the whole space, and a
+        row not dom + cod long raises ``DimensionMismatch``."""
         rows = [[field.coerce(x) for x in r] for r in rows]
-        if any(len(r) != dom + cod for r in rows):
-            raise ValueError("constraint width must be dom + cod")
         return cls(dom, cod, kernel(rows, field, dom + cod))
 
     @classmethod
@@ -83,26 +82,10 @@ class LinRel:
         if self.cod != other.dom:
             raise InterfaceMismatch(
                 f"cannot compose {self.cod} -> with {other.dom} <-")
-        field = self.field
-        fb = self.space.basis
-        gb = other.space.basis
-        mid = self.cod
-        # rows: middle coordinates; columns: coefficients on f's basis then
-        # (negated) on g's basis.  Kernel elements are matching combinations.
-        rows = []
-        for r in range(mid):
-            row = [v[self.dom + r] for v in fb]
-            row += [-w[r] for w in gb]
-            rows.append(row)
-        a = len(fb)
-        sol = kernel(rows, field, a + len(gb))
-        vecs = []
-        for cvec in sol.basis:
-            vecs.append(lin_comb(field, cvec[:a], fb, 0, self.dom)
-                        + lin_comb(field, cvec[a:], gb, other.dom,
-                                   other.dom + other.cod))
         return LinRel(self.dom, other.cod,
-                      Subspace.span(field, self.dom + other.cod, vecs))
+                      compose_bases(self.field, self.space.basis,
+                                    other.space.basis, self.dom, self.cod,
+                                    other.cod))
 
     def tensor(self, other: "LinRel") -> "LinRel":
         """Both bases padded into the (self.dom, other.dom, self.cod,
@@ -143,6 +126,23 @@ class LinRel:
     def __repr__(self):
         return (f"LinRel({self.dom}->{self.cod}, "
                 f"dim {self.space.dim} over {self.field.name})")
+
+
+def compose_bases(field: Field, fvecs, gvecs, dom: int, mid: int,
+                  cod: int) -> Subspace:
+    """Canonical span of the (u, w) with (u, v) in the span of ``fvecs``
+    and (v, w) in that of ``gvecs``: ``eliminate`` the v columns of the
+    sparse rows (v, 0, w) of ``gvecs`` and (-v, u, 0) of ``fvecs``, in that
+    order, so that pivot ties fall on the unit pivots a reduced basis
+    starts with."""
+    rows = [{k if k < mid else dom + k: x for k, x in enumerate(w) if x}
+            for w in gvecs]
+    rows += [{mid + k if k < dom else k - dom: x if k < dom else -x
+              for k, x in enumerate(v) if x} for v in fvecs]
+    zero = field.zero
+    return Subspace.span(field, dom + cod, [
+        [row.get(j, zero) for j in range(mid, mid + dom + cod)]
+        for row in eliminate(rows, field, range(mid))])
 
 
 def _pivot(v) -> int:

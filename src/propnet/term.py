@@ -62,13 +62,16 @@ class _Form(PropTerm):
                 return False
         return True
 
+    def __post_init__(self):
+        if not self.terms:
+            raise ValueError(f"{self.head} needs at least one term")
+
     def __hash__(self):
         return hash(format_term(self))
 
     def __repr__(self):
         """The dataclass ``repr``, over ``fold``'s explicit stack."""
         def close(form, parts):
-            parts = parts if isinstance(parts, list) else [parts]
             tail = "," if len(parts) == 1 else ""
             return f"{type(form).__name__}(terms=({', '.join(parts)}{tail}))"
         return fold(self, "Gen(name={!r})".format, "Id(n={!r})".format,
@@ -77,14 +80,14 @@ class _Form(PropTerm):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Seq(_Form):
-    """Two or more terms composed in order; build it with ``seq``."""
+    """One or more terms composed in order; build it with ``seq``."""
     terms: tuple[PropTerm, ...]
     head = "seq"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Par(_Form):
-    """Two or more terms side by side, top first; build it with ``par``."""
+    """One or more terms side by side, top first; build it with ``par``."""
     terms: tuple[PropTerm, ...]
     head = "par"
 
@@ -140,7 +143,8 @@ def fold(t: PropTerm, gen, ident, sym, seq, par, close=None):
     ``Seq`` folds each child in from the left once it is done, by
     ``seq(acc, value, k)`` for child k = 2, 3, ..., so the first fault met
     from the left is raised; a ``Par`` likewise with ``par``.  ``close(form,
-    acc)`` turns a last accumulator into the form's value.  An
+    values)`` turns the list ``gather`` makes of the children into the
+    form's value.  An
     ``ArityMismatch`` gets "in term k of a seq: " for each form around
     where it arose, outermost first; past 8 forms, for the outermost and
     innermost 4 only."""
@@ -173,7 +177,7 @@ def fold(t: PropTerm, gen, ident, sym, seq, par, close=None):
                     node = form.terms[k]
                     break
                 if close is not None:
-                    value = close(form, value)
+                    value = close(form, value if k > 1 else [value])
             else:
                 return value
     except ArityMismatch as e:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from propnet.exactla import kernel
+from propnet.exactla import Subspace, kernel
 from propnet.linrel import label_rows
 from propnet.scalar import QQ, QS, RatFunc, Poly
 from propnet.setprops import Corelation, Cospan
@@ -292,6 +292,33 @@ def sparse_rows(draw, field, max_rows=5, max_cols=6, min_cols=1):
         for row in rows:
             row[zero_col] = field.zero
     return rows
+
+
+@st.composite
+def composable_rows(draw, field, h=0):
+    """Interface sizes and constraint rows over (u, v) and (v, w), each
+    row with ``h`` more entries (1 for minus an affine constant)."""
+    dom, mid, cod = (draw(st.integers(0, 3)) for _ in range(3))
+    entry = st.one_of(st.just(field.zero), st.just(field.zero),
+                      st.just(field.one), st.just(-field.one),
+                      scalars(field))
+
+    def rows(width):
+        return [[draw(entry) for _ in range(width)]
+                for _ in range(draw(st.integers(0, width)))]
+
+    return dom, mid, cod, rows(dom + mid + h), rows(mid + cod + h)
+
+
+def stacked_composite(field, dom, mid, cod, frows, grows, h=0):
+    """f;g by a second route: the kernel of both row sets stacked over
+    (u, v, w) and the ``h`` entries after them, projected off v."""
+    zero = field.zero
+    rows = [r[:dom + mid] + [zero] * cod + r[dom + mid:] for r in frows]
+    rows += [[zero] * dom + r for r in grows]
+    sols = kernel(rows, field, dom + mid + cod + h)
+    return Subspace(field, dom + cod + h,
+                    [v[:dom] + v[dom + mid:] for v in sols.basis])
 
 
 # ---------------------------------------------------------------------------

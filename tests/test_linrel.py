@@ -3,7 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from propnet.afflag import AffRel, aff_blackbox
@@ -13,15 +13,15 @@ from propnet.linrel import (CorelToLinRelModel, K_corel, LinRel, OddDimension,
                             UnsupportedLabel, blackbox, format_linrel,
                             impedance_rel, is_lagrangian, parse_linrel,
                             rlc_rel)
-from propnet.exactla import Subspace
+from propnet.exactla import DimensionMismatch, Subspace
 from propnet.scalar import QQ, QS, RatFunc
 from propnet.setprops import CorelModel
 from propnet.term import evaluate
 
 from helpers import (PROPERTY, RLC_KINDS, circuit_kernel, circuits,
-                     ladder_circuit, lagrangian_oracle, rand_circuit,
-                     rand_circuit_gens, rand_corelation, rand_term, scalars,
-                     sparse_rows)
+                     composable_rows, ladder_circuit, lagrangian_oracle,
+                     rand_circuit, rand_circuit_gens, rand_corelation,
+                     rand_term, scalars, sparse_rows, stacked_composite)
 
 
 def _member(rel, vec):
@@ -227,8 +227,56 @@ def test_from_constraints_coerces_and_checks_widths():
     assert full == LinRel.from_vectors(QS, 1, 2,
                                        [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for rows in ([[1, 0, 0]], [[1, 0], [1]], [[1, 0], [0, 1, 0]]):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match="width 2"):
             LinRel.from_constraints(QQ, 1, 1, rows)
+    # affine rows end in minus the constant, so they are one entry wider
+    two = AffRel.from_constraints(QQ, 1, 1, [[1, -1, -2]])
+    assert two.contains([QQ.coerce(2), QQ.zero])
+    assert not two.contains([QQ.zero, QQ.zero])
+    assert AffRel.from_constraints(QS, 0, 1, []).hspace.dim == 2
+    for rows in ([[1, 2]], [[1, 0, 0], [1]], [[1, 0, 0, 0]]):
+        with pytest.raises(DimensionMismatch, match="width 3"):
+            AffRel.from_constraints(QQ, 1, 1, rows)
+
+
+# ---------------------------------------------------------------------------
+# compose against a second route: the kernel of both row sets stacked
+
+def check_compose_against_stacking(field, case):
+    """f;g is the kernel of f's rows on (u, v) and g's on (v, w), taken
+    over (u, v, w) and projected to (u, w)."""
+    dom, mid, cod, frows, grows = case
+    frows = [[field.coerce(x) for x in r] for r in frows]
+    grows = [[field.coerce(x) for x in r] for r in grows]
+    got = LinRel.from_constraints(field, dom, mid, frows).compose(
+        LinRel.from_constraints(field, mid, cod, grows))
+    assert (got.dom, got.cod) == (dom, cod)
+    assert got.space == stacked_composite(field, dom, mid, cod, frows, grows)
+
+
+def _compose_examples(test):
+    """A middle of width 0; f the zero relation; f and g the whole space;
+    identities, whose composite is {u = -w} if no middle is negated."""
+    for case in [(2, 0, 1, [[1, -1]], [[1]]),
+                 (1, 1, 2, [[1, 0], [0, 1]], []),
+                 (2, 2, 1, [], []),
+                 (1, 1, 1, [[1, -1]], [[1, -1]])]:
+        test = example(case)(test)
+    return test
+
+
+@PROPERTY
+@given(composable_rows(QQ))
+@_compose_examples
+def test_compose_matches_stacked_kernel_qq(case):
+    check_compose_against_stacking(QQ, case)
+
+
+@PROPERTY
+@given(composable_rows(QS))
+@_compose_examples
+def test_compose_matches_stacked_kernel_qs(case):
+    check_compose_against_stacking(QS, case)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from propnet.linrel import (CorelToLinRelModel, LinRel, UnsupportedLabel,
 from propnet.scalar import QQ, QS, RatFunc
 from propnet.sigflow import (SIGFLOW_SIGNATURE, SigFlowModel, box_eval,
                              square_check, translate_T)
-from propnet.term import (Gen, Id, arity, evaluate, format_term, parse_term,
-                          seq)
+from propnet.term import (Gen, Id, Par, Seq, arity, evaluate, format_term,
+                          parse_term, seq)
 
 from helpers import rand_circuit_gens, rand_term
 
@@ -69,6 +69,11 @@ def test_translation_width_discipline():
         m, n = arity(t, circ.signature)
         tt = translate_T(t, QS)
         assert arity(tt, SIGFLOW_SIGNATURE) == (2 * m, 2 * n)
+    # one-child forms, built directly, keep their forms
+    m_image = translate_T(Gen("m"), QS)
+    assert translate_T(Seq((Gen("m"),)), QS) == Seq((m_image,))
+    assert translate_T(Par((Seq((Gen("m"),)),)), QS) == \
+        Par((Seq((m_image,)),))
 
 
 def test_square_on_generators():

@@ -96,6 +96,16 @@ def test_repr_of_forms():
     assert repr(par(Sym(1, 2), seq(Gen("a'b"), Id(0)))) == \
         "Par(terms=(Sym(m=1, n=2), Seq(terms=(Gen(name=\"a'b\"), Id(n=0)))))"
     assert repr(Seq((Gen("m"),))) == "Seq(terms=(Gen(name='m'),))"
+    # a one-child form built directly prints, and so hashes, as written;
+    # a form with no children cannot be built
+    one = Par((Seq((Gen("m"),)),))
+    assert repr(one) == "Par(terms=(Seq(terms=(Gen(name='m'),)),))"
+    assert format_term(one) == "(par (seq (gen m)))"
+    assert parse_term(format_term(one)) == Gen("m")
+    assert hash(one) == hash("(par (seq (gen m)))")
+    for form in (Seq, Par):
+        with pytest.raises(ValueError, match="at least one term"):
+            form(())
     # nested past the recursion limit: the same text, built without
     # recursion (a recursing repr fails here, not in pytest's traceback)
     t = Gen("m")
