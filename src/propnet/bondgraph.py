@@ -115,11 +115,7 @@ def _alpha1(field: Field) -> LinRel:
 def alpha(n: int, field: Field = QQ) -> LinRel:
     """{(V, I, phi1, I1, phi2, I2) : V = phi2 - phi1, I = I1 = -I2},
     tensored n times; the one-port relation is built once per field."""
-    a1 = _alpha1(field)
-    out = LinRel.identity(field, 0)
-    for _ in range(n):
-        out = out.tensor(a1)
-    return out
+    return LinRel.identity(field, 0).tensor(*[_alpha1(field)] * n)
 
 
 def _alpha_kg(t: PropTerm, field: Field):

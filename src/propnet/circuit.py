@@ -123,22 +123,33 @@ class LCircuit:
                         [perm[i] for i in self.inputs],
                         [perm[i] for i in self.outputs])
 
-    def tensor(self, other: "LCircuit") -> "LCircuit":
+    def tensor(self, *others: "LCircuit") -> "LCircuit":
+        """The disjoint union, each circuit's nodes shifted past those of
+        the circuits before it."""
+        edges, inputs, outputs = (list(self.graph.edges), list(self.inputs),
+                                  list(self.outputs))
         off = self.graph.node_count
-        edges = list(self.graph.edges)
-        edges += [(s + off, t + off, lab) for s, t, lab in other.graph.edges]
-        return LCircuit(
-            LGraph(off + other.graph.node_count, edges),
-            self.inputs + tuple(i + off for i in other.inputs),
-            self.outputs + tuple(i + off for i in other.outputs))
+        for c in others:
+            edges += [(s + off, t + off, lab) for s, t, lab in c.graph.edges]
+            inputs += [i + off for i in c.inputs]
+            outputs += [o + off for o in c.outputs]
+            off += c.graph.node_count
+        return LCircuit(LGraph(off, edges), inputs, outputs)
 
-    def compose(self, other: "LCircuit") -> "LCircuit":
-        if self.n != other.m:
-            raise InterfaceMismatch(
-                f"cannot compose {self.n} -> with {other.m} <-")
-        both = self.tensor(other)
-        uf = _UnionFind()
-        for a, b in zip(both.outputs[:self.n], both.inputs[self.m:]):
+    def compose(self, *others: "LCircuit") -> "LCircuit":
+        """One pushout of the tensor: each circuit's outputs are glued to
+        the next one's inputs.  Interfaces match, so the outputs of all
+        but the last circuit line up with the inputs of all but the
+        first."""
+        parts = (self, *others)
+        for a, b in zip(parts, others):
+            if a.n != b.m:
+                raise InterfaceMismatch(
+                    f"cannot compose {a.n} -> with {b.m} <-")
+        both = self.tensor(*others)
+        glued = len(both.outputs) - parts[-1].n
+        uf = _UnionFind(both.graph.node_count)
+        for a, b in zip(both.outputs[:glued], both.inputs[self.m:]):
             uf.union(a, b)
         # renumber quotient classes by first occurrence
         index = {}
@@ -147,7 +158,7 @@ class LCircuit:
             return index.setdefault(uf.find(v), len(index))
 
         inputs = [visit(i) for i in both.inputs[:self.m]]
-        outputs = [visit(o) for o in both.outputs[self.n:]]
+        outputs = [visit(o) for o in both.outputs[glued:]]
         edges = [(visit(s), visit(t), lab) for s, t, lab in both.graph.edges]
         for v in range(both.graph.node_count):
             visit(v)
@@ -196,9 +207,7 @@ class LCircuit:
 
 def pi0_cospan(c: LCircuit) -> Cospan:
     """Connected components of the underlying graph, as a cospan."""
-    uf = _UnionFind()
-    for v in range(c.graph.node_count):
-        uf.find(v)
+    uf = _UnionFind(c.graph.node_count)
     for s, t, _lab in c.graph.edges:
         uf.union(s, t)
     comp_terminals = {}

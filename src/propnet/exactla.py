@@ -69,8 +69,9 @@ def rref(rows, field: Field):
         # nonzero columns right of the pivot
         nz = [j for j in range(c + 1, ncols) if prow[j]]
         p = prow[c]
-        if p != one:
-            if p == minus_one:
+        unit = _unit(p, one, minus_one)
+        if unit != 1:
+            if unit == -1:
                 for j in nz:
                     prow[j] = -prow[j]
             else:
@@ -187,14 +188,9 @@ def _is_constant(x) -> bool:
     return not isinstance(x, RatFunc) or x.num.degree + x.den.degree == 0
 
 
-def _product(f, x, one, minus_one):
-    """f * x, with no multiplication when either factor is 1 or -1."""
-    for a, b in ((f, x), (x, f)):
-        if b == one:
-            return a
-        if b == minus_one:
-            return -a
-    return f * x
+def _unit(x, one, minus_one) -> int:
+    """1 or -1 when x is that field value, else 0."""
+    return 1 if x == one else -1 if x == minus_one else 0
 
 
 def eliminate(rows, field: Field, columns):
@@ -230,13 +226,29 @@ def eliminate(rows, field: Field, columns):
             continue
         prow, rows[r] = rows[r], None
         p = prow.pop(c)
-        inv = p if p in (one, minus_one) else one / p
         changed = [j for j in prow if j in where]
-        for i in where.pop(c) - {r}:
+        targets = where.pop(c) - {r}
+        if targets:
+            # whether the pivot and each entry of its row is 1 or -1 is
+            # decided once for all the rows it is subtracted from, the
+            # entries' when first needed
+            inv_unit = _unit(p, one, minus_one)
+            inv = p if inv_unit else one / p
+            units = None
+        for i in targets:
             row = rows[i]
-            g = _product(-row.pop(c), inv, one, minus_one)
-            for j, x in prow.items():
-                t = _product(g, x, one, minus_one)
+            f = -row.pop(c)
+            g = (f if inv_unit == 1 else -f) if inv_unit else f * inv
+            g_unit = _unit(g, one, minus_one)
+            if g_unit:
+                terms = (prow.items() if g_unit == 1
+                         else [(j, -x) for j, x in prow.items()])
+            else:
+                if units is None:
+                    units = [_unit(x, one, minus_one) for x in prow.values()]
+                terms = [(j, (g if u == 1 else -g) if u else g * x)
+                         for (j, x), u in zip(prow.items(), units)]
+            for j, t in terms:
                 row[j] = row[j] + t if j in row else t
                 if not row[j]:
                     del row[j]

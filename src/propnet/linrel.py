@@ -78,35 +78,46 @@ class LinRel:
         return cls(size, size, Subspace(field, 2 * size, vecs,
                                         _canonical=True))
 
-    def compose(self, other: "LinRel") -> "LinRel":
-        if self.cod != other.dom:
-            raise InterfaceMismatch(
-                f"cannot compose {self.cod} -> with {other.dom} <-")
-        return LinRel(self.dom, other.cod,
-                      compose_bases(self.field, self.space.basis,
-                                    other.space.basis, self.dom, self.cod,
-                                    other.cod))
+    def compose(self, *others: "LinRel") -> "LinRel":
+        """The composites, from the left, each by ``compose_bases``."""
+        out = self
+        for other in others:
+            if out.cod != other.dom:
+                raise InterfaceMismatch(
+                    f"cannot compose {out.cod} -> with {other.dom} <-")
+            out = LinRel(out.dom, other.cod,
+                         compose_bases(out.field, out.space.basis,
+                                       other.space.basis, out.dom, out.cod,
+                                       other.cod))
+        return out
 
-    def tensor(self, other: "LinRel") -> "LinRel":
-        """Both bases padded into the (self.dom, other.dom, self.cod,
-        other.cod) layout, sorted by pivot column.
+    def tensor(self, *others: "LinRel") -> "LinRel":
+        """Every basis padded once into the (dom_1, ..., dom_k, cod_1, ...,
+        cod_k) layout, in pivot order.
 
-        The two blocks have disjoint supports and each block keeps the
-        order of its columns, so every padded vector still starts with its
-        pivot 1 and is the only vector nonzero in that column.  Sorted by
-        pivot, the union is the reduced echelon basis, and no ``rref`` is
-        needed.
+        The blocks have disjoint supports and each block keeps the order of
+        its columns, so every padded vector still starts with its pivot 1
+        and is the only vector nonzero in that column.  A reduced basis
+        lists the vectors whose pivot is a domain wire first, so those of
+        every relation in turn, then the rest, are the union in pivot
+        order: the reduced echelon basis, with no ``rref`` and no sort.
         """
-        field = self.field
-        zero = field.zero
-        dom = self.dom + other.dom
-        cod = self.cod + other.cod
-        vecs = [v[:self.dom] + (zero,) * other.dom + v[self.dom:]
-                + (zero,) * other.cod for v in self.space.basis]
-        vecs += [(zero,) * self.dom + w[:other.dom] + (zero,) * self.cod
-                 + w[other.dom:] for w in other.space.basis]
-        vecs.sort(key=_pivot)
-        return LinRel(dom, cod, Subspace(field, dom + cod, vecs,
+        rels = (self, *others)
+        zero = self.field.zero
+        dom = sum([r.dom for r in rels])
+        cod = sum([r.cod for r in rels])
+        # pivots on domain wires, then on codomain wires; d and c count
+        # the domain and codomain wires before r's
+        heads, tails, d, c = [], [], 0, 0
+        for r in rels:
+            n = r.dom
+            before, middle, after = ((zero,) * d, (zero,) * (dom - d - n + c),
+                                     (zero,) * (cod - c - r.cod))
+            for v in r.space.basis:
+                (heads if any(v[:n]) else tails).append(
+                    before + v[:n] + middle + v[n:] + after)
+            d, c = d + n, c + r.cod
+        return LinRel(dom, cod, Subspace(self.field, dom + cod, heads + tails,
                                          _canonical=True))
 
     def dagger(self) -> "LinRel":
@@ -143,11 +154,6 @@ def compose_bases(field: Field, fvecs, gvecs, dom: int, mid: int,
     return Subspace.span(field, dom + cod, [
         [row.get(j, zero) for j in range(mid, mid + dom + cod)]
         for row in eliminate(rows, field, range(mid))])
-
-
-def _pivot(v) -> int:
-    """Column of the first nonzero entry of a basis vector."""
-    return next(k for k, x in enumerate(v) if x)
 
 
 def is_lagrangian(rel: LinRel) -> bool:

@@ -12,6 +12,8 @@ matrix prop, over the natural numbers or the booleans.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .term import PropModel, Signature
 
 
@@ -31,29 +33,24 @@ def _canonical_blocks(blocks):
 
 
 class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+    """Union-find over the integers 0 .. size - 1."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.components = size
 
     def find(self, x):
         """Root of x, halving the path to it on the way."""
         parent = self.parent
-        p = parent.setdefault(x, x)
-        while p != x:
-            parent[x] = parent[p]  # x skips to its grandparent
-            x = parent[x]
-            p = parent[x]
+        while (p := parent[x]) != x:
+            parent[x] = x = parent[p]  # x skips to its grandparent
         return x
 
     def union(self, x, y):
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[ry] = rx
-
-    def groups(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
+            self.components -= 1
 
 
 class Corelation:
@@ -92,13 +89,13 @@ class Corelation:
     def dagger(self) -> "Corelation":
         return Corelation(self.n, self.m, _dagger_blocks(self))
 
-    def tensor(self, other: "Corelation") -> "Corelation":
-        return Corelation(self.m + other.m, self.n + other.n,
-                          _tensor_blocks(self, other))
+    def tensor(self, *others: "Corelation") -> "Corelation":
+        return Corelation(*_tensor_blocks(self, others))
 
-    def compose(self, other: "Corelation") -> "Corelation":
-        part, _dropped = _compose_blocks(self, other)
-        return Corelation(self.m, other.n, part)
+    def compose(self, *others: "Corelation") -> "Corelation":
+        rels = (self, *others)
+        part, _dropped = _compose_blocks(rels)
+        return Corelation(self.m, rels[-1].n, part)
 
     def __eq__(self, other):
         """Of the same type only: a cospan never equals a corelation."""
@@ -118,52 +115,44 @@ def _dagger_blocks(f):
     return [tuple((swap[t], i) for t, i in b) for b in f.blocks]
 
 
-def _tensor_blocks(f, g):
-    """Blocks of f, then those of g shifted past f's terminals."""
-    blocks = list(f.blocks)
-    for b in g.blocks:
-        blocks.append(tuple(
-            (t, i + (f.m if t == "x" else f.n)) for t, i in b))
-    return blocks
+def _tensor_blocks(f, others):
+    """Domain and codomain sizes of f tensored with ``others``, and its
+    blocks: f's, then each other's shifted past the terminals before it."""
+    blocks, dx, dy = list(f.blocks), f.m, f.n
+    for g in others:
+        blocks += [tuple([(t, i + dx) if t == "x" else (t, i + dy)
+                          for t, i in b]) for b in g.blocks]
+        dx, dy = dx + g.m, dy + g.n
+    return dx, dy, blocks
 
 
-def _compose_blocks(f, g):
-    """Glued boundary partition of f;g plus the count of dropped blocks."""
-    if f.n != g.m:
-        raise InterfaceMismatch(f"cannot compose {f.n} -> with {g.m} <-")
-    uf = _UnionFind()
-    for i in range(f.m):
-        uf.find(("x", i))
-    for j in range(g.n):
-        uf.find(("z", j))
-    for j in range(f.n):
-        uf.find(("mid", j))
-    for b in f.blocks:
-        first = None
-        for t, i in b:
-            el = ("x", i) if t == "x" else ("mid", i)
-            if first is None:
-                first = el
-            else:
-                uf.union(first, el)
-    for b in g.blocks:
-        first = None
-        for t, i in b:
-            el = ("mid", i) if t == "x" else ("z", i)
-            if first is None:
-                first = el
-            else:
-                uf.union(first, el)
-    blocks = []
-    dropped = 0
-    for grp in uf.groups():
-        boundary = [("x", i) if t == "x" else ("y", i)
-                    for t, i in grp if t != "mid"]
-        if boundary:
-            blocks.append(boundary)
-        else:
-            dropped += 1
-    return blocks, dropped
+def _compose_blocks(rels):
+    """Boundary partition of the composite of ``rels`` in order, already
+    in canonical order, plus the count of its components that touch no
+    boundary terminal.  One union-find glues every layer at once: point i
+    of a layer is the integer i past the points of the layers before it,
+    where layer 0 is the first relation's domain and layer j + 1 the
+    codomain of relation j."""
+    for f, g in zip(rels, rels[1:]):
+        if f.n != g.m:
+            raise InterfaceMismatch(f"cannot compose {f.n} -> with {g.m} <-")
+    uf = _UnionFind(rels[0].m + sum([f.n for f in rels]))
+    start = 0  # the first point of f's domain layer
+    for f in rels:
+        cod = start + f.m
+        for b in f.blocks:
+            first, *rest = [i + (start if t == "x" else cod) for t, i in b]
+            for x in rest:
+                uf.union(first, x)
+        start = cod
+    # boundary points in canonical order, so each block comes out sorted
+    # and the blocks come out ordered by their first terminal
+    find, blocks = uf.find, {}
+    for i in range(rels[0].m):
+        blocks.setdefault(find(i), []).append(("x", i))
+    for j in range(rels[-1].n):
+        blocks.setdefault(find(start + j), []).append(("y", j))
+    return list(blocks.values()), uf.components - len(blocks)
 
 
 class Cospan(Corelation):
@@ -181,15 +170,15 @@ class Cospan(Corelation):
     def dagger(self) -> "Cospan":
         return Cospan(self.n, self.m, _dagger_blocks(self), self.extras)
 
-    def tensor(self, other: "Cospan") -> "Cospan":
-        return Cospan(self.m + other.m, self.n + other.n,
-                      _tensor_blocks(self, other),
-                      self.extras + other.extras)
+    def tensor(self, *others: "Cospan") -> "Cospan":
+        return Cospan(*_tensor_blocks(self, others),
+                      self.extras + sum([g.extras for g in others]))
 
-    def compose(self, other: "Cospan") -> "Cospan":
-        part, dropped = _compose_blocks(self, other)
-        return Cospan(self.m, other.n, part,
-                      self.extras + other.extras + dropped)
+    def compose(self, *others: "Cospan") -> "Cospan":
+        rels = (self, *others)
+        part, dropped = _compose_blocks(rels)
+        return Cospan(self.m, rels[-1].n, part,
+                      sum(f.extras for f in rels) + dropped)
 
     def __eq__(self, other):
         return super().__eq__(other) and self.extras == other.extras
@@ -216,7 +205,7 @@ class _MatrixProp:
     __slots__ = ("m", "n", "matrix")
 
     def __init__(self, m, n, matrix):
-        matrix = tuple(tuple(self._entry(x) for x in row) for row in matrix)
+        matrix = tuple(tuple(map(self._entry, row)) for row in matrix)
         if len(matrix) != n or any(len(r) != m for r in matrix):
             raise ValueError(f"matrix must be {n}x{m}")
         self.m = m
@@ -237,18 +226,29 @@ class _MatrixProp:
             mat[j][m + j] = 1
         return cls(size, size, mat)
 
-    def tensor(self, other):
-        mat = [row + (0,) * other.m for row in self.matrix]
-        mat += [(0,) * self.m + row for row in other.matrix]
-        return type(self)(self.m + other.m, self.n + other.n, mat)
+    def tensor(self, *others):
+        """The block sum, each matrix padded once to the full width."""
+        m = self.m + sum([a.m for a in others])
+        rows = [row + (0,) * (m - self.m) for row in self.matrix]
+        left = self.m
+        for a in others:
+            before, after = (0,) * left, (0,) * (m - left - a.m)
+            rows += [before + row + after for row in a.matrix]
+            left += a.m
+        return type(self)(m, self.n + sum([a.n for a in others]), rows)
 
-    def compose(self, other):
-        if self.n != other.m:
-            raise InterfaceMismatch(
-                f"cannot compose {self.n} -> with {other.m} <-")
-        mat = [[self._sum(row[k] * self.matrix[k][j] for k in range(self.n))
-                for j in range(self.m)] for row in other.matrix]
-        return type(self)(self.m, other.n, mat)
+    def compose(self, *others):
+        """The matrix products, from the left."""
+        out = self
+        for other in others:
+            if out.n != other.m:
+                raise InterfaceMismatch(
+                    f"cannot compose {out.n} -> with {other.m} <-")
+            cols = list(zip(*out.matrix)) if out.n else [()] * out.m
+            mat = [[out._sum(map(mul, row, col)) for col in cols]
+                   for row in other.matrix]
+            out = type(self)(out.m, other.n, mat)
+        return out
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.m == other.m

@@ -142,9 +142,9 @@ def fold(t: PropTerm, gen, ident, sym, seq, par, close=None):
     stack.  Leaves take ``gen(name)``, ``ident(n)`` and ``sym(m, n)``.  A
     ``Seq`` folds each child in from the left once it is done, by
     ``seq(acc, value, k)`` for child k = 2, 3, ..., so the first fault met
-    from the left is raised; a ``Par`` likewise with ``par``.  ``close(form,
-    values)`` turns the list ``gather`` makes of the children into the
-    form's value.  An
+    from the left is raised; a ``Par`` likewise with ``par``.  Given
+    ``gather`` for both, a form's value is ``close(form, values)`` of the
+    list of all its children's values, as in ``evaluate``.  An
     ``ArityMismatch`` gets "in term k of a seq: " for each form around
     where it arose, outermost first; past 8 forms, for the outermost and
     innermost 4 only."""
@@ -214,11 +214,12 @@ def gather(acc, value, k):
 
 class PropModel:
     """A semantic model.  Subclasses give ``signature`` and the values of
-    generators, in ``GENERATORS`` or by overriding ``gen``; values compose
-    with ``compose`` and ``tensor`` and compare with ``==``, symmetries
-    come from ``carrier`` on ``width`` wires per object (e.g. 2 when a
-    port carries a potential/current pair), and the identity on n is the
-    symmetry on 0 and n.
+    generators, in ``GENERATORS`` or by overriding ``gen``; a value's
+    ``compose`` and ``tensor`` take any number of further values, so a
+    form's children combine in one call, and values compare with ``==``;
+    symmetries come from ``carrier`` on ``width`` wires per object (e.g. 2
+    when a port carries a potential/current pair), and the identity on n
+    is the symmetry on 0 and n.
     """
 
     signature: Signature
@@ -238,21 +239,26 @@ class PropModel:
     def symmetry(self, m, n):
         return self.carrier.symmetry(self.width * m, self.width * n)
 
-    def seq(self, a, b):
-        return a.compose(b)
+    def seq(self, first, *rest):
+        """The composite of a ``(seq ...)`` form's values, in order."""
+        return first.compose(*rest)
 
-    def par(self, a, b):
-        return a.tensor(b)
+    def par(self, first, *rest):
+        """The tensor of a ``(par ...)`` form's values, top first."""
+        return first.tensor(*rest)
 
     def eq(self, a, b) -> bool:
         return a == b
 
 
 def evaluate(t: PropTerm, model: PropModel):
+    """The value of ``t`` in ``model``, once ``arity`` has checked it.
+    Each form hands all its children's values, in order, to one call of
+    ``model.seq`` or ``model.par``."""
     arity(t, model.signature)
-    return fold(t, model.gen, model.identity, model.symmetry,
-                lambda a, b, _k: model.seq(a, b),
-                lambda a, b, _k: model.par(a, b))
+    return fold(t, model.gen, model.identity, model.symmetry, gather, gather,
+                lambda form, values: (model.seq if type(form) is Seq
+                                      else model.par)(*values))
 
 
 def model_equal(model: PropModel, s: PropTerm, t: PropTerm) -> bool:

@@ -12,7 +12,7 @@ from propnet.linrel import label_rows
 from propnet.scalar import QQ, QS, RatFunc, Poly
 from propnet.setprops import Corelation, Cospan
 from propnet.circuit import EdgeLabel, LCircuit, LGraph
-from propnet.term import Gen, Id, Sym, arity, par, seq
+from propnet.term import Gen, Id, Sym, arity, fold, par, seq
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +446,15 @@ def rand_term(rng, sig, gens, depth, max_width=3):
         _d, c = arity(terms[-1], sig)
         terms.append(rand_term_with_dom(rng, sig, gens, c, depth - 1))
     return seq(*terms)
+
+
+def fold_evaluate(t, model):
+    """``evaluate`` by the binary operations: the oracle for one call per
+    form.  Each form's children fold in from the left, two values at a
+    time, by ``compose`` or ``tensor``."""
+    arity(t, model.signature)
+    return fold(t, model.gen, model.identity, model.symmetry,
+                lambda a, b, _k: a.compose(b), lambda a, b, _k: a.tensor(b))
 
 
 def rand_term_with_dom(rng, sig, gens, dom, depth):

@@ -3,18 +3,22 @@ import re
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from propnet.afflag import AffRel
-from propnet.circuit import LCircuit, LGraph
+from propnet.circuit import LCircuit, LGraph, pi0_cospan
+from propnet.cli import _models
 from propnet.linrel import LinRel
 from propnet.scalar import QQ, QS
 from propnet.setprops import (BoolRel, Corelation, CorelModel, Cospan,
-                              CospanModel, NatSpan, WIRE_SIGNATURE)
+                              CospanModel, InterfaceMismatch, NatSpan,
+                              WIRE_SIGNATURE)
 from propnet.term import (MAX_WIDTH, ArityMismatch, Gen, Id, Par, Seq, Sym,
                           TermParseError, UnknownGenerator, arity, evaluate,
                           format_term, model_equal, par, parse_term, seq)
 
-from helpers import rand_term
+from helpers import PROPERTY, fold_evaluate, rand_term
 
 WIRE_GENS = ["m", "i", "d", "e"]
 
@@ -181,27 +185,107 @@ class _CountingModel(CorelModel):
     def __init__(self):
         self.calls = []
 
-    def seq(self, a, b):
-        self.calls.append(("seq", a.m, a.n, b.m, b.n))
-        return super().seq(a, b)
+    def seq(self, *values):
+        self.calls.append(("seq", [(v.m, v.n) for v in values]))
+        return super().seq(*values)
 
-    def par(self, a, b):
-        self.calls.append(("par", a.m, a.n, b.m, b.n))
-        return super().par(a, b)
+    def par(self, *values):
+        self.calls.append(("par", [(v.m, v.n) for v in values]))
+        return super().par(*values)
 
 
-def test_evaluation_folds_children_left_to_right():
-    # d : 1 -> 2 and m : 2 -> 1; a left fold sees the accumulated value
-    # first, so every call after the first starts from domain 1
+def test_evaluation_hands_each_form_its_children_in_order():
+    # d : 1 -> 2 and m : 2 -> 1; one call per form, with the values of all
+    # its children in order, once they are done
     model = _CountingModel()
     evaluate(seq(*[Gen("d"), Gen("m")] * 3), model)
-    assert model.calls == [("seq", 1, 2, 2, 1), ("seq", 1, 1, 1, 2),
-                           ("seq", 1, 2, 2, 1), ("seq", 1, 1, 1, 2),
-                           ("seq", 1, 2, 2, 1)]
+    assert model.calls == [("seq", [(1, 2), (2, 1)] * 3)]
     model = _CountingModel()
     evaluate(par(Gen("d"), Gen("e"), Gen("i"), Gen("m")), model)
-    assert model.calls == [("par", 1, 2, 1, 0), ("par", 2, 2, 0, 1),
-                           ("par", 2, 3, 2, 1)]
+    assert model.calls == [("par", [(1, 2), (1, 0), (0, 1), (2, 1)])]
+    model = _CountingModel()
+    evaluate(seq(par(Gen("d"), Id(0)), Seq((Gen("m"),))), model)
+    assert model.calls == [("par", [(1, 2), (0, 0)]), ("seq", [(2, 1)]),
+                           ("seq", [(1, 2), (2, 1)])]
+
+
+MODELS = _models(QQ)
+
+
+def _gens(model):
+    """The signature's generators, and a few labels or scalars where its
+    resolver takes them (constant ones: the field is q)."""
+    sig = model.signature
+    return sorted(sig.table) + [
+        name for name in ("label:wire", "label:resistor:2",
+                          "label:impedance:3", "scalar:2", "scalar:-1/2")
+        if sig.resolver is not None and sig.resolver(name) is not None]
+
+
+def _same(a, b):
+    """Equal values; circuits by iso class, decided by brute force only
+    while few internal nodes are left to permute."""
+    if isinstance(a, LCircuit):
+        legs = set(a.inputs + a.outputs)
+        if a.graph.node_count - len(legs) > 6:
+            return ((a.graph.node_count, a.m, a.n,
+                     sorted(lab.sort_key() for *_e, lab in a.graph.edges),
+                     pi0_cospan(a))
+                    == (b.graph.node_count, b.m, b.n,
+                        sorted(lab.sort_key() for *_e, lab in b.graph.edges),
+                        pi0_cospan(b)))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@PROPERTY
+@given(st.integers(0, 2 ** 32))
+def test_one_call_per_form_equals_the_binary_fold(name, seed):
+    model = MODELS[name]
+    term = rand_term(random.Random(seed), model.signature, _gens(model), 3,
+                     max_width=2)
+    assert _same(evaluate(term, model), fold_evaluate(term, model))
+
+
+def _by_arity(model):
+    """The first generator name of arity 1 -> 2, 2 -> 1, 0 -> 1 and
+    1 -> 0 in the model's signature."""
+    table = model.signature.table
+    return [min(g for g in table if table[g] == a)
+            for a in ((1, 2), (2, 1), (0, 1), (1, 0))]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_wide_one_child_empty_and_closed_forms_equal_the_binary_fold(name):
+    model = MODELS[name]
+    co, mu, unit, counit = map(Gen, _by_arity(model))
+    loop = seq(unit, counit)  # a closed loop: one extra apex in a cospan
+    terms = [par(*[seq(co, mu)] * 12), par(*[co] * 7, *[mu] * 5),
+             Seq((mu,)), Par((seq(co, mu),)), Seq((Par((loop,)),)),
+             seq(Id(0), unit, Id(1), counit, Id(0)),
+             par(Id(0), mu, Id(0), Id(0)), par(Id(0), Id(0)),
+             loop, par(*[loop] * 3),
+             seq(par(loop, co), mu, co, mu, counit, loop),
+             seq(unit, *[co, mu] * 9, counit),
+             seq(par(unit, unit), mu, counit)]
+    for t in terms:
+        assert _same(evaluate(t, model), fold_evaluate(t, model)), t
+    if name == "cospan":
+        assert evaluate(par(*[loop] * 3), model).extras == 3
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_mismatch_names_the_pair_the_binary_fold_names(name):
+    model = MODELS[name]
+    co, mu, _unit, _counit = (model.gen(g) for g in _by_arity(model))
+    for values in ([co, co, mu], [co, mu, co, co], [mu, co, mu, co, co, mu]):
+        with pytest.raises(InterfaceMismatch) as folded:
+            fold_value = values[0]
+            for v in values[1:]:
+                fold_value = fold_value.compose(v)
+        with pytest.raises(InterfaceMismatch) as at_once:
+            model.seq(*values)
+        assert str(at_once.value) == str(folded.value)
 
 
 def test_parse_errors():
