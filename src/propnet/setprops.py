@@ -95,7 +95,7 @@ class Corelation:
     def compose(self, *others: "Corelation") -> "Corelation":
         rels = (self, *others)
         part, _dropped = _compose_blocks(rels)
-        return Corelation(self.m, rels[-1].n, part)
+        return _from_canonical(Corelation, self.m, rels[-1].n, part)
 
     def __eq__(self, other):
         """Of the same type only: a cospan never equals a corelation."""
@@ -152,7 +152,16 @@ def _compose_blocks(rels):
         blocks.setdefault(find(i), []).append(("x", i))
     for j in range(rels[-1].n):
         blocks.setdefault(find(start + j), []).append(("y", j))
-    return list(blocks.values()), uf.components - len(blocks)
+    return tuple(map(tuple, blocks.values())), uf.components - len(blocks)
+
+
+def _from_canonical(cls, m, n, blocks):
+    """A ``cls`` on blocks that are already canonical and valid, as
+    ``_compose_blocks`` returns them: ``__init__`` would sort and check
+    them again."""
+    rel = object.__new__(cls)
+    rel.m, rel.n, rel.blocks = m, n, blocks
+    return rel
 
 
 class Cospan(Corelation):
@@ -177,8 +186,9 @@ class Cospan(Corelation):
     def compose(self, *others: "Cospan") -> "Cospan":
         rels = (self, *others)
         part, dropped = _compose_blocks(rels)
-        return Cospan(self.m, rels[-1].n, part,
-                      sum(f.extras for f in rels) + dropped)
+        composite = _from_canonical(Cospan, self.m, rels[-1].n, part)
+        composite.extras = sum(f.extras for f in rels) + dropped
+        return composite
 
     def __eq__(self, other):
         return super().__eq__(other) and self.extras == other.extras

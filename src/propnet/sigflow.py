@@ -16,7 +16,7 @@ from .linrel import (LinRel, LinRelModel, UnsupportedLabel, blackbox,
                      label_impedance)
 from .circuit import CircuitModel, SOURCE_KINDS, label_from_gen_name
 from .term import (Gen, Id, PropTerm, Signature, Sym, UnknownGenerator,
-                   evaluate, fold, gather, par, seq)
+                   dag_fold, evaluate, par, seq)
 
 
 def _scalar_resolver(name):
@@ -100,11 +100,21 @@ _T_IMAGES = {
 
 def translate_T(t: PropTerm, field: Field = QS) -> PropTerm:
     """T names where the generators go, doubles every object and keeps
-    every form."""
-    def image(name):
-        return _T_IMAGES.get(name) or _label_term(name, field)
-    return fold(t, image, lambda n: Id(2 * n), lambda m, n: Sym(2 * m, 2 * n),
-                gather, gather, lambda form, terms: type(form)(tuple(terms)))
+    every form.  Each subterm is translated once, so the image shares
+    what ``t`` shares, and each generator name's image is one node."""
+    images = dict(_T_IMAGES)  # a label's image is added when first met
+
+    def image(node):
+        kind = type(node)
+        if kind is Id:
+            return Id(2 * node.n)
+        if kind is Sym:
+            return Sym(2 * node.m, 2 * node.n)
+        if node.name not in images:
+            images[node.name] = _label_term(node.name, field)
+        return images[node.name]
+
+    return dag_fold(t, image, lambda form, terms: type(form)(tuple(terms)))
 
 
 def square_check(t: PropTerm, field: Field = QS) -> bool:

@@ -1,17 +1,20 @@
 """Free symmetric monoidal syntax over a signature, plus generic evaluation.
 
-Terms are immutable trees.  ``Seq`` and ``Par`` hold the children of one
-``(seq ...)`` or ``(par ...)`` form, as composition and tensor are strictly
-associative; a ``Seq`` is in diagrammatic order: its first term happens
-first.  A model supplies the meaning of generators, identities,
-symmetries and the two compositions; ``evaluate`` is then the unique strict
-symmetric monoidal extension.
+Terms are immutable, so one node may stand for every copy of an equal
+subterm: a term is a DAG, and the reader builds each distinct subterm
+once.  ``Seq`` and ``Par`` hold the children of one ``(seq ...)`` or
+``(par ...)`` form, as composition and tensor are strictly associative; a
+``Seq`` is in diagrammatic order: its first term happens first.  A model
+supplies the meaning of generators, identities, symmetries and the two
+compositions; ``evaluate`` is then the unique strict symmetric monoidal
+extension, and computes each distinct subterm's value once per call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import is_
 
 
 class UnknownGenerator(KeyError):
@@ -70,12 +73,11 @@ class _Form(PropTerm):
         return hash(format_term(self))
 
     def __repr__(self):
-        """The dataclass ``repr``, over ``fold``'s explicit stack."""
+        """The dataclass ``repr``, over ``dag_fold``'s explicit stack."""
         def close(form, parts):
             tail = "," if len(parts) == 1 else ""
             return f"{type(form).__name__}(terms=({', '.join(parts)}{tail}))"
-        return fold(self, "Gen(name={!r})".format, "Id(n={!r})".format,
-                    "Sym(m={!r}, n={!r})".format, gather, gather, close)
+        return dag_fold(self, repr, close, ())
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -137,57 +139,6 @@ def _bounded(n: int) -> int:
     return n
 
 
-def fold(t: PropTerm, gen, ident, sym, seq, par, close=None):
-    """The value of ``t``, over an explicit stack: nesting costs no Python
-    stack.  Leaves take ``gen(name)``, ``ident(n)`` and ``sym(m, n)``.  A
-    ``Seq`` folds each child in from the left once it is done, by
-    ``seq(acc, value, k)`` for child k = 2, 3, ..., so the first fault met
-    from the left is raised; a ``Par`` likewise with ``par``.  Given
-    ``gather`` for both, a form's value is ``close(form, values)`` of the
-    list of all its children's values, as in ``evaluate``.  An
-    ``ArityMismatch`` gets "in term k of a seq: " for each form around
-    where it arose, outermost first; past 8 forms, for the outermost and
-    innermost 4 only."""
-    stack, node = [], t  # stack: [form, its fold, k, acc] per open form
-    try:
-        while True:
-            kind = type(node)
-            if kind is Gen:
-                value = gen(node.name)
-            elif kind is Id:
-                value = ident(node.n)
-            elif kind is Sym:
-                value = sym(node.m, node.n)
-            elif kind is Seq or kind is Par:
-                stack.append([node, seq if kind is Seq else par, 1, None])
-                node = node.terms[0]
-                continue
-            else:
-                raise TypeError(f"not a term: {node!r}")
-            while stack:
-                # off the stack while it folds: a mismatch it raises is
-                # placed by the forms around it
-                frame = stack.pop()
-                form, op, k, acc = frame
-                if k > 1:
-                    value = op(acc, value, k)
-                if k < len(form.terms):
-                    frame[2:] = k + 1, value
-                    stack.append(frame)
-                    node = form.terms[k]
-                    break
-                if close is not None:
-                    value = close(form, value if k > 1 else [value])
-            else:
-                return value
-    except ArityMismatch as e:
-        where = [f"in term {k} of a {form.head}: "
-                 for form, _op, k, _acc in stack]
-        if len(where) > 8:
-            where[4:-4] = [f"… {len(where) - 8} more forms … "]
-        raise ArityMismatch("".join(where) + str(e)) from None
-
-
 def _seq_arity(acc, value, k):
     (dom, cod), (d, c) = acc, value
     if d != cod:
@@ -196,20 +147,108 @@ def _seq_arity(acc, value, k):
     return (dom, c)
 
 
-def arity(t: PropTerm, sig: Signature):
-    """(dom, cod) of a term, checking interfaces and ``MAX_WIDTH``."""
-    return fold(t, sig.arity_of, lambda n: (_bounded(n), n),
-                lambda m, n: (_bounded(m + n), n + m), _seq_arity,
-                lambda a, b, _k: (_bounded(a[0] + b[0]),
-                                  _bounded(a[1] + b[1])))
+def _par_arity(acc, value, _k):
+    return (_bounded(acc[0] + value[0]), _bounded(acc[1] + value[1]))
 
 
-def gather(acc, value, k):
-    """A ``fold`` step that collects a form's child values in a list."""
-    if k == 2:
-        return [acc, value]
-    acc.append(value)
-    return acc
+def _leaf_arity(node, sig):
+    kind = type(node)
+    if kind is Gen:
+        return sig.arity_of(node.name)
+    if kind is Id:
+        return (_bounded(node.n), node.n)
+    if kind is Sym:
+        return (_bounded(node.m + node.n), node.n + node.m)
+    raise TypeError(f"not a term: {node!r}")
+
+
+def arity(t: PropTerm, sig: Signature, shared: set | None = None):
+    """(dom, cod) of a term, checking interfaces and ``MAX_WIDTH``.
+
+    The walk keeps the arity of every subterm it has done, by identity, so
+    a subterm met again is not walked again; the ids of those met more
+    than once go into ``shared`` when it is given.  Each child is checked
+    against its form as soon as it is done, so the first fault met from
+    the left is raised.  An ``ArityMismatch`` gets "in term k of a seq: "
+    for each form around where it arose, outermost first; past 8 forms,
+    for the outermost and innermost 4 only."""
+    seen = {}  # id of each subterm done -> its arity
+    stack, node = [], t  # stack: [form, k, acc] per open form
+    try:
+        while True:
+            key = id(node)
+            value = seen.get(key)
+            if value is not None:
+                if shared is not None:
+                    shared.add(key)
+            elif type(node) is Seq or type(node) is Par:
+                stack.append([node, 1, None])
+                node = node.terms[0]
+                continue
+            else:
+                value = seen[key] = _leaf_arity(node, sig)
+            while stack:
+                # off the stack while it is checked: a mismatch it raises
+                # is placed by the forms around it
+                frame = stack.pop()
+                form, k, acc = frame
+                if k > 1:
+                    value = (_seq_arity if type(form) is Seq
+                             else _par_arity)(acc, value, k)
+                if k < len(form.terms):
+                    frame[1:] = k + 1, value
+                    stack.append(frame)
+                    node = form.terms[k]
+                    break
+                seen[id(form)] = value
+            else:
+                return value
+    except ArityMismatch as e:
+        where = [f"in term {k} of a {form.head}: " for form, k, _acc in stack]
+        if len(where) > 8:
+            where[4:-4] = [f"… {len(where) - 8} more forms … "]
+        raise ArityMismatch("".join(where) + str(e)) from None
+
+
+def dag_fold(t: PropTerm, leaf, close, shared=None):
+    """The value of ``t``, over an explicit stack, so nesting costs no
+    Python stack: ``leaf(node)`` at a leaf, and ``close(form, values)`` at
+    a form, given the values of all its children in order.  A subterm
+    whose id is in ``shared`` (any subterm, when ``shared`` is None) is
+    computed once, where it is first met, and its value is reused wherever
+    it recurs; no value outlives the call.  Given no ids, the walk is over
+    the tree and keeps no value past the form that takes it, as printing
+    needs: a printer that kept them would hold the text of every subterm
+    at once."""
+    if type(t) is not Seq and type(t) is not Par:
+        return leaf(t)
+    memo, stack = {}, [(t, [])]  # stack: (form, its values so far)
+    while True:
+        form, values = stack[-1]
+        terms = form.terms
+        k = len(values)
+        while k < len(terms):
+            node = terms[k]
+            key = id(node)
+            if key in memo:
+                values.append(memo[key])
+            elif type(node) is Seq or type(node) is Par:
+                stack.append((node, []))
+                break
+            else:
+                value = leaf(node)
+                if shared is None or key in shared:
+                    memo[key] = value
+                values.append(value)
+            k += 1
+        else:
+            stack.pop()
+            value = close(form, values)
+            if not stack:
+                return value
+            if shared is None or id(form) in shared:
+                memo[id(form)] = value
+            stack[-1][1].append(value)
 
 
 class PropModel:
@@ -251,14 +290,53 @@ class PropModel:
         return a == b
 
 
+def _power(seq, value, r):
+    """``value`` composed with itself r >= 1 times, by squaring: one binary
+    ``seq`` call per binary digit of r past the first, and one more per
+    further 1 digit."""
+    power = None
+    while True:
+        if r & 1:
+            power = value if power is None else seq(power, value)
+        r >>= 1
+        if not r:
+            return power
+        value = seq(value, value)
+
+
 def evaluate(t: PropTerm, model: PropModel):
     """The value of ``t`` in ``model``, once ``arity`` has checked it.
-    Each form hands all its children's values, in order, to one call of
-    ``model.seq`` or ``model.par``."""
-    arity(t, model.signature)
-    return fold(t, model.gen, model.identity, model.symmetry, gather, gather,
-                lambda form, values: (model.seq if type(form) is Seq
-                                      else model.par)(*values))
+
+    A term is a DAG: a subterm met more than once is evaluated once.  Each
+    form hands its children's values, in order, to one call of
+    ``model.seq`` or ``model.par``, except that in a ``Seq`` a run of one
+    child r times over is first composed to one value by squaring, with
+    binary ``model.seq`` calls; a form that is a single run is that value."""
+    shared = set()
+    arity(t, model.signature, shared)
+
+    def leaf(node):
+        kind = type(node)
+        if kind is Gen:
+            return model.gen(node.name)
+        if kind is Id:
+            return model.identity(node.n)
+        return model.symmetry(node.m, node.n)
+
+    def close(form, values):
+        terms = form.terms
+        if type(form) is Par or not any(map(is_, terms, terms[1:])):
+            return (model.seq if type(form) is Seq else model.par)(*values)
+        runs, i = [], 0
+        while i < len(terms):
+            j = i + 1
+            while j < len(terms) and terms[j] is terms[i]:
+                j += 1
+            runs.append(_power(model.seq, values[i], j - i))
+            i = j
+        return model.seq(*runs) if len(runs) > 1 else runs[0]
+
+    return dag_fold(t, leaf, close, shared)
 
 
 def model_equal(model: PropModel, s: PropTerm, t: PropTerm) -> bool:
@@ -279,7 +357,11 @@ _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 def parse_term(src: str) -> PropTerm:
     """One pass over the tokens; each open ``(seq ...)`` or ``(par ...)``
-    form waits on a list with its children read so far."""
+    form waits on a list with its children read so far.
+
+    The term read is a DAG: equal subterms are one node.  A leaf is keyed
+    by its text, and a form by its head and the identities of its
+    children, so each key is made and looked up once per form read."""
     tokens = _TOKEN.findall(src)
     starts = []
 
@@ -299,7 +381,8 @@ def parse_term(src: str) -> PropTerm:
         raise TermParseError(f"expected a natural number near position "
                              f"{at(k)}")
 
-    forms, gens, i = [], {}, 0  # forms: (seq or par, head's index, children)
+    forms, i = [], 0  # forms: (seq or par, head's index, children)
+    nodes = {}  # key -> the node read for it
     while True:
         tok = need(i, "term or ')'" if forms else "'('")
         if tok == ")" and forms:
@@ -307,7 +390,12 @@ def parse_term(src: str) -> PropTerm:
             if not children:
                 raise TermParseError(f"empty ({tokens[h]} ...) at position "
                                      f"{at(h)}")
-            term = build(*children)
+            if forms:  # the outermost form cannot recur: it needs no key
+                key = (build, *map(id, children))
+                term = nodes.get(key) or nodes.setdefault(key,
+                                                          build(*children))
+            else:
+                term = build(*children)
         elif tok != "(":
             raise TermParseError(f"expected '(' at position {at(i)}")
         else:
@@ -317,15 +405,18 @@ def parse_term(src: str) -> PropTerm:
                 forms.append((seq if head == "seq" else par, i - 1, []))
                 continue
             if head == "gen":
-                # one node per name, as terms are immutable
                 name = need(i, "generator name")
-                term = gens.get(name) or gens.setdefault(name, Gen(name))
+                term = nodes.get(name) or nodes.setdefault(name, Gen(name))
                 i += 1
             elif head == "id" or head == "sym":
                 end = i + (1 if head == "id" else 2)
-                counts = [need(j, "object count") for j in range(i, end)]
-                term = (Id if head == "id" else Sym)(
-                    *[nat(c, i - 1) for c in counts])
+                # keyed by its one or two counts as written
+                counts = tuple([need(j, "object count")
+                                for j in range(i, end)])
+                term = nodes.get(counts)
+                if term is None:
+                    term = nodes[counts] = (Id if head == "id" else Sym)(
+                        *[nat(c, i - 1) for c in counts])
                 i = end
             elif head == "label" or head == "scalar":
                 j, depth = i, 0  # the literal: a balanced run of tokens
@@ -343,8 +434,9 @@ def parse_term(src: str) -> PropTerm:
                     words = src[at(i):at(j)].split()
                 lit = " ".join(words)
                 # a label's kind is the first word of its literal
-                term = Gen(f"{head}:" + (lit.replace(" ", ":", 1)
-                                         if head == "label" else lit))
+                name = f"{head}:" + (lit.replace(" ", ":", 1)
+                                     if head == "label" else lit)
+                term = nodes.get(name) or nodes.setdefault(name, Gen(name))
                 i = j
             else:
                 raise TermParseError(f"unknown form {head!r} at position "
@@ -359,15 +451,22 @@ def parse_term(src: str) -> PropTerm:
         forms[-1][2].append(term)
 
 
-def _format_gen(name: str) -> str:
-    if name.startswith("label:"):
-        return "(label " + " ".join(name.split(":")[1:]) + ")"
-    if name.startswith("scalar:"):
-        return f"(scalar {name.split(':', 1)[1]})"
-    return f"(gen {name})"
+def _format_leaf(node) -> str:
+    kind = type(node)
+    if kind is Id:
+        return f"(id {node.n})"
+    if kind is Sym:
+        return f"(sym {node.m} {node.n})"
+    if kind is not Gen:
+        raise TypeError(f"not a term: {node!r}")
+    if node.name.startswith("label:"):
+        return "(label " + " ".join(node.name.split(":")[1:]) + ")"
+    if node.name.startswith("scalar:"):
+        return f"(scalar {node.name.split(':', 1)[1]})"
+    return f"(gen {node.name})"
 
 
 def format_term(t: PropTerm) -> str:
-    return fold(t, _format_gen, "(id {})".format, "(sym {} {})".format,
-                gather, gather,
-                lambda form, parts: f"({form.head} {' '.join(parts)})")
+    return dag_fold(t, _format_leaf,
+                    lambda form, parts: f"({form.head} {' '.join(parts)})",
+                    ())

@@ -12,7 +12,7 @@ from propnet.linrel import label_rows
 from propnet.scalar import QQ, QS, RatFunc, Poly
 from propnet.setprops import Corelation, Cospan
 from propnet.circuit import EdgeLabel, LCircuit, LGraph
-from propnet.term import Gen, Id, Sym, arity, fold, par, seq
+from propnet.term import Gen, Id, Par, Seq, Sym, arity, par, seq
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +449,34 @@ def rand_term(rng, sig, gens, depth, max_width=3):
 
 
 def fold_evaluate(t, model):
-    """``evaluate`` by the binary operations: the oracle for one call per
-    form.  Each form's children fold in from the left, two values at a
-    time, by ``compose`` or ``tensor``."""
+    """``evaluate`` by the binary operations over the term as a tree: the
+    oracle for one call per form, for shared subterms and for squaring.
+    Each form's children fold in from the left, two values at a time, by
+    ``compose`` or ``tensor``, over an explicit stack."""
     arity(t, model.signature)
-    return fold(t, model.gen, model.identity, model.symmetry,
-                lambda a, b, _k: a.compose(b), lambda a, b, _k: a.tensor(b))
+    stack, node = [], t  # [form, k, acc] per open form, at its child k
+    while True:
+        kind = type(node)
+        if kind is Seq or kind is Par:
+            stack.append([node, 1, None])
+            node = node.terms[0]
+            continue
+        value = (model.gen(node.name) if kind is Gen
+                 else model.identity(node.n) if kind is Id
+                 else model.symmetry(node.m, node.n))
+        while stack:
+            frame = stack[-1]
+            form, k, acc = frame
+            if k > 1:
+                value = (acc.compose(value) if type(form) is Seq
+                         else acc.tensor(value))
+            if k < len(form.terms):
+                frame[1:] = k + 1, value
+                node = form.terms[k]
+                break
+            stack.pop()
+        else:
+            return value
 
 
 def rand_term_with_dom(rng, sig, gens, dom, depth):

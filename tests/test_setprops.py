@@ -35,6 +35,28 @@ def test_compose_matches_oracle_random():
         assert f.compose(g) == expect
 
 
+@pytest.mark.parametrize("make", [rand_corelation, rand_cospan],
+                         ids=["corel", "cospan"])
+@PROPERTY
+@given(st.integers(0, 2 ** 32))
+def test_composite_is_what_the_constructor_builds(make, seed):
+    # a composite's blocks skip the constructor's sort and checks; the
+    # public constructor, given them, builds the same relation
+    rng = random.Random(seed)
+    sizes = [rng.randint(0, 4) for _ in range(rng.randint(2, 5))]
+    rels = [make(rng, m, n) for m, n in zip(sizes, sizes[1:])]
+    composite = rels[0].compose(*rels[1:])
+    extras = [composite.extras] if make is rand_cospan else []
+    built = type(composite)(composite.m, composite.n, composite.blocks,
+                            *extras)
+    assert type(composite) is type(rels[0])
+    assert (built.m, built.n, built.blocks) == \
+        (composite.m, composite.n, composite.blocks)
+    assert built == composite and hash(built) == hash(composite)
+    assert type(composite.blocks) is tuple
+    assert all(type(b) is tuple for b in composite.blocks)
+
+
 def test_compose_associative():
     rng = random.Random(31)
     for _ in range(150):

@@ -1,6 +1,9 @@
+import dataclasses
 import random
 import re
 import sys
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -9,16 +12,17 @@ from hypothesis import strategies as st
 from propnet.afflag import AffRel
 from propnet.circuit import LCircuit, LGraph, pi0_cospan
 from propnet.cli import _models
-from propnet.linrel import LinRel
+from propnet.linrel import CorelToLinRelModel, LinRel
 from propnet.scalar import QQ, QS
 from propnet.setprops import (BoolRel, Corelation, CorelModel, Cospan,
                               CospanModel, InterfaceMismatch, NatSpan,
                               WIRE_SIGNATURE)
 from propnet.term import (MAX_WIDTH, ArityMismatch, Gen, Id, Par, Seq, Sym,
-                          TermParseError, UnknownGenerator, arity, evaluate,
-                          format_term, model_equal, par, parse_term, seq)
+                          TermParseError, UnknownGenerator, arity, dag_fold,
+                          evaluate, format_term, model_equal, par,
+                          parse_term, seq)
 
-from helpers import PROPERTY, fold_evaluate, rand_term
+from helpers import PROPERTY, fold_evaluate, rand_term, rand_term_with_dom
 
 WIRE_GENS = ["m", "i", "d", "e"]
 
@@ -121,6 +125,51 @@ def test_repr_of_forms():
         text = "RecursionError"
     assert text == ("Seq(terms=(" * 10_000 + "Gen(name='m')"
                     + ", Gen(name='m')))" * 10_000)
+
+
+def test_printing_a_deep_term_keeps_no_value_per_subterm():
+    # a walk that kept each subterm's text would hold 10,000 prefixes of
+    # a 280 KB string; the printers peak at 0.92 MB before the terms
+    # became DAGs, and must stay within about twice that
+    t = parse_term(_deep_chain(10_000))
+    for show in (format_term, repr):
+        tracemalloc.start()
+        try:
+            show(t)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, (show, peak)
+
+
+def _deep_chain(levels):
+    deep = "(gen d)"
+    for k in range(levels - 1):
+        deep = f"(seq {deep} (gen {'md'[k % 2]}))"
+    return deep
+
+
+def unshared(t):
+    """A copy of ``t`` as a tree: a new node for every occurrence."""
+    return dag_fold(t, dataclasses.replace,
+                    lambda form, terms: type(form)(tuple(terms)), ())
+
+
+def test_reader_shares_equal_subterms():
+    src = ("(seq (par (gen d) (id 1)) (par (gen d) (id 1)) "
+           "(par (label resistor 2) (id 1)))")
+    t = parse_term(src)
+    first, second, third = t.terms
+    assert first is second
+    assert first.terms[1] is third.terms[1]
+    assert format_term(t) == src
+    copy = unshared(t)
+    assert copy == t and copy.terms[0] is not copy.terms[1]
+    # leaves are keyed by their text, and a label by the name it reads to
+    t = parse_term("(par (id 1) (id 01) (label resistor 2) "
+                   "(gen label:resistor:2))")
+    assert t.terms[0] == t.terms[1] and t.terms[0] is not t.terms[1]
+    assert t.terms[2] is t.terms[3]
 
 
 def test_first_fault_from_the_left_is_reported():
@@ -286,6 +335,95 @@ def test_mismatch_names_the_pair_the_binary_fold_names(name):
         with pytest.raises(InterfaceMismatch) as at_once:
             model.seq(*values)
         assert str(at_once.value) == str(folded.value)
+
+
+def _endo_on(model, n, rng):
+    """A random term n -> n: a random term, then merges or splits (units
+    from nothing) back to its domain."""
+    sig = model.signature
+    co, mu, unit, _counit = map(Gen, _by_arity(model))
+    layers = [rand_term_with_dom(rng, sig, _gens(model), n, 1)]
+    _d, c = arity(layers[0], sig)
+    while c > n:
+        layers.append(par(mu, Id(c - 2)))
+        c -= 1
+    while c < n:
+        layers.append(par(co, Id(c - 1)) if c else unit)
+        c += 1
+    return seq(*layers)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@PROPERTY
+@given(st.integers(0, 2 ** 32))
+def test_shared_subterms_and_runs_equal_the_tree_fold(name, seed):
+    # a shared subterm is evaluated once and a run of one child is
+    # composed by squaring; the value is the binary fold's over the tree
+    model, rng = MODELS[name], random.Random(seed)
+    n = rng.randint(1, 2)
+    x, y = _endo_on(model, n, rng), _endo_on(model, n, rng)
+    runs = [x] * rng.randint(1, 9) + [y] * rng.randint(1, 9) \
+        + [x] * rng.randint(1, 9)
+    body = seq(*runs[:rng.randint(1, len(runs))])
+    side = rand_term(rng, model.signature, _gens(model), 1, max_width=2)
+    term = rng.choice([body, par(body, side, body), seq(body, body),
+                       seq(par(body, x), par(x, body))])
+    assert _same(evaluate(term, model), fold_evaluate(unshared(term), model))
+
+
+class _LadderModel(CorelToLinRelModel):
+    """Counts the generators it builds and the values of each ``seq``."""
+
+    def __init__(self):
+        super().__init__(QS)
+        self.gens, self.seqs = Counter(), []
+
+    def gen(self, name):
+        self.gens[name] += 1
+        return super().gen(name)
+
+    def seq(self, *values):
+        self.seqs.append(len(values))
+        return super().seq(*values)
+
+
+def test_ladder_sections_are_built_once_and_squared():
+    section = ("(seq (par (label resistor 5) (id 1)) (par (gen d) (id 1)) "
+               "(par (id 1) (label capacitor 7) (id 1)) (par (id 1) (gen m)))")
+    src = "(seq " + " ".join([section] * 64) + ")"
+    model = _LadderModel()
+    value = evaluate(parse_term(src), model)
+    assert model.gens == Counter(["label:resistor:5", "label:capacitor:7",
+                                  "d", "m"])
+    # the section once (4 children), then 64 = 2^6 by six squarings
+    assert model.seqs == [4] + [2] * 6
+    assert value == fold_evaluate(unshared(parse_term(src)),
+                                  CorelToLinRelModel(QS))
+
+
+def test_ill_typed_shared_subterms_fail_as_their_tree_copies():
+    # the fault inside a shared subterm, or in the form around its second
+    # copy, which arity does not walk again
+    model = CorelModel()
+    for src in ["(par (seq (gen d) (gen d)) "
+                "(seq (gen i) (seq (gen d) (gen d))))",
+                "(par (seq (gen d) (gen m)) "
+                "(seq (gen d) (seq (gen d) (gen m))))",
+                "(seq (gen d) (gen d) (gen d))",
+                "(seq (par (gen d) (gen d)) (seq (gen m) (gen m) (gen m)) "
+                "(seq (gen m) (gen m) (gen m)))",
+                "(par (seq (gen i) (gen e)) (seq (gen e) (gen d)) "
+                "(seq (seq (gen i) (gen e)) (seq (gen e) (gen d)) (gen m)))",
+                "(seq (par (gen d) (id 1000)) (par (gen d) (id 1000)))"]:
+        shared = parse_term(src)
+        texts = []
+        for t in (shared, unshared(shared)):
+            for walk in (lambda t: arity(t, WIRE_SIGNATURE),
+                         lambda t: evaluate(t, model)):
+                with pytest.raises(ValueError) as caught:
+                    walk(t)
+                texts.append((type(caught.value), str(caught.value)))
+        assert len(set(texts)) == 1, texts
 
 
 def test_parse_errors():
