@@ -15,6 +15,6 @@ from .circuit import LCircuit, load_circuit
 from .linrel import LinRel, K_corel, blackbox, is_lagrangian, format_linrel
 from .afflag import AffRel, aff_blackbox, is_aff_lagrangian, format_affrel
 from .sigflow import box_eval, translate_T, square_check
-from .bondgraph import F_eval, G_eval, alpha, check_naturality, check_bg_laws
+from .bondgraph import F_eval, G_eval, alpha, check_naturality
 
 __version__ = "0.1.0"

@@ -65,15 +65,6 @@ class AffRel:
         h = self.dom + self.cod
         return all(v[h] == self.field.zero for v in self.hspace.basis)
 
-    def witness(self):
-        """Some (u, w) in the relation, or None if empty."""
-        h = self.dom + self.cod
-        for v in self.hspace.basis:
-            if v[h] != self.field.zero:
-                scale = self.field.one / v[h]
-                return tuple(x * scale for x in v[:h])
-        return None
-
     def linear_part(self) -> LinRel:
         """The h = 0 slice, f# ; (id_cod (x) ZERO), with ZERO the zero
         effect 1 -> 0."""

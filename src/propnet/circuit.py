@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalar import RatFunc, parse_rat, parse_ratfunc, format_scalar
-from .setprops import Cospan, InterfaceMismatch, _UnionFind
+from .setprops import WIRE_SIGNATURE, InterfaceMismatch, _UnionFind
 from .term import PropModel, Signature, UnknownGenerator
 
 LABEL_KINDS = ("wire", "impedance", "resistor", "inductor", "capacitor",
@@ -116,13 +116,6 @@ class LCircuit:
     def single_edge(cls, label: EdgeLabel) -> "LCircuit":
         return cls(LGraph(2, [(0, 1, label)]), [0], [1])
 
-    def renumber(self, perm) -> "LCircuit":
-        """perm maps old node index -> new node index (a bijection)."""
-        edges = [(perm[s], perm[t], lab) for s, t, lab in self.graph.edges]
-        return LCircuit(LGraph(self.graph.node_count, edges),
-                        [perm[i] for i in self.inputs],
-                        [perm[i] for i in self.outputs])
-
     def tensor(self, *others: "LCircuit") -> "LCircuit":
         """The disjoint union, each circuit's nodes shifted past those of
         the circuits before it."""
@@ -205,22 +198,6 @@ class LCircuit:
                 f"{len(self.graph.edges)} edges, {self.m}->{self.n})")
 
 
-def pi0_cospan(c: LCircuit) -> Cospan:
-    """Connected components of the underlying graph, as a cospan."""
-    uf = _UnionFind(c.graph.node_count)
-    for s, t, _lab in c.graph.edges:
-        uf.union(s, t)
-    comp_terminals = {}
-    for idx, v in enumerate(c.inputs):
-        comp_terminals.setdefault(uf.find(v), []).append(("x", idx))
-    for idx, v in enumerate(c.outputs):
-        comp_terminals.setdefault(uf.find(v), []).append(("y", idx))
-    roots = {uf.find(v) for v in range(c.graph.node_count)}
-    blocks = [terms for terms in comp_terminals.values()]
-    extras = len(roots) - len(comp_terminals)
-    return Cospan(c.m, c.n, blocks, extras)
-
-
 # ---------------------------------------------------------------------------
 # Circuit-valued prop model
 
@@ -230,8 +207,7 @@ def _label_resolver(name):
     return None
 
 
-CIRCUIT_SIGNATURE = Signature({"m": (2, 1), "i": (0, 1), "d": (1, 2),
-                               "e": (1, 0)}, resolver=_label_resolver)
+CIRCUIT_SIGNATURE = Signature(WIRE_SIGNATURE.table, resolver=_label_resolver)
 
 
 def label_from_gen_name(name: str) -> EdgeLabel:
@@ -265,17 +241,6 @@ class CircuitModel(PropModel):
 
 # ---------------------------------------------------------------------------
 # JSON circuit files
-
-def circuit_to_json(c: LCircuit) -> dict:
-    edges = []
-    for s, t, lab in c.graph.edges:
-        entry = {"src": s, "tgt": t, "label": {"kind": lab.kind}}
-        if lab.value is not None:
-            entry["label"]["value"] = format_scalar(lab.value)
-        edges.append(entry)
-    return {"nodes": c.graph.node_count, "edges": edges,
-            "inputs": list(c.inputs), "outputs": list(c.outputs)}
-
 
 def circuit_from_json(data) -> LCircuit:
     """The circuit of a parsed JSON object; ValueError for any other

@@ -179,10 +179,6 @@ def kernel(rows, field: Field, width: int) -> Subspace:
     return Subspace(field, width, basis, _canonical=True)
 
 
-def rank(rows, field: Field) -> int:
-    return len(rref(rows, field)[0])
-
-
 def _is_constant(x) -> bool:
     """Every rational is; a rational function is when both parts are."""
     return not isinstance(x, RatFunc) or x.num.degree + x.den.degree == 0

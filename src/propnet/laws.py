@@ -27,6 +27,11 @@ def _monoid_comonoid_laws(m, i, d, e, prefix):
     ]
 
 
+def _bialgebra(m, d):
+    """Both sides of the bialgebra law of m and d."""
+    return seq(m, d), seq(par(d, d), par(Id(1), Sym(1, 1), Id(1)), par(m, m))
+
+
 def frobenius_monoid_laws(mult, unit, comult, counit, prefix="",
                           commutative=False, symmetric=False):
     m, i, d, e = Gen(mult), Gen(unit), Gen(comult), Gen(counit)
@@ -53,9 +58,7 @@ def bimonoid_laws(mult, unit, comult, counit, prefix="",
     m, i, d, e = Gen(mult), Gen(unit), Gen(comult), Gen(counit)
     one = Id(1)
     laws = _monoid_comonoid_laws(m, i, d, e, prefix) + [
-        (prefix + "bialgebra",
-         seq(m, d),
-         seq(par(d, d), par(one, Sym(1, 1), one), par(m, m))),
+        (prefix + "bialgebra", *_bialgebra(m, d)),
         (prefix + "mult_counit", seq(m, e), par(e, e)),
         (prefix + "unit_comult", seq(i, d), par(i, i)),
         (prefix + "unit_counit", seq(i, e), Id(0)),
@@ -73,9 +76,7 @@ def weak_bimonoid_laws(mult, unit, comult, counit, prefix=""):
     me = seq(m, e)
     id_ = seq(i, d)
     return [
-        (prefix + "weak_bialgebra",
-         seq(m, d),
-         seq(par(d, d), par(one, Sym(1, 1), one), par(m, m))),
+        (prefix + "weak_bialgebra", *_bialgebra(m, d)),
         (prefix + "weak_counit_plain",
          seq(par(m, one), m, e),
          seq(par(one, d, one), par(me, me))),

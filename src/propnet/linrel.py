@@ -10,9 +10,11 @@ port is w((phi, I), (phi', I')) = phi I' - phi' I, with the conjugate
 
 from __future__ import annotations
 
+import re
+
 from .exactla import Subspace, eliminate, kernel
 from .scalar import Field, QS, RatFunc, format_scalar
-from .setprops import Corelation, InterfaceMismatch
+from .setprops import Corelation, CorelModel, InterfaceMismatch
 from .circuit import (CIRCUIT_SIGNATURE, SOURCE_KINDS, EdgeLabel, LCircuit,
                       label_from_gen_name)
 from .term import PropModel
@@ -217,7 +219,6 @@ class CorelToLinRelModel(LinRelModel):
     signature = CIRCUIT_SIGNATURE
 
     def gen(self, name):
-        from .setprops import CorelModel
         if name in CorelModel.GENERATORS:
             return K_corel(self.field, CorelModel.GENERATORS[name])
         return rlc_rel(self.field, label_from_gen_name(name))
@@ -329,6 +330,9 @@ def blackbox(c: LCircuit, field: Field = QS) -> LinRel:
 # ---------------------------------------------------------------------------
 # Relation printing and parsing
 
+_PORT_VAR = re.compile(r"(?:phi|I)_(?:in|out)_[0-9]+")
+
+
 def port_var_names(mports: int, nports: int):
     names = []
     for i in range(mports):
@@ -404,65 +408,25 @@ def format_linrel(rel: LinRel) -> str:
 
 def parse_linrel(src: str, mports: int, nports: int,
                  field: Field = QS) -> LinRel:
+    """The relation of ``format_linrel``'s lines.  A line is linear in the
+    port variables, so a variable's coefficient is the value of its left
+    side with that variable read as (1) and every other one as (0)."""
     names = port_var_names(mports, nports)
-    index = {nm: k for k, nm in enumerate(names)}
     rows = []
     for line in src.strip().splitlines():
         line = line.strip()
         if not line or line == "(no constraints)":
             continue
         lhs, rhs = line.rsplit("=", 1)
-        if field.parse(rhs.strip() or "0") != field.zero:
+        for name in _PORT_VAR.findall(lhs):
+            if name not in names:
+                raise ValueError(f"unknown variable {name!r}")
+
+        def at(one):  # the left side with only the variable ``one`` at 1
+            return field.parse(_PORT_VAR.sub(
+                lambda v: "(1)" if v[0] == one else "(0)", lhs))
+
+        if at(None) != field.zero or field.parse(rhs) != field.zero:
             raise ValueError("homogeneous constraints must end in '= 0'")
-        rows.append(_parse_combination(lhs, index, field, len(names)))
+        rows.append([at(name) for name in names])
     return LinRel.from_constraints(field, 2 * mports, 2 * nports, rows)
-
-
-def _parse_combination(text, index, field, width):
-    row = [field.zero] * width
-    for sign, chunk in _signed_chunks(text):
-        chunk = chunk.strip()
-        if chunk == "0" or not chunk:
-            continue
-        if "*" in chunk:
-            lit, name = chunk.rsplit("*", 1)
-            coeff = field.parse(lit.strip())
-        else:
-            name = chunk
-            coeff = field.one
-        name = name.strip()
-        if name not in index:
-            raise ValueError(f"unknown variable {name!r}")
-        coeff = coeff if sign > 0 else -coeff
-        row[index[name]] = row[index[name]] + coeff
-    return row
-
-
-def _signed_chunks(text):
-    """Split 'a - b + c' into (+1,'a'), (-1,'b'), (+1,'c'), respecting
-    parenthesised scalars."""
-    chunks = []
-    sign = 1
-    depth = 0
-    cur = ""
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur.strip():
-            chunks.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif depth == 0 and ch == "-" and not cur.strip():
-            sign = -sign
-        elif depth == 0 and ch == "+" and not cur.strip():
-            pass
-        else:
-            cur += ch
-        i += 1
-    if cur.strip():
-        chunks.append((sign, cur))
-    return chunks

@@ -90,7 +90,7 @@ class Corelation:
         return Corelation(self.n, self.m, _dagger_blocks(self))
 
     def tensor(self, *others: "Corelation") -> "Corelation":
-        return Corelation(*_tensor_blocks(self, others))
+        return _from_canonical(Corelation, *_tensor_blocks(self, others))
 
     def compose(self, *others: "Corelation") -> "Corelation":
         rels = (self, *others)
@@ -116,14 +116,15 @@ def _dagger_blocks(f):
 
 
 def _tensor_blocks(f, others):
-    """Domain and codomain sizes of f tensored with ``others``, and its
-    blocks: f's, then each other's shifted past the terminals before it."""
-    blocks, dx, dy = list(f.blocks), f.m, f.n
-    for g in others:
-        blocks += [tuple([(t, i + dx) if t == "x" else (t, i + dy)
-                          for t, i in b]) for b in g.blocks]
+    """Sizes and canonical blocks of f tensored with ``others``: each
+    block shifted past the terminals before it, the x-led ones first."""
+    heads, tails, dx, dy = [], [], 0, 0
+    for g in (f, *others):
+        for b in g.blocks:
+            (heads if b[0][0] == "x" else tails).append(tuple(
+                [(t, i + dx) if t == "x" else (t, i + dy) for t, i in b]))
         dx, dy = dx + g.m, dy + g.n
-    return dx, dy, blocks
+    return dx, dy, tuple(heads + tails)
 
 
 def _compose_blocks(rels):
@@ -156,9 +157,8 @@ def _compose_blocks(rels):
 
 
 def _from_canonical(cls, m, n, blocks):
-    """A ``cls`` on blocks that are already canonical and valid, as
-    ``_compose_blocks`` returns them: ``__init__`` would sort and check
-    them again."""
+    """A ``cls`` on valid canonical blocks, as ``_compose_blocks`` and
+    ``_tensor_blocks`` return them, without ``__init__``'s sort and checks."""
     rel = object.__new__(cls)
     rel.m, rel.n, rel.blocks = m, n, blocks
     return rel
@@ -180,8 +180,9 @@ class Cospan(Corelation):
         return Cospan(self.n, self.m, _dagger_blocks(self), self.extras)
 
     def tensor(self, *others: "Cospan") -> "Cospan":
-        return Cospan(*_tensor_blocks(self, others),
-                      self.extras + sum([g.extras for g in others]))
+        composite = _from_canonical(Cospan, *_tensor_blocks(self, others))
+        composite.extras = self.extras + sum([g.extras for g in others])
+        return composite
 
     def compose(self, *others: "Cospan") -> "Cospan":
         rels = (self, *others)
@@ -198,11 +199,6 @@ class Cospan(Corelation):
 
     def __repr__(self):
         return f"Cospan({format_corel(self)!r}, extras={self.extras})"
-
-
-def cospan_to_corel(c: Cospan) -> Corelation:
-    """The functor H: forget the apex points away from the boundary."""
-    return Corelation(c.m, c.n, c.blocks)
 
 
 class _MatrixProp:

@@ -76,9 +76,9 @@ def _scalar_gen(value) -> PropTerm:
 
 def _impedance_term(z) -> PropTerm:
     """phi2 = phi1 + Z I1 and I2 = I1 on a doubled wire."""
-    return seq(par(Id(1), Gen("dup")),
-               par(Id(1), _scalar_gen(z), Id(1)),
-               par(Gen("add"), Id(1)))
+    one = Id(1)
+    return seq(par(one, Gen("dup")), par(one, _scalar_gen(z), one),
+               par(Gen("add"), one))
 
 
 def _label_term(name: str, field: Field) -> PropTerm:

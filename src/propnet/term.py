@@ -460,7 +460,7 @@ def _format_leaf(node) -> str:
     if kind is not Gen:
         raise TypeError(f"not a term: {node!r}")
     if node.name.startswith("label:"):
-        return "(label " + " ".join(node.name.split(":")[1:]) + ")"
+        return "(label " + " ".join(node.name.split(":", 2)[1:]) + ")"
     if node.name.startswith("scalar:"):
         return f"(scalar {node.name.split(':', 1)[1]})"
     return f"(gen {node.name})"

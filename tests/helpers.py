@@ -7,10 +7,10 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from propnet.exactla import Subspace, kernel
+from propnet.exactla import Subspace, kernel, rref
 from propnet.linrel import label_rows
-from propnet.scalar import QQ, QS, RatFunc, Poly
-from propnet.setprops import Corelation, Cospan
+from propnet.scalar import QQ, QS, RatFunc, Poly, format_scalar
+from propnet.setprops import Corelation, Cospan, _UnionFind
 from propnet.circuit import EdgeLabel, LCircuit, LGraph
 from propnet.term import Gen, Id, Par, Seq, Sym, arity, par, seq
 
@@ -98,6 +98,11 @@ def rand_corelation(rng, m, n):
 def rand_cospan(rng, m, n, max_extras=2):
     c = rand_corelation(rng, m, n)
     return Cospan(m, n, c.blocks, rng.randint(0, max_extras))
+
+
+def cospan_to_corel(c: Cospan) -> Corelation:
+    """The functor H: forget the apex points away from the boundary."""
+    return Corelation(c.m, c.n, c.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +194,10 @@ def rand_rows(rng, field, nrows, ncols):
             for _ in range(nrows)]
 
 
+def rank(rows, field) -> int:
+    return len(rref(rows, field)[0])
+
+
 def dense_rref(rows, field):
     """Reduced row echelon form in place on a list of row lists.
 
@@ -252,6 +261,17 @@ def to_sympy(sympy, s, x):
     if isinstance(x, Fraction):
         return sympy.Rational(x.numerator, x.denominator)
     return sympy_poly(sympy, s, x.num) / sympy_poly(sympy, s, x.den)
+
+
+def witness(rel):
+    """Some (u, w) in the affine relation ``rel``, or None if it is
+    empty."""
+    h = rel.dom + rel.cod
+    for v in rel.hspace.basis:
+        if v[h] != rel.field.zero:
+            scale = rel.field.one / v[h]
+            return tuple(x * scale for x in v[:h])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +389,39 @@ def circuits(draw, field, sources=False):
     edges = draw(st.lists(st.tuples(node, node, label()), max_size=7))
     legs = st.lists(node, max_size=3)
     return LCircuit(LGraph(nodes, edges), draw(legs), draw(legs))
+
+
+def renumber(c: LCircuit, perm) -> LCircuit:
+    """``c`` with node v renamed perm[v], for a bijection ``perm``."""
+    edges = [(perm[s], perm[t], lab) for s, t, lab in c.graph.edges]
+    return LCircuit(LGraph(c.graph.node_count, edges),
+                    [perm[i] for i in c.inputs], [perm[i] for i in c.outputs])
+
+
+def pi0_cospan(c: LCircuit) -> Cospan:
+    """Connected components of the underlying graph, as a cospan."""
+    uf = _UnionFind(c.graph.node_count)
+    for s, t, _lab in c.graph.edges:
+        uf.union(s, t)
+    comp_terminals = {}
+    for idx, v in enumerate(c.inputs):
+        comp_terminals.setdefault(uf.find(v), []).append(("x", idx))
+    for idx, v in enumerate(c.outputs):
+        comp_terminals.setdefault(uf.find(v), []).append(("y", idx))
+    extras = uf.components - len(comp_terminals)
+    return Cospan(c.m, c.n, list(comp_terminals.values()), extras)
+
+
+def circuit_to_json(c: LCircuit) -> dict:
+    """The JSON object that ``circuit_from_json`` reads back to ``c``."""
+    edges = []
+    for s, t, lab in c.graph.edges:
+        entry = {"src": s, "tgt": t, "label": {"kind": lab.kind}}
+        if lab.value is not None:
+            entry["label"]["value"] = format_scalar(lab.value)
+        edges.append(entry)
+    return {"nodes": c.graph.node_count, "edges": edges,
+            "inputs": list(c.inputs), "outputs": list(c.outputs)}
 
 
 def circuit_kernel(c, field):

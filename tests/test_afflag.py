@@ -13,7 +13,7 @@ from propnet.exactla import kernel
 from propnet.scalar import QQ, QS
 
 from helpers import (PROPERTY, composable_rows, rand_circuit,
-                     rand_corelation, scalars, stacked_composite)
+                     rand_corelation, scalars, stacked_composite, witness)
 from propnet.linrel import K_corel
 
 SOURCE_KINDS = ("wire", "resistor", "inductor", "capacitor", "vsource",
@@ -54,7 +54,7 @@ def test_translate_formula():
         aff = aff_blackbox(c, QS)
         if aff.is_empty():
             continue
-        w = aff.witness()
+        w = witness(aff)
         assert aff.contains(w)
         lin = aff.linear_part()
         for v in lin.space.basis:
@@ -93,7 +93,7 @@ def test_empty_relation():
     b = isource_rel(QQ, 2)
     conflict = a.compose(b)
     assert conflict.is_empty()
-    assert conflict.witness() is None
+    assert witness(conflict) is None
     assert format_affrel(conflict) == "EMPTY"
     # empty relations of one type are all equal
     assert conflict == isource_rel(QQ, 3).compose(isource_rel(QQ, 4))

@@ -153,6 +153,9 @@ def test_eq_equal_and_differ(capsys):
                           "--term", "(seq (gen del) (gen zero))",
                           "--term", "(seq (gen del) (gen codel))")
     assert code == 1 and out == "DIFFER\nvector (0, 1) in second only\n"
+    code, out, _err = run(capsys, "eq", "--model", "sigflow",
+                          "--term", "(gen dup)", "--term", "(gen add)")
+    assert code == 1 and out == "DIFFER\ninterface 1->2 vs 2->1\n"
 
 
 def test_parser_is_built_once():
@@ -190,6 +193,14 @@ def test_laws_suites_all_expected(capsys):
                               if suite != "finrelk" else "qs")
         assert code == 0, (suite, out)
         assert "FAIL" not in out.replace("FAIL (expected)", "")
+
+
+def test_laws_exit_1_on_an_unexpected_verdict(capsys, monkeypatch):
+    # fincospan's extra law fails as expected; expecting it to hold
+    model, laws, _failing = SUITES["fincospan"]
+    monkeypatch.setitem(SUITES, "fincospan", (model, laws, ()))
+    code, out, _err = run(capsys, "laws", "fincospan", "--field", "q")
+    assert code == 1 and "\nextra: FAIL\n" in out
 
 
 def test_laws_alpha_and_square(capsys):

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propnet.exactla import (DimensionMismatch, Subspace, eliminate, kernel,
-                             rank, rref)
+                             rref)
 from propnet.scalar import QQ, QS, RatFunc
 
 from helpers import (PROPERTY, dense_rref, rand_fraction, rand_ratfunc,
-                     rand_rows, rand_scalar, sparse_rows, to_sympy)
+                     rand_rows, rand_scalar, rank, sparse_rows, to_sympy)
 
 
 def test_rref_idempotent_and_pivots():

@@ -110,6 +110,8 @@ def test_rlc_relations():
         assert is_lagrangian(rel)
     with pytest.raises(UnsupportedLabel):
         rlc_rel(QS, parse_label("vsource", "5"))
+    with pytest.raises(UnsupportedLabel, match="affine black-boxing"):
+        blackbox(LCircuit.single_edge(parse_label("vsource", "5")), QS)
     # L and C need s, which the field q lacks
     for kind in ("inductor", "capacitor"):
         with pytest.raises(UnsupportedLabel, match="need the field q"):
@@ -173,6 +175,16 @@ def test_format_parse_round_trip():
         assert parse_linrel(text, rel.dom // 2, rel.cod // 2, QS) == rel
     with pytest.raises(OddDimension):
         format_linrel(LinRel.from_constraints(QQ, 1, 0, [[1]]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("phi_in_1 - phi_out_2 = 0", "unknown variable 'phi_out_2'"),
+    ("phi_in_1 - phi_out_1 = 1", "must end in '= 0'"),
+    ("phi_in_1 - phi_out_1 + 1 = 0", "must end in '= 0'"),
+])
+def test_parse_linrel_errors(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_linrel(text, 1, 1, QS)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,7 @@ def test_parse_rat():
     assert parse_rat("3/4") == Fraction(3, 4)
     assert parse_rat("-2") == -2
     assert parse_rat("(1+1)/4") == Fraction(1, 2)
+    assert parse_rat("2^-3") == Fraction(1, 8)
     with pytest.raises(ScalarParseError):
         parse_rat("s")
 
@@ -152,6 +153,7 @@ def test_parse_ratfunc():
     assert parse_ratfunc("s") == s
     assert parse_ratfunc("2s") == RatFunc.const(2) * s
     assert parse_ratfunc("s^2 + 1") == s * s + RatFunc.const(1)
+    assert parse_ratfunc("s^-2") == RatFunc.const(1) / (s * s)
     assert parse_ratfunc("1/(s+1)") == RatFunc.const(1) / (s + RatFunc.const(1))
     assert parse_ratfunc("(3s - 2)/(s^2)") == \
         (RatFunc.const(3) * s - RatFunc.const(2)) / (s * s)
@@ -397,6 +399,15 @@ def test_euclidean_fallback_agrees_with_gcdheu():
     for a, b in ((Poly(), Poly()), (Poly([0, 2]), Poly()),
                  (Poly(), Poly([3, -6])), (Poly([5]), Poly([0, 1]))):
         assert poly_gcd(a, b) == scalar._euclid_gcd(a, b)
+
+
+def test_poly_gcd_falls_back_when_gcdheu_gives_up(monkeypatch):
+    cases = list(_gcd_cases(random.Random(9), 30))
+    want = [poly_gcd(a, b) for a, b in cases]
+    monkeypatch.setattr(scalar, "HEU_TRIES", 0)
+    for (a, b), g in zip(cases, want):
+        assert scalar._heu_gcd(a.prim, b.prim) is None
+        assert poly_gcd(a, b) == g
 
 
 def test_gcdheu_rejects_a_candidate_that_does_not_divide(monkeypatch):

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from propnet.setprops import (BoolRel, BoolRelModel, Corelation, CorelModel,
                               Cospan, CospanModel, InterfaceMismatch, NatSpan,
-                              NatSpanModel, cospan_to_corel, format_corel,
-                              parse_corel, support)
+                              NatSpanModel, format_corel, parse_corel,
+                              support)
 from propnet.term import Gen, evaluate, seq
 
 from helpers import (PROPERTY, all_corelations, compose_oracle,
-                     rand_corelation, rand_cospan)
+                     cospan_to_corel, rand_corelation, rand_cospan)
 
 
 def test_compose_matches_oracle_exhaustive():
@@ -40,21 +40,22 @@ def test_compose_matches_oracle_random():
 @PROPERTY
 @given(st.integers(0, 2 ** 32))
 def test_composite_is_what_the_constructor_builds(make, seed):
-    # a composite's blocks skip the constructor's sort and checks; the
-    # public constructor, given them, builds the same relation
+    # composites and tensors skip the constructor's sort and checks; the
+    # public constructor, given their blocks, builds the same relation
     rng = random.Random(seed)
     sizes = [rng.randint(0, 4) for _ in range(rng.randint(2, 5))]
     rels = [make(rng, m, n) for m, n in zip(sizes, sizes[1:])]
-    composite = rels[0].compose(*rels[1:])
-    extras = [composite.extras] if make is rand_cospan else []
-    built = type(composite)(composite.m, composite.n, composite.blocks,
-                            *extras)
-    assert type(composite) is type(rels[0])
-    assert (built.m, built.n, built.blocks) == \
-        (composite.m, composite.n, composite.blocks)
-    assert built == composite and hash(built) == hash(composite)
-    assert type(composite.blocks) is tuple
-    assert all(type(b) is tuple for b in composite.blocks)
+    for composite in (rels[0].compose(*rels[1:]),
+                      rels[0].tensor(*rels[1:])):
+        extras = [composite.extras] if make is rand_cospan else []
+        built = type(composite)(composite.m, composite.n, composite.blocks,
+                                *extras)
+        assert type(composite) is type(rels[0])
+        assert (built.m, built.n, built.blocks) == \
+            (composite.m, composite.n, composite.blocks)
+        assert built == composite and hash(built) == hash(composite)
+        assert type(composite.blocks) is tuple
+        assert all(type(b) is tuple for b in composite.blocks)
 
 
 def test_compose_associative():
@@ -79,11 +80,13 @@ def test_identity_and_interface_checks():
 
 def test_dagger_laws():
     rng = random.Random(33)
-    for _ in range(100):
-        f = rand_corelation(rng, rng.randint(0, 3), rng.randint(0, 3))
-        g = rand_corelation(rng, f.n, rng.randint(0, 3))
-        assert f.dagger().dagger() == f
-        assert f.compose(g).dagger() == g.dagger().compose(f.dagger())
+    for make in (rand_corelation, rand_cospan):
+        for _ in range(100):
+            f = make(rng, rng.randint(0, 3), rng.randint(0, 3))
+            g = make(rng, f.n, rng.randint(0, 3))
+            assert type(f.dagger()) is type(f)
+            assert f.dagger().dagger() == f
+            assert f.compose(g).dagger() == g.dagger().compose(f.dagger())
 
 
 def test_zigzag():

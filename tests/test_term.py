@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from propnet.afflag import AffRel
-from propnet.circuit import LCircuit, LGraph, pi0_cospan
+from propnet.circuit import LCircuit, LGraph
 from propnet.cli import _models
 from propnet.linrel import CorelToLinRelModel, LinRel
 from propnet.scalar import QQ, QS
@@ -22,7 +22,8 @@ from propnet.term import (MAX_WIDTH, ArityMismatch, Gen, Id, Par, Seq, Sym,
                           evaluate, format_term, model_equal, par,
                           parse_term, seq)
 
-from helpers import PROPERTY, fold_evaluate, rand_term, rand_term_with_dom
+from helpers import (PROPERTY, fold_evaluate, pi0_cospan, rand_term,
+                     rand_term_with_dom)
 
 WIRE_GENS = ["m", "i", "d", "e"]
 
@@ -50,6 +51,16 @@ def test_parse_sugar():
     assert parse_term("(scalar -2)") == Gen("scalar:-2")
     assert parse_term("(seq (gen m) (gen d) (gen m))") == \
         Seq((Gen("m"), Gen("d"), Gen("m")))
+
+
+def test_label_literals_with_colons_read_back():
+    # a label's name splits at its first two colons, as
+    # label_from_gen_name reads it; the rest, colons and all, is its literal
+    for src, printed in (("(label impedance 1:2)", "(label impedance 1:2)"),
+                         ("(gen label:x:y:z)", "(label x y:z)")):
+        t = parse_term(src)
+        assert format_term(t) == printed
+        assert parse_term(printed) == t
 
 
 def test_bracketed_literals():
