@@ -63,7 +63,7 @@ class AffRel:
 
     def is_empty(self) -> bool:
         h = self.dom + self.cod
-        return all(v[h] == self.field.zero for v in self.hspace.basis)
+        return all(h not in row for row in self.hspace.rows)
 
     def linear_part(self) -> LinRel:
         """The h = 0 slice, f# ; (id_cod (x) ZERO), with ZERO the zero
@@ -82,10 +82,11 @@ class AffRel:
         if self.cod != other.dom:
             raise InterfaceMismatch(
                 f"cannot compose {self.cod} -> with {other.dom} <-")
-        d = other.dom
-        lifted = [w[:d] + w[-1:] + w[d:] for w in other.hspace.basis]
+        d, h = other.dom, other.dom + other.cod
+        lifted = [{k + (k >= d): x for k, x in w.items()}
+                  | ({d: w[h]} if h in w else {}) for w in other.hspace.rows]
         return AffRel(self.dom, other.cod,
-                      compose_bases(self.field, self.hspace.basis, lifted,
+                      compose_bases(self.field, self.hspace.rows, lifted,
                                     self.dom, d + 1, other.cod + 1))
 
     def tensor(self, other: "AffRel") -> "AffRel":

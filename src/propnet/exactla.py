@@ -1,25 +1,24 @@
-"""Exact linear algebra over a scalar field.
+"""Exact linear algebra over a scalar field, on sparse rows.
 
-Matrices are plain lists of rows whose entries are already field elements
-(the public constructors coerce); subspaces are stored in spanning form,
-canonicalized so that each subspace of a given ambient space has exactly one
-representation (reduced echelon basis with pivot 1 and increasing pivots).
-Equality of subspaces is then structural equality of the representations.
+A row is a dict from column to nonzero entry, and its entries are already
+field elements (the public constructors coerce dense raw data).  A
+subspace is stored as its reduced echelon basis: sparse rows, each with
+pivot 1 at its least column, in increasing pivot order.  That form is
+unique, so equal subspaces have equal rows; ``Subspace.basis`` is a dense
+view, built on read.  Generator relations have entries 0 and +-1 and about
+two nonzeros per vector, so a relation costs time and memory in proportion
+to its nonzeros (row-wise storage, Gustavson 1978; sparse elimination,
+Davis 2006, chapters 2 and 6).
 
-The matrices met here come from generators with entries 0 and +-1, so most
-cells are zero and most pivots are already 1.  ``rref`` stores rows densely
-but computes sparsely: it skips every cell whose result is known in advance
-(dividing by a unit pivot, scaling a zero, subtracting a zero multiple).
-Each skipped cell already holds the value it would have been given, and a
-field value has one canonical form, so the reduced basis is exactly the
-dense one.  Constructors whose basis is reduced by construction (identity,
-symmetry, tensor) build ``Subspace(..., _canonical=True)`` and skip ``rref``.
-``Subspace(...)`` coerces every entry of raw data; results computed from
-field elements (``dagger``, and the rows ``eliminate`` leaves) use
-``Subspace.span``, which only reduces.  ``eliminate`` projects columns off
-sparse rows one pivot at a time: a composite of relations is the span of
-what is left of both bases once their middle is eliminated, and a circuit's
-black box is ``eliminate`` of its internal unknowns, then ``kernel``.
+``rref`` reduces to the canonical form.  Constructors whose basis is
+reduced by construction (identity, symmetry, tensor) use
+``Subspace.canonical`` and skip it; rows computed from field elements
+(``dagger``, and the rows ``eliminate`` leaves) use ``Subspace.span``,
+which reduces without coercing.  ``eliminate`` projects columns off sparse
+rows one Markowitz pivot at a time: a composite of relations is the span
+of what is left of both bases once their middle is eliminated, and a
+circuit's black box is ``eliminate`` of its internal unknowns, then
+``kernel``.
 """
 
 from __future__ import annotations
@@ -34,149 +33,163 @@ class DimensionMismatch(ValueError):
 
 
 def rref(rows, field: Field):
-    """Reduced row echelon form of a list of row lists (copied, not changed).
+    """Reduced row echelon form of sparse rows (copied, not changed).
+    Returns (rows, pivot_columns), in increasing pivot order; rows that
+    reduce to nothing are dropped.
 
-    Returns (rows, pivot_columns); zero rows are removed.
-
-    Only arithmetic whose result is not known in advance is done.  A pivot
-    row is scaled only when its pivot is not 1: negated when it is -1,
-    else by one inverse times each nonzero entry.  A row is updated only
-    when its entry at the pivot column is nonzero, and only at the pivot
-    row's nonzero columns; those all lie at or right of the pivot column,
-    because every row at or below the pivot is zero left of it.  The
-    skipped cells would have been ``x / 1``, ``0 / p``, ``a - f * 0`` or
-    ``a - 0 * b``, each equal to the value left in place, and the pivot
-    cells are set to the 1 and 0 they would have become.  Equal field
-    values have equal canonical forms, so the result is the one the dense
-    elimination gives, entry by entry.
+    Incremental Gauss-Jordan: each row in turn is reduced by the pivot rows
+    whose columns it holds.  Those hold no other pivot column, so none
+    comes back.  What is left, if anything, is scaled to 1 at its least
+    column (negated when that entry is -1, with no inverse), and that
+    column is cleared from the earlier pivot rows, which gain only columns
+    right of it.  The reduced echelon form is unique and a field value has
+    one canonical form, so the rows are the dense elimination's, entry by
+    entry.
     """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    zero, one, minus_one = field.zero, field.one, -field.one
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+    one, minus_one = field.one, -field.one
+    done = {}  # pivot column -> its row
+    seen = set()  # every column a pivot row has held
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in done]:
+            _subtract(row, row.pop(c), done[c], c, one, minus_one)
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        # nonzero columns right of the pivot
-        nz = [j for j in range(c + 1, ncols) if prow[j]]
-        p = prow[c]
+        c = min(row)
+        p = row[c]
         unit = _unit(p, one, minus_one)
-        if unit != 1:
-            if unit == -1:
-                for j in nz:
-                    prow[j] = -prow[j]
+        if unit == -1:
+            row = {j: -x for j, x in row.items()}
+        elif not unit:
+            inv = one / p
+            row = {j: x * inv for j, x in row.items()}
+        row[c] = one
+        if c in seen:
+            for prow in done.values():
+                if c in prow:
+                    _subtract(prow, prow.pop(c), row, c, one, minus_one)
+        seen.update(row)
+        done[c] = row
+    pivots = sorted(done)
+    return [done[c] for c in pivots], pivots
+
+
+def _subtract(row, f, prow, c, one, minus_one):
+    """row -= f * prow at every column of prow but c, dropping the entries
+    that cancel."""
+    unit = _unit(f, one, minus_one)
+    for j, x in prow.items():
+        if j != c:
+            t = (x if unit == 1 else -x) if unit else f * x
+            if j not in row:
+                row[j] = -t
+            elif y := row[j] - t:
+                row[j] = y
             else:
-                inv = one / p
-                for j in nz:
-                    prow[j] = prow[j] * inv
-            prow[c] = one
-        for i in range(nrows):
-            row = rows[i]
-            f = row[c]
-            if f and i != r:
-                for j in nz:
-                    row[j] = row[j] - f * prow[j]
-                row[c] = zero
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+                del row[j]
 
 
 class Subspace:
-    """Linear subspace of field^ambient with a unique canonical basis."""
+    """Linear subspace of field^ambient with a unique canonical basis,
+    stored as sparse rows."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "rows")
 
-    def __init__(self, field: Field, ambient: int, basis, _canonical=False):
-        self.field = field
-        self.ambient = ambient
-        if _canonical:
-            self.basis = [tuple(v) for v in basis]
-            return
-        vecs = []
-        for v in basis:
+    def __init__(self, field: Field, ambient: int, vectors):
+        """The span of dense vectors of length ``ambient``, whose entries
+        are coerced into ``field``."""
+        rows = []
+        for v in vectors:
             v = [field.coerce(x) for x in v]
             if len(v) != ambient:
                 raise DimensionMismatch(
                     f"vector of length {len(v)} in ambient {ambient}")
-            vecs.append(v)
-        reduced, _ = rref(vecs, field)
-        self.basis = [tuple(v) for v in reduced]
+            rows.append({j: x for j, x in enumerate(v) if x})
+        self.field = field
+        self.ambient = ambient
+        self.rows = rref(rows, field)[0]
 
     @classmethod
-    def span(cls, field: Field, ambient: int, vectors) -> "Subspace":
-        """Span of vectors of length ``ambient`` whose entries are already
-        elements of ``field``: reduced, not coerced."""
-        return cls(field, ambient, rref(vectors, field)[0], _canonical=True)
+    def canonical(cls, field: Field, ambient: int, rows) -> "Subspace":
+        """The subspace whose reduced echelon basis is ``rows``, sparse and
+        in pivot order (taken as given, not checked)."""
+        space = object.__new__(cls)
+        space.field, space.ambient, space.rows = field, ambient, rows
+        return space
+
+    @classmethod
+    def span(cls, field: Field, ambient: int, rows) -> "Subspace":
+        """Span of sparse rows over ``ambient`` columns whose entries are
+        already elements of ``field``: reduced, not coerced."""
+        return cls.canonical(field, ambient, rref(rows, field)[0])
+
+    @property
+    def basis(self):
+        """The canonical basis as dense tuples, built on each read."""
+        zero, n = self.field.zero, self.ambient
+        return [tuple([row.get(j, zero) for j in range(n)])
+                for row in self.rows]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v) -> bool:
+        """Whether the dense vector ``v`` (coerced) adds no pivot to the
+        canonical rows."""
         v = [self.field.coerce(x) for x in v]
         if len(v) != self.ambient:
             raise DimensionMismatch("vector length != ambient")
-        rows = [list(b) for b in self.basis] + [v]
-        reduced, _ = rref(rows, self.field)
-        return len(reduced) == self.dim
+        rows = self.rows + [{j: x for j, x in enumerate(v) if x}]
+        return len(rref(rows, self.field)[0]) == self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimensions differ")
-        return self.basis == other.basis
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient, tuple(self.basis)))
+        return hash((self.ambient, *(frozenset(r.items()) for r in self.rows)))
 
     def annihilator(self) -> "Subspace":
         """Subspace of covectors c with c.v = 0 for every v here."""
-        return kernel(self.basis, self.field, self.ambient)
+        return kernel(self.rows, self.field, self.ambient)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field.name}^{self.ambient})"
 
 
 def kernel(rows, field: Field, width: int) -> Subspace:
-    """Canonical spanning basis of {v in field^width : r.v = 0 for every
-    row r}, from one elimination; no rows give the whole space.
+    """Canonical basis of {v in field^width : r.v = 0 for every sparse row
+    r}, from one elimination; no rows give the whole space.
 
-    The rows are reduced with their columns reversed.  A free column f then
-    gives a kernel vector that is 1 at f, 0 at every other free column, and
-    (back in natural order) 0 before f, because a reduced row has no entry
-    to the left of its pivot.  Taken in increasing order of f, these vectors
-    are the reduced echelon basis itself, so no second ``rref`` is needed.
+    The rows are reduced with column j read as width - 1 - j.  A free
+    column f then gives a kernel vector that is 1 at f, minus r's entry at
+    f at the pivot of each reduced row r holding f, and 0 elsewhere; back
+    in natural order it has nothing left of f, because a reduced row has
+    no entry left of its pivot.  Taken in increasing order of f, these
+    vectors are the reduced echelon basis itself, so no second ``rref`` is
+    needed.
     """
-    if any(len(r) != width for r in rows):
-        raise DimensionMismatch(f"row length differs from width {width}")
-    reduced, pivots = rref([r[::-1] for r in rows], field)
-    pivot_set = set(pivots)
+    last = width - 1
+    reduced, pivots = rref([{last - j: x for j, x in r.items()}
+                            for r in rows], field)
+    held = {}  # free column -> (pivot column, entry) of each kernel vector
+    for r, pc in zip(reduced, pivots):
+        for j, x in r.items():
+            if j != pc:
+                held.setdefault(last - j, []).append((last - pc, -x))
+    bound = {last - pc for pc in pivots}
+    one = field.one
     basis = []
-    for fc in range(width - 1, -1, -1):
-        if fc in pivot_set:
-            continue
-        v = [field.zero] * width
-        v[fc] = field.one
-        for r, pc in zip(reduced, pivots):
-            if pc > fc:
-                break
-            if r[fc]:
-                v[pc] = -r[fc]
-        basis.append(v[::-1])
-    return Subspace(field, width, basis, _canonical=True)
+    for f in range(width):
+        if f not in bound:
+            v = {f: one}
+            v.update(held.get(f, ()))
+            basis.append(v)
+    return Subspace.canonical(field, width, basis)
 
 
 def _is_constant(x) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .exactla import Subspace, eliminate, kernel
+from .exactla import DimensionMismatch, Subspace, eliminate, kernel
 from .scalar import Field, QS, RatFunc, format_scalar
 from .setprops import Corelation, CorelModel, InterfaceMismatch
 from .circuit import (CIRCUIT_SIGNATURE, SOURCE_KINDS, EdgeLabel, LCircuit,
@@ -54,8 +54,12 @@ class LinRel:
         """Relation cut out by homogeneous constraint rows, whose entries
         are coerced into ``field``; no rows give the whole space, and a
         row not dom + cod long raises ``DimensionMismatch``."""
-        rows = [[field.coerce(x) for x in r] for r in rows]
-        return cls(dom, cod, kernel(rows, field, dom + cod))
+        width = dom + cod
+        if any(len(r) != width for r in rows):
+            raise DimensionMismatch(f"row length differs from width {width}")
+        return cls(dom, cod, kernel(
+            [{j: y for j, x in enumerate(r) if (y := field.coerce(x))}
+             for r in rows], field, width))
 
     @classmethod
     def identity(cls, field, n: int) -> "LinRel":
@@ -65,20 +69,10 @@ class LinRel:
     def symmetry(cls, field, m: int, n: int) -> "LinRel":
         """Basis with pivots 0..m+n-1 in order and one entry in each other
         column, so it is already the reduced echelon basis."""
-        vecs = []
-        size = m + n
-        for i in range(m):
-            v = [field.zero] * (2 * size)
-            v[i] = field.one
-            v[size + n + i] = field.one
-            vecs.append(v)
-        for j in range(n):
-            v = [field.zero] * (2 * size)
-            v[m + j] = field.one
-            v[size + j] = field.one
-            vecs.append(v)
-        return cls(size, size, Subspace(field, 2 * size, vecs,
-                                        _canonical=True))
+        one, size = field.one, m + n
+        rows = ([{i: one, size + n + i: one} for i in range(m)]
+                + [{m + j: one, size + j: one} for j in range(n)])
+        return cls(size, size, Subspace.canonical(field, 2 * size, rows))
 
     def compose(self, *others: "LinRel") -> "LinRel":
         """The composites, from the left, each by ``compose_bases``."""
@@ -88,44 +82,43 @@ class LinRel:
                 raise InterfaceMismatch(
                     f"cannot compose {out.cod} -> with {other.dom} <-")
             out = LinRel(out.dom, other.cod,
-                         compose_bases(out.field, out.space.basis,
-                                       other.space.basis, out.dom, out.cod,
+                         compose_bases(out.field, out.space.rows,
+                                       other.space.rows, out.dom, out.cod,
                                        other.cod))
         return out
 
     def tensor(self, *others: "LinRel") -> "LinRel":
-        """Every basis padded once into the (dom_1, ..., dom_k, cod_1, ...,
+        """Every basis shifted once into the (dom_1, ..., dom_k, cod_1, ...,
         cod_k) layout, in pivot order.
 
         The blocks have disjoint supports and each block keeps the order of
-        its columns, so every padded vector still starts with its pivot 1
-        and is the only vector nonzero in that column.  A reduced basis
+        its columns, so every shifted vector still has its pivot 1 at its
+        least column and is the only vector nonzero there.  A reduced basis
         lists the vectors whose pivot is a domain wire first, so those of
         every relation in turn, then the rest, are the union in pivot
         order: the reduced echelon basis, with no ``rref`` and no sort.
         """
         rels = (self, *others)
-        zero = self.field.zero
         dom = sum([r.dom for r in rels])
         cod = sum([r.cod for r in rels])
         # pivots on domain wires, then on codomain wires; d and c count
         # the domain and codomain wires before r's
         heads, tails, d, c = [], [], 0, 0
         for r in rels:
-            n = r.dom
-            before, middle, after = ((zero,) * d, (zero,) * (dom - d - n + c),
-                                     (zero,) * (cod - c - r.cod))
-            for v in r.space.basis:
-                (heads if any(v[:n]) else tails).append(
-                    before + v[:n] + middle + v[n:] + after)
+            n, e = r.dom, dom + c - r.dom  # the shifts of r's two blocks
+            for v in r.space.rows:
+                (heads if min(v) < n else tails).append(
+                    {k + (d if k < n else e): x for k, x in v.items()})
             d, c = d + n, c + r.cod
-        return LinRel(dom, cod, Subspace(self.field, dom + cod, heads + tails,
-                                         _canonical=True))
+        return LinRel(dom, cod, Subspace.canonical(self.field, dom + cod,
+                                                   heads + tails))
 
     def dagger(self) -> "LinRel":
-        vecs = [v[self.dom:] + v[:self.dom] for v in self.space.basis]
-        return LinRel(self.cod, self.dom,
-                      Subspace.span(self.field, self.space.ambient, vecs))
+        dom, cod = self.dom, self.cod
+        rows = [{k + cod if k < dom else k - dom: x for k, x in v.items()}
+                for v in self.space.rows]
+        return LinRel(cod, dom,
+                      Subspace.span(self.field, self.space.ambient, rows))
 
     def __eq__(self, other):
         if not isinstance(other, LinRel):
@@ -141,21 +134,21 @@ class LinRel:
                 f"dim {self.space.dim} over {self.field.name})")
 
 
-def compose_bases(field: Field, fvecs, gvecs, dom: int, mid: int,
+def compose_bases(field: Field, frows, grows, dom: int, mid: int,
                   cod: int) -> Subspace:
-    """Canonical span of the (u, w) with (u, v) in the span of ``fvecs``
-    and (v, w) in that of ``gvecs``: ``eliminate`` the v columns of the
-    sparse rows (v, 0, w) of ``gvecs`` and (-v, u, 0) of ``fvecs``, in that
-    order, so that pivot ties fall on the unit pivots a reduced basis
-    starts with."""
-    rows = [{k if k < mid else dom + k: x for k, x in enumerate(w) if x}
-            for w in gvecs]
-    rows += [{mid + k if k < dom else k - dom: x if k < dom else -x
-              for k, x in enumerate(v) if x} for v in fvecs]
-    zero = field.zero
-    return Subspace.span(field, dom + cod, [
-        [row.get(j, zero) for j in range(mid, mid + dom + cod)]
-        for row in eliminate(rows, field, range(mid))])
+    """Canonical span of the (u, w) with (u, v) in the span of the sparse
+    rows ``frows`` and (v, w) in that of ``grows``: ``eliminate`` the v
+    columns of the rows (0, w, v) of ``grows`` and (u, 0, -v) of
+    ``frows``, in that order, so that pivot ties fall on the unit pivots a
+    reduced basis starts with.  The middle comes last, so what is left
+    is already over (u, w)."""
+    end = dom + cod
+    rows = [{k + end if k < mid else k + dom - mid: x for k, x in w.items()}
+            for w in grows]
+    rows += [{k if k < dom else k + cod: x if k < dom else -x
+              for k, x in v.items()} for v in frows]
+    return Subspace.span(field, end,
+                         eliminate(rows, field, range(end, end + mid)))
 
 
 def is_lagrangian(rel: LinRel) -> bool:
@@ -165,10 +158,8 @@ def is_lagrangian(rel: LinRel) -> bool:
         raise OddDimension("ports carry (phi, I) pairs; dimensions must be even")
     # per basis vector v, the covector u -> w(v, u): (-I, phi) on each
     # codomain port, negated on the domain ports
-    rows = [[x for p in range(0, len(v), 2)
-             for x in ((v[p + 1], -v[p]) if p < rel.dom
-                       else (-v[p + 1], v[p]))]
-            for v in rel.space.basis]
+    rows = [{k ^ 1: -x if (k % 2 == 0) == (k < rel.dom) else x
+             for k, x in v.items()} for v in rel.space.rows]
     return kernel(rows, rel.field, rel.space.ambient) == rel.space
 
 
@@ -181,24 +172,12 @@ def K_corel(field: Field, c: Corelation) -> LinRel:
         tag, i = el
         return 2 * i if tag == "x" else 2 * (m + i)
 
-    def cur(el):
-        return phi(el) + 1
-
-    width = 2 * (m + n)
-    rows = []
+    one, rows = field.one, []
     for block in c.blocks:
-        first = block[0]
-        for el in block[1:]:
-            row = [field.zero] * width
-            row[phi(first)] = field.one
-            row[phi(el)] = -field.one
-            rows.append(row)
-        row = [field.zero] * width
-        for el in block:
-            tag, _ = el
-            row[cur(el)] = field.one if tag == "x" else -field.one
-        rows.append(row)
-    return LinRel.from_constraints(field, 2 * m, 2 * n, rows)
+        rows += [{phi(block[0]): one, phi(el): -one} for el in block[1:]]
+        rows.append({phi(el) + 1: one if el[0] == "x" else -one
+                     for el in block})
+    return LinRel(2 * m, 2 * n, kernel(rows, field, 2 * (m + n)))
 
 
 class LinRelModel(PropModel):
@@ -282,22 +261,23 @@ def rlc_rel(field: Field, label: EdgeLabel) -> LinRel:
 
 def circuit_rows(c: LCircuit, field: Field):
     """A circuit's equations, as sparse rows, over its boundary (phi, I)
-    pairs, one potential per node, one current per edge and h, in that
+    pairs, h, one potential per node and one current per edge, in that
     order: terminal potentials equal their node's; label rows per edge;
     current balance per node.  Rows that fold to zero are left out."""
-    nb = 2 * (c.m + c.n)
-    cur = nb + c.graph.node_count
-    h = cur + len(c.graph.edges)
+    h = 2 * (c.m + c.n)
+    pot = h + 1
+    cur = pot + c.graph.node_count
     zero, one = field.zero, field.one
     rows, kcl = [], [{} for _ in range(c.graph.node_count)]
     for k, v in enumerate(c.inputs + c.outputs):
-        rows.append({2 * k: one, nb + v: -one})
+        rows.append({2 * k: one, pot + v: -one})
         kcl[v][2 * k + 1] = one if k < c.m else -one
     for e, (s, t, lab) in enumerate(c.graph.edges):
         # label rows on (phi_src, J, phi_tgt, J, h)
         for coeffs in label_rows(field, lab.kind, lab.value):
             row = {}
-            for col, x in zip((nb + s, cur + e, nb + t, cur + e, h), coeffs):
+            for col, x in zip((pot + s, cur + e, pot + t, cur + e, h),
+                              coeffs):
                 if x:
                     row[col] = row[col] + x if col in row else x
             rows.append(row)
@@ -309,12 +289,11 @@ def circuit_rows(c: LCircuit, field: Field):
 
 def boundary_rows(c: LCircuit, field: Field):
     """``circuit_rows`` with every node potential and edge current
-    eliminated, as dense rows over the boundary (phi, I) pairs and h."""
-    nb = 2 * (c.m + c.n)
-    h = nb + c.graph.node_count + len(c.graph.edges)
-    return [[row.get(j, field.zero) for j in (*range(nb), h)]
-            for row in eliminate(circuit_rows(c, field), field,
-                                 range(nb, h))]
+    eliminated: sparse rows over the boundary (phi, I) pairs and h."""
+    h = 2 * (c.m + c.n)
+    return eliminate(circuit_rows(c, field), field,
+                     range(h + 1, h + 1 + c.graph.node_count
+                           + len(c.graph.edges)))
 
 
 def blackbox(c: LCircuit, field: Field = QS) -> LinRel:
@@ -322,9 +301,8 @@ def blackbox(c: LCircuit, field: Field = QS) -> LinRel:
     have no h entries."""
     if any(lab.kind in SOURCE_KINDS for _s, _t, lab in c.graph.edges):
         raise UnsupportedLabel("source labels need the affine black-boxing")
-    nb = 2 * (c.m + c.n)
-    rows = [row[:nb] for row in boundary_rows(c, field)]
-    return LinRel(2 * c.m, 2 * c.n, kernel(rows, field, nb))
+    return LinRel(2 * c.m, 2 * c.n, kernel(boundary_rows(c, field), field,
+                                           2 * (c.m + c.n)))
 
 
 # ---------------------------------------------------------------------------

@@ -640,7 +640,8 @@ def _parse_atom(lx, atom):
         return atom("s")
     if ch is not None and ch in _DIGITS:
         return atom(_parse_int(lx))
-    raise ScalarParseError(f"unexpected character {ch!r} at position {lx.pos}")
+    what = "end of input" if ch is None else f"character {ch!r}"
+    raise ScalarParseError(f"unexpected {what} at position {lx.pos}")
 
 
 def _parse(src: str, atom):

@@ -194,8 +194,19 @@ def rand_rows(rng, field, nrows, ncols):
             for _ in range(nrows)]
 
 
+def to_sparse(rows):
+    """Dense row lists as the sparse rows ``rref`` and ``kernel`` take:
+    dicts from column to nonzero entry."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def to_dense(rows, width, field):
+    """Sparse rows as row lists of length ``width``."""
+    return [[r.get(j, field.zero) for j in range(width)] for r in rows]
+
+
 def rank(rows, field) -> int:
-    return len(rref(rows, field)[0])
+    return len(rref(to_sparse(rows), field)[0])
 
 
 def dense_rref(rows, field):
@@ -336,7 +347,7 @@ def stacked_composite(field, dom, mid, cod, frows, grows, h=0):
     zero = field.zero
     rows = [r[:dom + mid] + [zero] * cod + r[dom + mid:] for r in frows]
     rows += [[zero] * dom + r for r in grows]
-    sols = kernel(rows, field, dom + mid + cod + h)
+    sols = kernel(to_sparse(rows), field, dom + mid + cod + h)
     return Subspace(field, dom + cod + h,
                     [v[:dom] + v[dom + mid:] for v in sols.basis])
 
@@ -457,7 +468,7 @@ def circuit_kernel(c, field):
     for e, (s, t, _lab) in enumerate(c.graph.edges):
         kcl[s][nb + nnodes + e] = -one
         kcl[t][nb + nnodes + e] = kcl[t][nb + nnodes + e] + one
-    return kernel(rows + kcl, field, width)
+    return kernel(to_sparse(rows + kcl), field, width)
 
 
 def rand_circuit(rng, max_nodes=6, max_edges=8, kinds=RLC_KINDS):

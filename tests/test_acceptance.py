@@ -24,7 +24,7 @@ from propnet.term import Gen, Id, Sym, evaluate, model_equal, seq
 
 from helpers import (all_corelations, compose_oracle, rand_circuit_gens,
                      rand_fraction, rand_rows, rand_term, rand_term_with_dom,
-                     rank, witness)
+                     rank, to_sparse, witness)
 
 
 @pytest.fixture
@@ -231,6 +231,7 @@ def test_criterion_10_exact_linear_algebra(report):
         for _ in range(200):
             nr, nc = rng.randint(1, 5), rng.randint(1, 5)
             rows = rand_rows(rng, field, nr, nc)
-            red, pivots = rref(rows, field)
+            red, pivots = rref(to_sparse(rows), field)
             assert rref(red, field) == (red, pivots)
-            assert rank(rows, field) + kernel(rows, field, nc).dim == nc
+            assert rank(rows, field) + kernel(to_sparse(rows), field,
+                                              nc).dim == nc

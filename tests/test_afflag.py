@@ -13,7 +13,8 @@ from propnet.exactla import kernel
 from propnet.scalar import QQ, QS
 
 from helpers import (PROPERTY, composable_rows, rand_circuit,
-                     rand_corelation, scalars, stacked_composite, witness)
+                     rand_corelation, scalars, stacked_composite, to_sparse,
+                     witness)
 from propnet.linrel import K_corel
 
 SOURCE_KINDS = ("wire", "resistor", "inductor", "capacitor", "vsource",
@@ -178,7 +179,8 @@ def check_tensor_against_stacking(field, fcase, gcase):
     got = AffRel.from_constraints(field, d1, c1, frows).tensor(
         AffRel.from_constraints(field, d2, c2, grows))
     assert (got.dom, got.cod) == (d1 + d2, c1 + c2)
-    assert got.hspace == kernel(rows, field, d1 + d2 + c1 + c2 + 1)
+    assert got.hspace == kernel(to_sparse(rows), field,
+                                d1 + d2 + c1 + c2 + 1)
 
 
 def check_linear_part_drops_h(field, case):

@@ -237,6 +237,17 @@ def test_error_paths(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("model, term, name", [
+    ("sigflow", "(seq (gen i) (seq (label inductor 4) (id 1)))", "i"),
+    ("sigflow", "(gen frob)", "frob"),
+    ("corel", "(gen frob)", "frob"),
+    ("linrel", "(seq (gen m) (gen frob))", "frob")])
+def test_unknown_generator_is_named(capsys, model, term, name):
+    code, out, err = run(capsys, "eval", "--model", model, "--term", term)
+    assert code == 2 and out == ""
+    assert err == f"propnet: error: unknown generator {name!r}\n"
+
+
 def test_arithmetic_errors_exit_2(capsys):
     code, _out, err = run(capsys, "eval", "--model", "sigflow", "--field",
                           "q", "--term", "(scalar 1/0)")
@@ -251,7 +262,9 @@ def test_arithmetic_errors_exit_2(capsys):
     ("corel", "(id ٣)", "expected a natural number near position 1"),
     ("sigflow", "(scalar s^²)", "expected integer at position 2"),
     ("sigflow", "(scalar s^٣)", "expected integer at position 2"),
-    ("sigflow", "(scalar ٣)", "unexpected character '٣' at position 0")])
+    ("sigflow", "(scalar ٣)", "unexpected character '٣' at position 0"),
+    ("linrel", "(label resistor 2+)", "unexpected end of input at position 2"),
+    ("sigflow", "(scalar 2*)", "unexpected end of input at position 2")])
 def test_only_ascii_digits_are_numbers(capsys, model, term, message):
     # str.isdigit passes superscripts, which int() refuses, and digits of
     # other scripts, which int() reads

@@ -6,20 +6,24 @@ from hypothesis import strategies as st
 
 from propnet.exactla import (DimensionMismatch, Subspace, eliminate, kernel,
                              rref)
+from propnet.linrel import LinRel
 from propnet.scalar import QQ, QS, RatFunc
 
 from helpers import (PROPERTY, dense_rref, rand_fraction, rand_ratfunc,
-                     rand_rows, rand_scalar, rank, sparse_rows, to_sympy)
+                     rand_rows, rand_scalar, rank, scalars, sparse_rows,
+                     to_dense, to_sparse, to_sympy)
 
 
 def test_rref_idempotent_and_pivots():
     rng = random.Random(10)
     for field in (QQ, QS):
         for _ in range(40):
-            rows = rand_rows(rng, field, rng.randint(1, 4), rng.randint(1, 5))
-            red, pivots = rref(rows, field)
+            nc = rng.randint(1, 5)
+            rows = rand_rows(rng, field, rng.randint(1, 4), nc)
+            red, pivots = rref(to_sparse(rows), field)
             red2, pivots2 = rref(red, field)
             assert red == red2 and pivots == pivots2
+            red = to_dense(red, nc, field)
             for r, c in enumerate(pivots):
                 assert red[r][c] == field.one
                 for r2 in range(len(red)):
@@ -33,7 +37,8 @@ def test_rank_nullity():
         for _ in range(40):
             nr, nc = rng.randint(1, 4), rng.randint(1, 5)
             rows = rand_rows(rng, field, nr, nc)
-            assert rank(rows, field) + kernel(rows, field, nc).dim == nc
+            assert rank(rows, field) + kernel(to_sparse(rows), field,
+                                              nc).dim == nc
 
 
 def test_kernel_vectors_annihilate():
@@ -42,7 +47,7 @@ def test_kernel_vectors_annihilate():
         for _ in range(30):
             nc = rng.randint(1, 4)
             rows = rand_rows(rng, field, rng.randint(1, 3), nc)
-            for v in kernel(rows, field, nc).basis:
+            for v in kernel(to_sparse(rows), field, nc).basis:
                 for row in rows:
                     dot = field.zero
                     for a, b in zip(row, v):
@@ -78,8 +83,8 @@ def test_annihilator_duality():
 
 def test_dimension_checks():
     one = QQ.coerce(1)
-    with pytest.raises(DimensionMismatch):
-        kernel([[one, one], [one]], QQ, 2)
+    with pytest.raises(DimensionMismatch, match="differs from width 2"):
+        LinRel.from_constraints(QQ, 1, 1, [[one, one], [one]])
     with pytest.raises(DimensionMismatch):
         Subspace(QQ, 3, [[one, one]])
     with pytest.raises(DimensionMismatch):
@@ -91,7 +96,7 @@ def test_over_qs_entries():
     s = QS.parse("s")
     rows = [[s, QS.one], [s * s, s]]
     assert rank(rows, QS) == 1
-    k = kernel(rows, QS, 2)
+    k = kernel(to_sparse(rows), QS, 2)
     assert k.dim == 1
     v = k.basis[0]
     assert s * v[0] + v[1] == QS.zero
@@ -140,8 +145,8 @@ def test_kernel_basis_is_canonical():
     rng = random.Random(15)
     for field in (QQ, QS):
         for rows, c in _kernel_cases(rng, field):
-            k = kernel(rows, field, c)
-            assert Subspace(field, c, k.basis).basis == k.basis
+            k = kernel(to_sparse(rows), field, c)
+            assert Subspace(field, c, k.basis).rows == k.rows
             for v in k.basis:
                 for row in rows:
                     dot = sum((a * b for a, b in zip(row, v)), field.zero)
@@ -167,22 +172,57 @@ def _forms(rows):
 @given(data=st.data())
 def test_rref_matches_dense_oracle(field, data):
     rows = data.draw(sparse_rows(field))
-    before = [list(r) for r in rows]
-    red, pivots = rref(rows, field)
+    # repeated rows, and sometimes no rows at all
+    rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows = rows[:data.draw(st.sampled_from([0, len(rows)]))]
+    width = len(rows[0]) if rows else 0
+    sparse = to_sparse(rows)
+    before = [dict(r) for r in sparse]
+    red, pivots = rref(sparse, field)
     dense_red, dense_pivots = dense_rref(rows, field)
     assert pivots == dense_pivots
-    assert _forms(red) == _forms(dense_red)
-    assert rows == before
+    assert _forms(to_dense(red, width, field)) == _forms(dense_red)
+    assert all(min(r) == c and r[c] == field.one and field.zero not in
+               r.values() for r, c in zip(red, pivots))
+    assert sparse == before
 
 
 @over_fields
 @PROPERTY
 @given(data=st.data())
 def test_rref_is_idempotent(field, data):
-    red, pivots = rref(data.draw(sparse_rows(field)), field)
+    rows = data.draw(sparse_rows(field))
+    red, pivots = rref(to_sparse(rows), field)
     again, pivots2 = rref(red, field)
     assert pivots2 == pivots
-    assert _forms(again) == _forms(red)
+    assert _forms(to_dense(again, len(rows[0]), field)) == \
+        _forms(to_dense(red, len(rows[0]), field))
+
+
+# ---------------------------------------------------------------------------
+# one sparse form per subspace, whatever the route to it
+
+@over_fields
+@PROPERTY
+@given(data=st.data())
+def test_subspace_routes_agree(field, data):
+    dense = data.draw(sparse_rows(field))
+    width = len(dense[0])
+    space = Subspace(field, width, dense)
+    rows = data.draw(st.permutations(to_sparse(dense)))
+    factors = data.draw(st.lists(scalars(field), min_size=len(rows),
+                                 max_size=len(rows)))
+    scaled = Subspace.span(field, width, [{j: x * k for j, x in r.items()}
+                                          for r, k in zip(rows, factors)])
+    dom = data.draw(st.integers(0, width))
+    rel = LinRel(dom, width - dom, space)
+    composed = (LinRel.identity(field, dom).compose(rel)
+                .compose(LinRel.identity(field, width - dom)))
+    for other in (scaled, composed.space, rel.dagger().dagger().space,
+                  Subspace(field, width, space.basis)):
+        assert other == space and hash(other) == hash(space)
+        assert other.rows == space.rows and other.basis == space.basis
+    assert all(len(v) == width for v in space.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +230,8 @@ def test_rref_is_idempotent(field, data):
 
 def _kernel_of_sparse(rows, field, columns):
     """Kernel of sparse rows over the listed columns, in their order."""
-    return kernel([[r.get(j, field.zero) for j in columns] for r in rows],
-                  field, len(columns))
+    return kernel(to_sparse([[r.get(j, field.zero) for j in columns]
+                             for r in rows]), field, len(columns))
 
 
 @over_fields
@@ -207,9 +247,9 @@ def test_eliminate_projects_the_kernel(field, data):
     left = eliminate(rows, field, sorted(gone))
     assert rows == before
     assert all(row and gone.isdisjoint(row) for row in left)
-    projected = Subspace.span(field, len(kept),
-                              [[v[j] for j in kept]
-                               for v in kernel(dense, field, width).basis])
+    projected = Subspace(field, len(kept),
+                         [[v[j] for j in kept] for v in
+                          kernel(to_sparse(dense), field, width).basis])
     assert _kernel_of_sparse(left, field, kept) == projected
     shuffled = data.draw(st.permutations(rows))
     assert _kernel_of_sparse(eliminate(shuffled, field, gone), field,
@@ -226,7 +266,7 @@ def _check_against_sympy(field, rows, width):
                      [to_sympy(sympy, s, x) for r in rows for x in r])
     r = rank(rows, field)
     assert r == m.rank(simplify=sympy.cancel)
-    k = kernel(rows, field, width)
+    k = kernel(to_sparse(rows), field, width)
     assert k.dim == width - r
     for v in k.basis:
         image = m * sympy.Matrix([to_sympy(sympy, s, x) for x in v])

@@ -16,7 +16,7 @@ from propnet.linrel import (CorelToLinRelModel, K_corel, LinRel, OddDimension,
 from propnet.exactla import DimensionMismatch, Subspace
 from propnet.scalar import QQ, QS, RatFunc
 from propnet.setprops import CorelModel
-from propnet.term import evaluate
+from propnet.term import MAX_WIDTH, evaluate, parse_term
 
 from helpers import (PROPERTY, RLC_KINDS, circuit_kernel, circuits,
                      composable_rows, ladder_circuit, lagrangian_oracle,
@@ -191,8 +191,8 @@ def test_parse_linrel_errors(text, message):
 # constructors that skip rref give the bases rref would give
 
 def _is_reduced(space):
-    return Subspace(space.field, space.ambient, space.basis).basis == \
-        space.basis
+    return Subspace(space.field, space.ambient, space.basis).rows == \
+        space.rows
 
 
 @st.composite
@@ -357,11 +357,11 @@ def _check_blackbox_against_oracle(c, field):
     nb = 2 * (c.m + c.n)
     full = circuit_kernel(c, field).basis
     aff = aff_blackbox(c, field)
-    assert aff.hspace == Subspace.span(field, nb + 1,
-                                       [v[:nb] + v[-1:] for v in full])
+    assert aff.hspace == Subspace(field, nb + 1,
+                                  [v[:nb] + v[-1:] for v in full])
     if not any(lab.kind in SOURCE_KINDS for _s, _t, lab in c.graph.edges):
         assert blackbox(c, field).space == \
-            Subspace.span(field, nb, [v[:nb] for v in full])
+            Subspace(field, nb, [v[:nb] for v in full])
     return aff
 
 
@@ -419,3 +419,20 @@ def test_blackbox_of_many_edgeless_nodes_stays_small():
     # two open terminals: free potentials, no current
     assert rel == LinRel.from_constraints(QQ, 2, 2, [[0, 1, 0, 0],
                                                      [0, 0, 0, 1]])
+
+
+def test_widest_identity_composite_stays_sparse():
+    # 2,000 basis vectors of two nonzeros each over 4,000 wires; stored
+    # dense, this composite peaked at 324 MB
+    model = CorelToLinRelModel(QQ)
+    half = MAX_WIDTH // 2
+    t = parse_term(f"(seq (id {MAX_WIDTH}) (sym {half} {half}))")
+    tracemalloc.start()
+    try:
+        rel = evaluate(t, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+    assert rel == model.symmetry(half, half)
+    assert rel.space.dim == 2 * MAX_WIDTH

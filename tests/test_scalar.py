@@ -148,6 +148,15 @@ def test_parse_rat():
         parse_rat("s")
 
 
+@pytest.mark.parametrize("src, position", [("", 0), ("2+", 2), ("2*", 2)])
+def test_parse_names_the_end_of_input(src, position):
+    for field in (QQ, QS):
+        with pytest.raises(ScalarParseError) as err:
+            field.parse(src)
+        assert str(err.value) == \
+            f"unexpected end of input at position {position}"
+
+
 def test_parse_ratfunc():
     s = RatFunc.s()
     assert parse_ratfunc("s") == s

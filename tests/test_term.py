@@ -63,6 +63,16 @@ def test_label_literals_with_colons_read_back():
         assert parse_term(printed) == t
 
 
+@pytest.mark.parametrize("name", ["label:", "scalar:", "label::x"])
+def test_names_with_an_empty_part_read_back(name):
+    # the sugared forms "(label )", "(scalar )" and "(label  x)" do not
+    # read back as these names, so they print as (gen NAME)
+    t = parse_term(f"(gen {name})")
+    assert t == Gen(name)
+    assert format_term(t) == f"(gen {name})"
+    assert parse_term(format_term(t)) == t
+
+
 def test_bracketed_literals():
     assert parse_term("(scalar (3/2)*s)") == Gen("scalar:(3/2)*s")
     # whitespace between tokens reads as one space, none stays none
