@@ -1,19 +1,19 @@
 """Affine relations as linear relations with a unit wire, and
 source-aware black-boxing.
 
-An affine relation f: p -> q is stored as its homogenization f# =
-``LinRel(p, q + 1, hspace)``, whose last wire h carries the constant: f
-is the h = 1 slice, empty exactly when h vanishes on f#.  Operations are
-``LinRel`` operations on f# and three fixed relations: the unit point ONE
-(0 -> 1), the codiagonal MERGE (2 -> 1) and the zero effect ZERO
-(1 -> 0).  The one affine-specific step is the lift in ``compose``.
+An affine relation f: p -> q is stored as its homogenization f#, the
+canonical span over (dom, cod, h) whose last wire h carries the constant:
+f is the h = 1 slice, empty exactly when h vanishes on f#.  Every
+operation is one step on spanning rows, with h a shared variable
+(Bonchi, Piedeleu, Sobocinski and Zanasi, "Graphical Affine Algebra",
+2019): ``compose`` and ``tensor`` are one ``compose_bases`` each, whose
+middle holds h, ``linear_part`` eliminates h, and ``from_linrel`` adds
+the unit row h = 1.
 """
 
 from __future__ import annotations
 
-import functools
-
-from .exactla import Subspace, kernel
+from .exactla import Subspace, eliminate, kernel
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
 from .linrel import (LinRel, OddDimension, boundary_rows, compose_bases,
@@ -36,15 +36,13 @@ class AffRel:
     def field(self) -> Field:
         return self.hspace.field
 
-    @property
-    def homogenized(self) -> LinRel:
-        """f#: the relation dom -> cod + 1 whose last wire is h."""
-        return LinRel(self.dom, self.cod + 1, self.hspace)
-
     @classmethod
     def from_linrel(cls, rel: LinRel) -> "AffRel":
-        """rel (x) ONE: h is free, and every other wire is as in ``rel``."""
-        return cls(rel.dom, rel.cod, rel.tensor(_one(rel.field)).space)
+        """``rel``'s rows and the unit row h = 1: no row of ``rel`` holds
+        h, so the rows are already reduced."""
+        h = rel.dom + rel.cod
+        return cls(rel.dom, rel.cod, Subspace.canonical(
+            rel.field, h + 1, rel.space.rows + [{h: rel.field.one}]))
 
     @classmethod
     def from_constraints(cls, field, dom, cod, rows):
@@ -66,35 +64,41 @@ class AffRel:
         return all(h not in row for row in self.hspace.rows)
 
     def linear_part(self) -> LinRel:
-        """The h = 0 slice, f# ; (id_cod (x) ZERO), with ZERO the zero
-        effect 1 -> 0."""
-        zero = LinRel.from_vectors(self.field, 1, 0, [])
-        return self.homogenized.compose(
-            LinRel.identity(self.field, self.cod).tensor(zero))
+        """The h = 0 slice: what of f#'s span is left once h is
+        eliminated from it."""
+        h = self.dom + self.cod
+        return LinRel(self.dom, self.cod, Subspace.span(
+            self.field, h, eliminate(self.hspace.rows, self.field, [h])))
 
     def contains(self, point) -> bool:
         return self.hspace.contains(list(point) + [self.field.one])
 
     def compose(self, other: "AffRel") -> "AffRel":
         """``compose_bases`` of f#, read as dom -> cod+1, and g's basis
-        lifted, unreduced, to (mid+1) -> (cod+1) by a copy of its h after
-        its domain: the middle is the wires plus h, so h is shared."""
+        lifted to (mid+1) -> (cod+1): the middle is the wires plus h, so
+        h is shared."""
         if self.cod != other.dom:
             raise InterfaceMismatch(
                 f"cannot compose {self.cod} -> with {other.dom} <-")
-        d, h = other.dom, other.dom + other.cod
-        lifted = [{k + (k >= d): x for k, x in w.items()}
-                  | ({d: w[h]} if h in w else {}) for w in other.hspace.rows]
+        d = other.dom
         return AffRel(self.dom, other.cod,
-                      compose_bases(self.field, self.hspace.rows, lifted,
-                                    self.dom, d + 1, other.cod + 1))
+                      compose_bases(self.field, self.hspace.rows,
+                                    _lift(other, d), self.dom, d + 1,
+                                    other.cod + 1))
 
     def tensor(self, other: "AffRel") -> "AffRel":
-        """(f# (x) g#) ; ``_route``, which merges the two h wires."""
-        c1, c2 = self.cod, other.cod
-        rel = (self.homogenized.tensor(other.homogenized)
-               .compose(_route(self.field, c1, c2)))
-        return AffRel(self.dom + other.dom, c1 + c2, rel.space)
+        """``compose_bases`` of f#, read as (dom, cod) -> h, and g's basis
+        lifted to h -> (dom', cod', h), so h is the whole middle; the
+        columns are then put in (dom, dom', cod, cod', h) order."""
+        d1, c1, d2, c2 = self.dom, self.cod, other.dom, other.cod
+        joint = compose_bases(self.field, self.hspace.rows, _lift(other, 0),
+                              d1 + c1, 1, d2 + c2 + 1)
+        # (d1, c1, d2, c2, h) -> (d1, d2, c1, c2, h)
+        col = [*range(d1), *range(d1 + d2, d1 + d2 + c1),
+               *range(d1, d1 + d2), *range(d1 + d2 + c1, joint.ambient)]
+        return AffRel(d1 + d2, c1 + c2, Subspace.span(
+            self.field, joint.ambient,
+            [{col[k]: x for k, x in w.items()} for w in joint.rows]))
 
     def __eq__(self, other):
         if not isinstance(other, AffRel):
@@ -117,22 +121,12 @@ class AffRel:
                 f"dim {self.hspace.dim - 1} affine)")
 
 
-@functools.cache
-def _one(field: Field) -> LinRel:
-    """ONE, the unit point 0 -> 1 spanned by (1)."""
-    return LinRel.from_vectors(field, 0, 1, [[1]])
-
-
-@functools.cache
-def _route(field: Field, c1: int, c2: int) -> LinRel:
-    """(id_c1 (x) sigma(1, c2) (x) id_1) ; (id_(c1+c2) (x) MERGE), with
-    MERGE the codiagonal 2 -> 1 spanned by (1, 1, 1)."""
-    merge = LinRel.from_vectors(field, 2, 1, [[1, 1, 1]])
-    swap = (LinRel.identity(field, c1)
-            .tensor(LinRel.symmetry(field, 1, c2))
-            .tensor(LinRel.identity(field, 1)))
-    return swap.compose(LinRel.identity(field, c1 + c2).tensor(merge))
-
+def _lift(rel: AffRel, d: int):
+    """``rel``'s basis, unreduced, with a copy of its h inserted at column
+    d: each vector (x, t) becomes (x before d, t, x from d on, t)."""
+    h = rel.dom + rel.cod
+    return [{k + (k >= d): x for k, x in w.items()}
+            | ({d: w[h]} if h in w else {}) for w in rel.hspace.rows]
 
 
 def is_aff_lagrangian(rel: AffRel) -> bool:

@@ -14,14 +14,9 @@ import functools
 from .scalar import Field, QQ
 from .linrel import K_corel, LinRel, LinRelModel
 from .setprops import Corelation, CorelModel
-from .term import (Gen, Id, PropModel, PropTerm, Signature, Sym,
-                   UnknownGenerator, arity, evaluate, par, seq)
+from .term import (Gen, Id, PropModel, PropTerm, Signature, Sym, arity,
+                   evaluate, par, seq)
 from .laws import frobenius_monoid_laws, weak_bimonoid_laws
-
-BG_SIGNATURE = Signature({
-    "1j": (2, 1), "1u": (0, 1), "1d": (1, 2), "1e": (1, 0),
-    "0j": (2, 1), "0u": (0, 1), "0d": (1, 2), "0e": (1, 0),
-})
 
 
 # name -> (dom, cod, constraint rows) on (E, F) pairs
@@ -40,12 +35,8 @@ F_CONSTRAINTS = {
     "0e": (2, 0, [[0, 1]]),
 }
 
-
-@functools.cache
-def _f_gen(field: Field, name: str) -> LinRel:
-    """A generator of ``F_CONSTRAINTS``, built once per field."""
-    dom, cod, rows = F_CONSTRAINTS[name]
-    return LinRel.from_constraints(field, dom, cod, rows)
+BG_SIGNATURE = Signature({name: (dom // 2, cod // 2)
+                          for name, (dom, cod, _r) in F_CONSTRAINTS.items()})
 
 
 class FModel(LinRelModel):
@@ -53,18 +44,10 @@ class FModel(LinRelModel):
 
     width = 2
     signature = BG_SIGNATURE
+    TABLE = F_CONSTRAINTS
 
     def __init__(self, field: Field = QQ):
         super().__init__(field)
-
-    def gen(self, name):
-        if name not in F_CONSTRAINTS:
-            raise UnknownGenerator(name)
-        return _f_gen(self.field, name)
-
-
-def _wire_eval(t: PropTerm) -> Corelation:
-    return evaluate(t, CorelModel())
 
 
 _W = {
@@ -86,7 +69,8 @@ class GModel(PropModel):
     width = 2
     signature = BG_SIGNATURE
 
-    GENERATORS = {name: _wire_eval(term) for name, term in _W.items()}
+    GENERATORS = {name: evaluate(term, CorelModel())
+                  for name, term in _W.items()}
 
 
 def F_eval(t: PropTerm, field: Field = QQ) -> LinRel:
@@ -103,13 +87,9 @@ def G_eval(t: PropTerm) -> Corelation:
 @functools.cache
 def _alpha1(field: Field) -> LinRel:
     """alpha on one port, built once per field."""
-    one, zero = field.one, field.zero
-    rows = [
-        [one, zero, one, zero, -one, zero],
-        [zero, one, zero, -one, zero, zero],
-        [zero, one, zero, zero, zero, one],
-    ]
-    return LinRel.from_constraints(field, 2, 4, rows)
+    return LinRel.from_constraints(field, 2, 4, [[1, 0, 1, 0, -1, 0],
+                                                 [0, 1, 0, -1, 0, 0],
+                                                 [0, 1, 0, 0, 0, 1]])
 
 
 def alpha(n: int, field: Field = QQ) -> LinRel:

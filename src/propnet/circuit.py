@@ -23,9 +23,10 @@ LABEL_KINDS = ("wire", "impedance", "resistor", "inductor", "capacitor",
 
 SOURCE_KINDS = ("vsource", "isource")
 
-# The most nodes a circuit file may declare.  Black-boxing cost follows the
-# edges: a chain of 2,000 resistors takes 0.2 s, and 2,000 bare nodes peak
-# at 0.6 MB (2-vCPU host, Python 3.11).
+# The most nodes a circuit file may declare; 2,000 bare nodes peak at 0.6 MB.
+# It does not bound black-boxing, whose cost follows fill, not edges: 2,000
+# nodes and 6,000 random edges did not finish in 120 s, though a chain of
+# 2,000 resistors takes 0.2 s (2-vCPU host, Python 3.11).
 MAX_NODES = 2000
 
 

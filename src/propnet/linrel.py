@@ -10,6 +10,7 @@ port is w((phi, I), (phi', I')) = phi I' - phi' I, with the conjugate
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .exactla import DimensionMismatch, Subspace, eliminate, kernel
@@ -17,7 +18,7 @@ from .scalar import Field, QS, RatFunc, format_scalar
 from .setprops import Corelation, CorelModel, InterfaceMismatch
 from .circuit import (CIRCUIT_SIGNATURE, SOURCE_KINDS, EdgeLabel, LCircuit,
                       label_from_gen_name)
-from .term import PropModel
+from .term import PropModel, UnknownGenerator
 
 
 class OddDimension(ValueError):
@@ -180,12 +181,28 @@ def K_corel(field: Field, c: Corelation) -> LinRel:
     return LinRel(2 * m, 2 * n, kernel(rows, field, 2 * (m + n)))
 
 
+@functools.cache
+def _table_gen(model: type, field: Field, name: str) -> LinRel:
+    """A generator of ``model.TABLE``, built once per field."""
+    dom, cod, rows = model.TABLE[name]
+    return LinRel.from_constraints(field, dom, cod, rows)
+
+
 class LinRelModel(PropModel):
     """Base of the models valued in linear relations over ``field``: the
-    symmetries, and so the identities, on ``width`` wires per object."""
+    symmetries, and so the identities, on ``width`` wires per object, and
+    the generators named in ``TABLE``, name -> (dom, cod, constraint
+    rows), where dom and cod count wires."""
+
+    TABLE: dict = {}
 
     def __init__(self, field: Field = QS):
         self.field = field
+
+    def gen(self, name):
+        if name not in self.TABLE:
+            raise UnknownGenerator(name)
+        return _table_gen(type(self), self.field, name)
 
     def symmetry(self, m, n):
         return LinRel.symmetry(self.field, self.width * m, self.width * n)

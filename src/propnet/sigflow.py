@@ -9,14 +9,13 @@ evaluated translation must match black-boxing.
 
 from __future__ import annotations
 
-import functools
-
 from .scalar import Field, QS, format_scalar
 from .linrel import (LinRel, LinRelModel, UnsupportedLabel, blackbox,
                      label_impedance)
-from .circuit import CircuitModel, SOURCE_KINDS, label_from_gen_name
-from .term import (Gen, Id, PropTerm, Signature, Sym, UnknownGenerator,
-                   dag_fold, evaluate, par, seq)
+from .circuit import (CIRCUIT_SIGNATURE, CircuitModel, SOURCE_KINDS,
+                      label_from_gen_name)
+from .term import (Gen, Id, PropTerm, Signature, Sym, arity, dag_fold,
+                   evaluate, par, seq)
 
 
 def _scalar_resolver(name):
@@ -25,40 +24,32 @@ def _scalar_resolver(name):
     return None
 
 
-# name -> (dom, cod, spanning vectors)
-SIGFLOW_VECTORS = {
-    "codup": (2, 1, [[1, 1, 1]]), "codel": (0, 1, [[1]]),
-    "dup": (1, 2, [[1, 1, 1]]), "del": (1, 0, [[1]]),
-    "add": (2, 1, [[1, 0, 1], [0, 1, 1]]),
-    "coadd": (1, 2, [[1, 1, 0], [1, 0, 1]]),
-    "zero": (0, 1, []), "cozero": (1, 0, []),
+# name -> (dom, cod, constraint rows)
+SIGFLOW_CONSTRAINTS = {
+    "codup": (2, 1, [[1, -1, 0], [1, 0, -1]]), "codel": (0, 1, []),
+    "dup": (1, 2, [[1, -1, 0], [1, 0, -1]]), "del": (1, 0, []),
+    "add": (2, 1, [[1, 1, -1]]), "coadd": (1, 2, [[1, -1, -1]]),
+    "zero": (0, 1, [[1]]), "cozero": (1, 0, [[1]]),
 }
 
 SIGFLOW_SIGNATURE = Signature(
-    {name: (dom, cod) for name, (dom, cod, _v) in SIGFLOW_VECTORS.items()},
+    {name: (dom, cod)
+     for name, (dom, cod, _r) in SIGFLOW_CONSTRAINTS.items()},
     resolver=_scalar_resolver)
-
-
-@functools.cache
-def _table_gen(field: Field, name: str) -> LinRel:
-    """A generator of ``SIGFLOW_VECTORS``, built once per field."""
-    dom, cod, vecs = SIGFLOW_VECTORS[name]
-    return LinRel.from_vectors(field, dom, cod, vecs)
 
 
 class SigFlowModel(LinRelModel):
     """The functor into linear relations, port width 1."""
 
     signature = SIGFLOW_SIGNATURE
+    TABLE = SIGFLOW_CONSTRAINTS
 
     def gen(self, name):
         field = self.field
         if name.startswith("scalar:"):
             c = field.parse(name.split(":", 1)[1])
             return LinRel.from_vectors(field, 1, 1, [[field.one, c]])
-        if name not in SIGFLOW_VECTORS:
-            raise UnknownGenerator(name)
-        return _table_gen(field, name)
+        return super().gen(name)
 
 
 def box_eval(t: PropTerm, field: Field = QS) -> LinRel:
@@ -119,7 +110,8 @@ def translate_T(t: PropTerm, field: Field = QS) -> PropTerm:
 
 def square_check(t: PropTerm, field: Field = QS) -> bool:
     """Both ways around the square: translate then evaluate, or build the
-    circuit and black-box it."""
+    circuit and black-box it.  ``t`` is checked before it is translated."""
+    arity(t, CIRCUIT_SIGNATURE)
     left = box_eval(translate_T(t, field), field)
     right = blackbox(evaluate(t, CircuitModel()), field)
     return left == right

@@ -288,9 +288,6 @@ class PropModel:
         """The tensor of a ``(par ...)`` form's values, top first."""
         return first.tensor(*rest)
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
 
 def _power(seq, value, r):
     """``value`` composed with itself r >= 1 times, by squaring: one binary
@@ -342,7 +339,7 @@ def evaluate(t: PropTerm, model: PropModel):
 
 
 def model_equal(model: PropModel, s: PropTerm, t: PropTerm) -> bool:
-    return model.eq(evaluate(s, model), evaluate(t, model))
+    return evaluate(s, model) == evaluate(t, model)
 
 
 # ---------------------------------------------------------------------------

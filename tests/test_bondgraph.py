@@ -45,6 +45,13 @@ def test_F_generator_tables():
         m.gen("2j")
 
 
+def test_signature_follows_the_constraint_table():
+    assert BG_SIGNATURE.table == {
+        "1j": (2, 1), "1u": (0, 1), "1d": (1, 2), "1e": (1, 0),
+        "0j": (2, 1), "0u": (0, 1), "0d": (1, 2), "0e": (1, 0),
+    }
+
+
 def test_F_lagrangian():
     m = FModel(QQ)
     for name in BG_GENS:

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -7,7 +8,8 @@ from propnet.circuit import MAX_NODES, circuit_from_json
 from propnet.cli import SUITES, _models, build_parser, main
 from propnet.linrel import impedance_rel, parse_linrel
 from propnet.scalar import FIELDS, MAX_NESTING, QQ, QS
-from propnet.term import MAX_WIDTH, Gen, Id, Sym, model_equal, par, seq
+from propnet.term import (MAX_WIDTH, Gen, Id, Sym, arity, model_equal, par,
+                          seq)
 
 
 def run(capsys, *argv):
@@ -222,6 +224,29 @@ def test_alpha_and_square_commands(capsys):
     code, out, _err = run(capsys, "square", "--term",
                           "(seq (label resistor 2) (label inductor 1))")
     assert code == 0 and out.strip() == "PASS"
+
+
+@pytest.mark.parametrize("command, term", [
+    ("alpha", "(seq (gen 1d) (gen 1j))"),
+    ("square", "(seq (label resistor 2) (gen d) (gen m))"),
+])
+def test_checks_walk_arity_once_per_term(capsys, monkeypatch, command,
+                                         term):
+    """Each check checks its own term and each ``evaluate`` its own, so a
+    check that evaluates two terms walks arity three times."""
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(args[0])
+        return arity(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("propnet") and \
+                getattr(module, "arity", None) is arity:
+            monkeypatch.setattr(module, "arity", counted)
+    code, out, _err = run(capsys, command, "--term", term, "--field", "qs")
+    assert (code, out) == (0, "PASS\n")
+    assert len(walks) == 3
 
 
 def test_error_paths(capsys):

@@ -7,7 +7,8 @@ from propnet.laws import bimonoid_laws, frobenius_monoid_laws, run_suite
 from propnet.linrel import (CorelToLinRelModel, LinRel, UnsupportedLabel,
                             impedance_rel)
 from propnet.scalar import QQ, QS, RatFunc
-from propnet.sigflow import (SIGFLOW_SIGNATURE, SigFlowModel, box_eval,
+from propnet.sigflow import (SIGFLOW_CONSTRAINTS, SIGFLOW_SIGNATURE,
+                             SigFlowModel, box_eval,
                              square_check, translate_T)
 from propnet.term import (Gen, Id, Par, Seq, arity, evaluate, format_term,
                           parse_term, seq)
@@ -27,6 +28,29 @@ def test_generator_relations():
     assert m.gen("zero").space.contains([zero])
     assert m.gen("zero").space.dim == 0
     assert m.gen("scalar:-1/3").space.contains([QQ.coerce(3), -one])
+
+
+# the generators as spanning vectors, name -> (dom, cod, vectors)
+SIGFLOW_VECTORS = {
+    "codup": (2, 1, [[1, 1, 1]]), "codel": (0, 1, [[1]]),
+    "dup": (1, 2, [[1, 1, 1]]), "del": (1, 0, [[1]]),
+    "add": (2, 1, [[1, 0, 1], [0, 1, 1]]),
+    "coadd": (1, 2, [[1, 1, 0], [1, 0, 1]]),
+    "zero": (0, 1, []), "cozero": (1, 0, []),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["q", "qs"])
+def test_constraint_table_matches_spanning_vectors(field):
+    assert SIGFLOW_CONSTRAINTS.keys() == SIGFLOW_VECTORS.keys()
+    model = SigFlowModel(field)
+    for name, (dom, cod, vecs) in SIGFLOW_VECTORS.items():
+        rel = model.gen(name)
+        assert (rel.dom, rel.cod) == (dom, cod)
+        assert rel.space.rows == \
+            LinRel.from_vectors(field, dom, cod, vecs).space.rows, name
+        # built once per field
+        assert model.gen(name) is SigFlowModel(field).gen(name)
 
 
 def test_scalar_composition():
