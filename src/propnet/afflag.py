@@ -70,9 +70,6 @@ class AffRel:
         return LinRel(self.dom, self.cod, Subspace.span(
             self.field, h, eliminate(self.hspace.rows, self.field, [h])))
 
-    def contains(self, point) -> bool:
-        return self.hspace.contains(list(point) + [self.field.one])
-
     def compose(self, other: "AffRel") -> "AffRel":
         """``compose_bases`` of f#, read as dom -> cod+1, and g's basis
         lifted to (mid+1) -> (cod+1): the middle is the wires plus h, so

@@ -14,8 +14,8 @@ import functools
 from .scalar import Field, QQ
 from .linrel import K_corel, LinRel, LinRelModel
 from .setprops import Corelation, CorelModel
-from .term import (Gen, Id, PropModel, PropTerm, Signature, Sym, arity,
-                   evaluate, par, seq)
+from .term import (Gen, Id, PropModel, PropTerm, Signature, Sym, evaluate,
+                   par, seq)
 from .laws import frobenius_monoid_laws, weak_bimonoid_laws
 
 
@@ -99,10 +99,11 @@ def alpha(n: int, field: Field = QQ) -> LinRel:
 
 
 def _alpha_kg(t: PropTerm, field: Field):
-    """alpha_m then K(G(t)), and alpha_n, for t : m -> n."""
-    m, n = arity(t, BG_SIGNATURE)
-    kg = K_corel(field, G_eval(t))
-    return alpha(m, field).compose(kg), alpha(n, field)
+    """alpha_m then K(G(t)), and alpha_n, for t : m -> n.  G doubles
+    every port, so m and n are half the sides of G(t)."""
+    g = G_eval(t)
+    kg = K_corel(field, g)
+    return alpha(g.m // 2, field).compose(kg), alpha(g.n // 2, field)
 
 
 def check_naturality(t: PropTerm, field: Field = QQ) -> bool:

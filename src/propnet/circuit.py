@@ -42,7 +42,7 @@ class EdgeLabel:
             if self.value is not None:
                 raise ValueError("wire takes no value")
         elif self.kind in ("resistor", "inductor", "capacitor"):
-            if not isinstance(self.value, Fraction) or self.value <= 0:
+            if type(self.value) not in (int, Fraction) or self.value <= 0:
                 raise ValueError(f"{self.kind} needs a positive rational")
         else:
             if not isinstance(self.value, RatFunc):

@@ -16,7 +16,7 @@ from .scalar import FIELDS, QS, format_scalar
 from .term import Gen, Id, Sym, evaluate, par, parse_term, seq
 from .setprops import (BoolRelModel, Corelation, CorelModel, CospanModel,
                        NatSpanModel, format_corel)
-from .circuit import CircuitModel, SOURCE_KINDS, load_circuit
+from .circuit import CircuitModel, LCircuit, SOURCE_KINDS, load_circuit
 from .linrel import (CorelToLinRelModel, LinRel, blackbox,
                      format_constraints, format_linrel)
 from .afflag import aff_blackbox, format_affrel
@@ -177,7 +177,20 @@ def _distinguish(a, b):
                 if not y.space.contains(v):
                     lits = ", ".join(map(format_scalar, v))
                     return f"vector ({lits}) in {which} only"
-    return f"first: {_show_value(a)}\nsecond: {_show_value(b)}"
+    first, second = _show_value(a), _show_value(b)
+    if first == second and isinstance(a, LCircuit):
+        first, second = _show_circuit(a), _show_circuit(b)
+    return f"first: {first}\nsecond: {second}"
+
+
+def _show_circuit(c: LCircuit) -> str:
+    """The counts, then the legs and the labelled edges in the numbering
+    that ``==`` compares, so unequal circuits never print alike."""
+    _nodes, inputs, outputs, edges = c.canonical_key()
+    legs = [" ".join(map(str, side)) or "none" for side in (inputs, outputs)]
+    arrows = ", ".join(f"{s}->{t} {kind} {value}".rstrip()
+                       for s, t, (kind, value) in edges)
+    return f"{c!r} legs {legs[0]} -> {legs[1]}; edges {arrows or 'none'}"
 
 
 def _cmd_blackbox(args) -> int:

@@ -1,8 +1,14 @@
 """Exact linear algebra over a scalar field, on sparse rows.
 
 A row is a dict from column to nonzero entry, and its entries are already
-field elements (the public constructors coerce dense raw data).  A
-subspace is stored as its reduced echelon basis: sparse rows, each with
+field elements in their stored form (the public constructors coerce dense
+raw data): over Q an int exactly when integral, else a Fraction (see
+``scalar``).  A product or a sum of two Fractions can be integral, so each
+one stored is brought back to that form (``scalar.stored``), and a pivot is
+inverted with ``field.inv``, never with ``/``, which would turn two ints
+into a float.
+
+A subspace is stored as its reduced echelon basis: sparse rows, each with
 pivot 1 at its least column, in increasing pivot order.  That form is
 unique, so equal subspaces have equal rows; ``Subspace.basis`` is a dense
 view, built on read.  Generator relations have entries 0 and +-1 and about
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 
-from .scalar import Field, RatFunc
+from .scalar import Field, RatFunc, stored
 
 
 class DimensionMismatch(ValueError):
@@ -61,8 +67,8 @@ def rref(rows, field: Field):
         if unit == -1:
             row = {j: -x for j, x in row.items()}
         elif not unit:
-            inv = one / p
-            row = {j: x * inv for j, x in row.items()}
+            inv = field.inv(p)
+            row = {j: stored(x * inv) for j, x in row.items()}
         row[c] = one
         if c in seen:
             for prow in done.values():
@@ -80,11 +86,11 @@ def _subtract(row, f, prow, c, one, minus_one):
     unit = _unit(f, one, minus_one)
     for j, x in prow.items():
         if j != c:
-            t = (x if unit == 1 else -x) if unit else f * x
+            t = (x if unit == 1 else -x) if unit else stored(f * x)
             if j not in row:
                 row[j] = -t
             elif y := row[j] - t:
-                row[j] = y
+                row[j] = stored(y)
             else:
                 del row[j]
 
@@ -242,12 +248,12 @@ def eliminate(rows, field: Field, columns):
             # decided once for all the rows it is subtracted from, the
             # entries' when first needed
             inv_unit = _unit(p, one, minus_one)
-            inv = p if inv_unit else one / p
+            inv = p if inv_unit else field.inv(p)
             units = None
         for i in targets:
             row = rows[i]
             f = -row.pop(c)
-            g = (f if inv_unit == 1 else -f) if inv_unit else f * inv
+            g = (f if inv_unit == 1 else -f) if inv_unit else stored(f * inv)
             g_unit = _unit(g, one, minus_one)
             if g_unit:
                 terms = (prow.items() if g_unit == 1
@@ -255,10 +261,10 @@ def eliminate(rows, field: Field, columns):
             else:
                 if units is None:
                     units = [_unit(x, one, minus_one) for x in prow.values()]
-                terms = [(j, (g if u == 1 else -g) if u else g * x)
+                terms = [(j, (g if u == 1 else -g) if u else stored(g * x))
                          for (j, x), u in zip(prow.items(), units)]
             for j, t in terms:
-                row[j] = row[j] + t if j in row else t
+                row[j] = stored(row[j] + t) if j in row else t
                 if not row[j]:
                     del row[j]
             for j in changed:

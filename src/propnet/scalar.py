@@ -1,11 +1,22 @@
 """Exact scalar arithmetic: rationals and rational functions in ``s``.
 
-Plain rationals are ``fractions.Fraction`` (already canonical: positive
-denominator, reduced).  A polynomial is stored fraction-free, as one
-Fraction content times a primitive integer tuple, so its arithmetic is
-integer arithmetic plus one Fraction operation.  Rational functions are
-kept canonical with a monic denominator and coprime numerator/denominator,
-so equality is plain structural equality.
+A rational is stored as a Python ``int`` exactly when it is integral, and
+as a ``fractions.Fraction`` (positive denominator, reduced) only
+otherwise.  Almost every entry the engine meets is 0, 1, -1 or a small
+integer, and integer arithmetic skips the instance checks and the gcd of
+every Fraction operation.  An ``int`` is a ``numbers.Rational`` and
+compares and hashes equal to the equal Fraction, so the stored form is
+unique and equality stays structural.  ``int / int`` is a float, so no
+field value is divided with ``/``: an inverse is ``Field.inv``, and a
+quotient of rationals is built as ``Fraction(a, b)`` and brought to its
+stored form by ``stored``.  Only the literal parser divides with ``/``,
+and its values are Fractions and RatFuncs.
+
+A polynomial is stored fraction-free, as one rational content times a
+primitive integer tuple, so its arithmetic is integer arithmetic plus one
+operation on the contents.  Rational functions are kept canonical with a
+monic denominator and coprime numerator/denominator, so equality is plain
+structural equality.
 
 Most rational functions met in practice have a constant part (circuit
 matrices are full of 0, 1 and -1, and resistor values are constants), and
@@ -58,24 +69,25 @@ _DIGITS = "0123456789"
 class Poly:
     """Polynomial in ``s``: ``content * prim[k]`` is the coefficient of
     ``s^k``.  ``prim`` is a tuple of coprime integers whose last is
-    positive, ``content`` a nonzero Fraction with the sign; the zero
-    polynomial is ``()`` with content 0.  The form is unique, so equality
-    is structural.  Products of primitive parts are primitive (Gauss's
-    lemma): a product takes no gcd, and negation, scaling and ``monic``
-    change only the content.  A sum takes one gcd in ``_primitive``.
+    positive, ``content`` a nonzero stored rational with the sign; the
+    zero polynomial is ``()`` with content 0.  The form is unique, so
+    equality is structural.  Products of primitive parts are primitive
+    (Gauss's lemma): a product takes no gcd, and negation, scaling and
+    ``monic`` change only the content.  A sum takes one gcd in
+    ``_primitive``.
     """
 
     __slots__ = ("content", "prim")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else _exact(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         self.content, self.prim = _primitive(
             [c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def const(cls, c) -> "Poly":
-        c = c if isinstance(c, Fraction) else _exact(c)
+        c = _exact(c)
         return _poly(c, (1,)) if c else _ZERO
 
     @classmethod
@@ -84,9 +96,9 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as Fractions, lowest degree first."""
+        """The coefficients as stored rationals, lowest degree first."""
         n, d = self.content.numerator, self.content.denominator
-        return tuple(Fraction(n * x, d) for x in self.prim)
+        return tuple(_div(n * x, d) for x in self.prim)
 
     def is_zero(self) -> bool:
         return not self.prim
@@ -96,9 +108,11 @@ class Poly:
         # -1 is the sentinel degree of the zero polynomial
         return len(self.prim) - 1
 
-    def leading(self) -> Fraction:
+    def leading(self):
         p = self.prim
-        return self.content * p[-1] if p and p[-1] != 1 else self.content
+        if p and p[-1] != 1:
+            return stored(self.content * p[-1])
+        return self.content
 
     def __add__(self, other: "Poly") -> "Poly":
         # over the common denominator of the contents
@@ -132,18 +146,17 @@ class Poly:
                     for j, y in enumerate(b, i):
                         out[j] += x * y
             prim = tuple(out)
-        return _poly(self.content * other.content, prim)
+        return _poly(stored(self.content * other.content), prim)
 
     def scale(self, c) -> "Poly":
-        if not isinstance(c, Fraction):
-            c = _exact(c)
+        c = _exact(c)
         if not c or not self.prim:
             return _ZERO
-        return _poly(self.content * c, self.prim)
+        return _poly(stored(self.content * c), self.prim)
 
     def monic(self) -> "Poly":
         p = self.prim
-        return _poly(Fraction(1, p[-1]), p) if p else self
+        return _poly(_div(1, p[-1]), p) if p else self
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
@@ -151,7 +164,7 @@ class Poly:
         q, r = _ZERO, self
         dlead = other.leading()
         while not r.is_zero() and r.degree >= other.degree:
-            t = _poly(r.leading() / dlead,
+            t = _poly(_div(r.leading(), dlead),
                       (0,) * (r.degree - other.degree) + (1,))
             q = q + t
             r = r - t * other
@@ -171,7 +184,7 @@ class Poly:
         return f"Poly({format_poly(self)!r})"
 
 
-def _poly(content: Fraction, prim: tuple) -> Poly:
+def _poly(content, prim: tuple) -> Poly:
     """The polynomial whose stored form, already canonical, is given."""
     p = object.__new__(Poly)
     p.content, p.prim = content, prim
@@ -185,20 +198,35 @@ def _primitive(ints, den: int):
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
-        return Fraction(0), ()
+        return 0, ()
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [x // g for x in ints]
-    return Fraction(g, den), tuple(ints)
+    return _div(g, den), tuple(ints)
 
 
-def _exact(c) -> Fraction:
-    """``c`` as a Fraction; a float is refused, since it is not exact."""
+def _div(a, b):
+    """a/b for stored rationals a and b, in its stored form."""
+    return a if b == 1 else stored(Fraction(a, b))
+
+
+def stored(x):
+    """A field value in its stored form: an integral Fraction is its int,
+    and any other value (an int, another Fraction, a RatFunc) already
+    is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _exact(c):
+    """``c`` in its stored form; a float is refused, since it is not
+    exact."""
+    if type(c) is int:
+        return c
     if isinstance(c, float):
         raise TypeError(f"inexact coefficient {c!r}; use a Fraction")
-    return Fraction(c)
+    return stored(c if isinstance(c, Fraction) else Fraction(c))
 
 
 _ZERO = Poly()
@@ -218,7 +246,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     h = _heu_gcd(a.prim, b.prim)
     if h is None:
         return _euclid_gcd(a, b)
-    return _ONE if len(h) == 1 else _poly(Fraction(1, h[-1]), tuple(h))
+    return _ONE if len(h) == 1 else _poly(_div(1, h[-1]), tuple(h))
 
 
 def _euclid_gcd(a: Poly, b: Poly) -> Poly:
@@ -316,8 +344,8 @@ def _cancel(num: Poly, den: Poly, g: Poly):
     qn = _exact_quo(num.prim, g.prim)
     qd = _exact_quo(den.prim, g.prim)
     lead = qd[-1]
-    num = _poly(num.content / (den.content * lead), tuple(qn))
-    return num, (_ONE if len(qd) == 1 else _poly(Fraction(1, lead), tuple(qd)))
+    num = _poly(_div(num.content, den.content * lead), tuple(qn))
+    return num, (_ONE if len(qd) == 1 else _poly(_div(1, lead), tuple(qd)))
 
 
 class RatFunc:
@@ -356,7 +384,7 @@ class RatFunc:
                 return
         lead = den.leading()
         if lead != 1:
-            num, den = num.scale(1 / lead), den.monic()
+            num, den = num.scale(_div(1, lead)), den.monic()
         # every constant denominator is the shared _ONE (see __mul__)
         self.num, self.den = num, (_ONE if len(den.prim) == 1 else den)
 
@@ -430,7 +458,7 @@ class RatFunc:
             raise DivisionByZero("inverse of zero rational function")
         lead = num.leading()
         if lead != 1:
-            num, den = num.monic(), den.scale(1 / lead)
+            num, den = num.monic(), den.scale(_div(1, lead))
         return RatFunc._canonical(den, _ONE if len(num.prim) == 1 else num)
 
     def __truediv__(self, other):
@@ -463,23 +491,33 @@ class RatFunc:
 # Field descriptors.  exactla and everything above it is generic over these.
 
 class Field:
-    def __init__(self, name, zero, one, coerce, parse):
+    """A scalar field: its zero and one, ``coerce`` and ``parse`` into its
+    values, and ``inv``, the one way a value is divided by."""
+
+    def __init__(self, name, zero, one, coerce, parse, inv):
         self.name = name
         self.zero = zero
         self.one = one
         self.coerce = coerce
         self.parse = parse
+        self.inv = inv
 
     def __repr__(self):
         return f"Field({self.name})"
 
 
 def _coerce_q(x):
-    if isinstance(x, Fraction):
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return stored(x)
+    if isinstance(x, int):  # a bool, say
+        return int(x)
     raise TypeError(f"not a rational: {x!r}")
+
+
+def _inv_q(x):
+    return _div(1, x)
 
 
 def _coerce_qs(x):
@@ -653,13 +691,15 @@ def _parse(src: str, atom):
     return val
 
 
-def parse_rat(src: str) -> Fraction:
+def parse_rat(src: str):
+    """The value of a literal in its stored form; the parser's own
+    arithmetic is on Fractions."""
     def atom(x):
         if x == "s":
             raise ScalarParseError("variable s is not a rational number")
         return Fraction(x)
 
-    return _parse(src, atom)
+    return stored(_parse(src, atom))
 
 
 def parse_ratfunc(src: str) -> RatFunc:
@@ -687,14 +727,14 @@ def format_poly(p: Poly) -> str:
     return "".join(parts)
 
 
-def _fmt_coeff(c: Fraction) -> str:
+def _fmt_coeff(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"({c.numerator}/{c.denominator})"
 
 
 def format_scalar(x) -> str:
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return str(x)
     if isinstance(x, RatFunc):
         if x.den == Poly.const(1):
@@ -703,7 +743,8 @@ def format_scalar(x) -> str:
     raise TypeError(f"not a scalar: {x!r}")
 
 
-QQ = Field("q", Fraction(0), Fraction(1), _coerce_q, parse_rat)
-QS = Field("qs", RatFunc.const(0), RatFunc.const(1), _coerce_qs, parse_ratfunc)
+QQ = Field("q", 0, 1, _coerce_q, parse_rat, _inv_q)
+QS = Field("qs", RatFunc.const(0), RatFunc.const(1), _coerce_qs,
+           parse_ratfunc, RatFunc.inv)
 
 FIELDS = {"q": QQ, "qs": QS}

@@ -12,10 +12,9 @@ from __future__ import annotations
 from .scalar import Field, QS, format_scalar
 from .linrel import (LinRel, LinRelModel, UnsupportedLabel, blackbox,
                      label_impedance)
-from .circuit import (CIRCUIT_SIGNATURE, CircuitModel, SOURCE_KINDS,
-                      label_from_gen_name)
-from .term import (Gen, Id, PropTerm, Signature, Sym, arity, dag_fold,
-                   evaluate, par, seq)
+from .circuit import CircuitModel, SOURCE_KINDS, label_from_gen_name
+from .term import (Gen, Id, PropTerm, Signature, Sym, dag_fold, evaluate,
+                   par, seq)
 
 
 def _scalar_resolver(name):
@@ -110,8 +109,8 @@ def translate_T(t: PropTerm, field: Field = QS) -> PropTerm:
 
 def square_check(t: PropTerm, field: Field = QS) -> bool:
     """Both ways around the square: translate then evaluate, or build the
-    circuit and black-box it.  ``t`` is checked before it is translated."""
-    arity(t, CIRCUIT_SIGNATURE)
+    circuit and black-box it.  The circuit is built first, so that its
+    ``evaluate`` checks ``t`` before it is translated."""
+    circuit = evaluate(t, CircuitModel())
     left = box_eval(translate_T(t, field), field)
-    right = blackbox(evaluate(t, CircuitModel()), field)
-    return left == right
+    return left == blackbox(circuit, field)

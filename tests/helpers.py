@@ -115,6 +115,12 @@ def rand_fraction(rng, positive=False):
     return Fraction(num, rng.randint(1, 6))
 
 
+def is_stored(q) -> bool:
+    """Whether a rational is in its stored form: an int exactly when it
+    is integral, else a Fraction."""
+    return type(q) is int or type(q) is Fraction and q.denominator != 1
+
+
 def rand_poly(rng, max_deg=2):
     coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(max_deg + 1)]
     return Poly(coeffs)
@@ -228,8 +234,8 @@ def dense_rref(rows, field):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        rows[r] = [x / p for x in rows[r]]
+        inv = field.inv(rows[r][c])
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != field.zero:
                 f = rows[i][c]
@@ -268,10 +274,16 @@ def sympy_poly(sympy, s, p):
 
 
 def to_sympy(sympy, s, x):
-    """A Fraction or RatFunc as a sympy expression in the symbol s."""
-    if isinstance(x, Fraction):
+    """An int, Fraction or RatFunc as a sympy expression in the symbol s."""
+    if isinstance(x, (int, Fraction)):
         return sympy.Rational(x.numerator, x.denominator)
     return sympy_poly(sympy, s, x.num) / sympy_poly(sympy, s, x.den)
+
+
+def aff_contains(rel, point) -> bool:
+    """Whether the affine relation ``rel`` holds the dense ``point``: its
+    homogenized span holds the point with h = 1."""
+    return rel.hspace.contains(list(point) + [rel.field.one])
 
 
 def witness(rel):
@@ -280,7 +292,7 @@ def witness(rel):
     h = rel.dom + rel.cod
     for v in rel.hspace.basis:
         if v[h] != rel.field.zero:
-            scale = rel.field.one / v[h]
+            scale = rel.field.inv(v[h])
             return tuple(x * scale for x in v[:h])
     return None
 

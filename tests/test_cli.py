@@ -232,8 +232,9 @@ def test_alpha_and_square_commands(capsys):
 ])
 def test_checks_walk_arity_once_per_term(capsys, monkeypatch, command,
                                          term):
-    """Each check checks its own term and each ``evaluate`` its own, so a
-    check that evaluates two terms walks arity three times."""
+    """Only ``evaluate`` walks arity, once per term it evaluates: alpha
+    evaluates t under G and F, square t as a circuit and its translation,
+    so each walks it twice."""
     walks = []
 
     def counted(*args, **kwargs):
@@ -246,7 +247,7 @@ def test_checks_walk_arity_once_per_term(capsys, monkeypatch, command,
             monkeypatch.setattr(module, "arity", counted)
     code, out, _err = run(capsys, command, "--term", term, "--field", "qs")
     assert (code, out) == (0, "PASS\n")
-    assert len(walks) == 3
+    assert len(walks) == 2
 
 
 def test_error_paths(capsys):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,9 @@ from propnet.exactla import (DimensionMismatch, Subspace, eliminate, kernel,
 from propnet.linrel import LinRel
 from propnet.scalar import QQ, QS, RatFunc
 
-from helpers import (PROPERTY, dense_rref, rand_fraction, rand_ratfunc,
-                     rand_rows, rand_scalar, rank, scalars, sparse_rows,
-                     to_dense, to_sparse, to_sympy)
+from helpers import (PROPERTY, dense_rref, is_stored, rand_fraction,
+                     rand_ratfunc, rand_rows, rand_scalar, rank, scalars,
+                     sparse_rows, to_dense, to_sparse, to_sympy)
 
 
 def test_rref_idempotent_and_pivots():
@@ -197,6 +198,24 @@ def test_rref_is_idempotent(field, data):
     assert pivots2 == pivots
     assert _forms(to_dense(again, len(rows[0]), field)) == \
         _forms(to_dense(red, len(rows[0]), field))
+
+
+def test_sums_and_products_of_fractions_are_stored():
+    """Halves and thirds that add or multiply to integers: every entry
+    that rref, kernel and eliminate give over q is an int exactly when it
+    is integral."""
+    rng = random.Random(22)
+    values = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2),
+              Fraction(3, 2), Fraction(2, 3), Fraction(-1, 3),
+              Fraction(1, 4)]
+    for _ in range(2000):
+        width = rng.randint(1, 4)
+        rows = [{j: x for j in range(width) if (x := rng.choice(values))}
+                for _ in range(rng.randint(1, 4))]
+        gone = [j for j in range(width) if rng.random() < 0.5]
+        for out in (rref(rows, QQ)[0], kernel(rows, QQ, width).rows,
+                    eliminate(rows, QQ, gone)):
+            assert all(is_stored(x) for r in out for x in r.values()), out
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,10 @@ def test_every_public_definition_is_used():
     """A public function, class or method of ``src/propnet`` is referenced
     by name outside its own definition: by the engine, by a package export
     or by the benchmark.  A reference from a test does not count: code
-    that only tests call belongs in ``tests/helpers.py``."""
+    that only tests call belongs in ``tests/helpers.py``.  Names are
+    matched bare, so a method counts as used whenever any attribute of
+    its name is looked up, a same-named method of another class included:
+    a test-only method that shares its name with a used one passes."""
     trees = {p: parse(p) for p in [*SRC.glob("*.py"),
                                    *PERFBENCH.glob("*.py")]}
     counts = sum((identifiers(t) for t in trees.values()), Counter())
@@ -151,3 +154,44 @@ def test_no_function_names_itself():
     found = [f"{path.stem}.{name}" for path in MODULES
              for name in self_naming(parse(path))]
     assert sorted(found) == sorted(SELF_NAMING)
+
+
+# Functions that may hold a true division, each with why it stays exact:
+# ``int / int`` is a float, so a field value is divided only by way of
+# ``Field.inv`` or ``Fraction``.
+TRUE_DIVISION = {
+    "scalar._parse_term": "the literal parser's values are Fraction or "
+                          "RatFunc",
+    "scalar._parse_factor": "the same parser's negative powers",
+}
+
+
+def true_divisions(tree):
+    """The innermost function, or ``<module>``, around each ``/`` and
+    ``/=`` of a tree, with its line."""
+    found = []
+    stack = [(tree, "<module>")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.Div):
+            found.append((where, node.lineno))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        stack += [(child, where) for child in ast.iter_child_nodes(node)]
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_finds_a_true_division():
+    src = ast.parse("x = 1 / 2\ny = 7 // 2\n\n"
+                    "def f(a):\n    def g(b):\n        return b / 3\n"
+                    "    a /= 3\n    return a % 2\n")
+    assert true_divisions(src) == [("<module>", 1), ("g", 6), ("f", 7)]
+
+
+def test_no_true_division():
+    """No ``/`` on field values outside the literal parser, so that no
+    float can enter an exact computation."""
+    found = {f"{path.stem}.{where}" for path in MODULES
+             for where, _line in true_divisions(parse(path))}
+    assert sorted(found) == sorted(TRUE_DIVISION)

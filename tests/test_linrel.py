@@ -13,15 +13,17 @@ from propnet.linrel import (CorelToLinRelModel, K_corel, LinRel, OddDimension,
                             UnsupportedLabel, blackbox, format_linrel,
                             impedance_rel, is_lagrangian, parse_linrel,
                             rlc_rel)
-from propnet.exactla import DimensionMismatch, Subspace
-from propnet.scalar import QQ, QS, RatFunc
+from propnet.exactla import (DimensionMismatch, Subspace, eliminate, kernel,
+                             rref)
+from propnet.scalar import QQ, QS, Poly, RatFunc
 from propnet.setprops import CorelModel
 from propnet.term import MAX_WIDTH, evaluate, parse_term
 
-from helpers import (PROPERTY, RLC_KINDS, circuit_kernel, circuits,
-                     composable_rows, ladder_circuit, lagrangian_oracle,
-                     rand_circuit, rand_circuit_gens, rand_corelation,
-                     rand_term, scalars, sparse_rows, stacked_composite)
+from helpers import (PROPERTY, RLC_KINDS, aff_contains, circuit_kernel,
+                     circuits, composable_rows, is_stored, ladder_circuit,
+                     lagrangian_oracle, rand_circuit, rand_circuit_gens,
+                     rand_corelation, rand_term, scalars, sparse_rows,
+                     stacked_composite, to_sparse)
 
 
 def _member(rel, vec):
@@ -230,6 +232,81 @@ def test_identity_and_symmetry_are_reduced(field):
             assert _is_reduced(AffRel.symmetry(field, m, n).hspace)
 
 
+# ---------------------------------------------------------------------------
+# exactness: a rational is stored as an int exactly when it is integral,
+# and no operation lets a float in
+
+def _as_ints(x):
+    """A rational in its stored form; a RatFunc as it is."""
+    return x if isinstance(x, RatFunc) else QQ.coerce(x)
+
+
+def _as_fractions(x):
+    """The same value with every integral rational in it a Fraction."""
+    if isinstance(x, RatFunc):
+        return RatFunc(Poly([Fraction(c) for c in x.num.coeffs]),
+                       Poly([Fraction(c) for c in x.den.coeffs]))
+    return Fraction(x)
+
+
+def _assert_exact(field, rows):
+    """Every entry a stored rational over q, and over q(s) a RatFunc whose
+    parts have stored contents and coefficients."""
+    for row in rows:
+        for x in row.values():
+            if field is QQ:
+                assert is_stored(x), x
+            else:
+                assert type(x) is RatFunc, x
+                assert all(is_stored(c) for p in (x.num, x.den)
+                           for c in (p.content, *p.coeffs)), x
+
+
+def _exact_results(field, convert, rows, gone, composable, circuit):
+    """The rows of rref, kernel, eliminate, the coercing constructors,
+    compose, tensor and blackbox on inputs whose values are given through
+    ``convert``, and the printed black box."""
+    dense = [[convert(x) for x in r] for r in rows]
+    width = len(dense[0])
+    sparse = to_sparse([[field.coerce(x) for x in r] for r in dense])
+    dom, mid, cod, frows, grows = composable
+    f = LinRel.from_constraints(field, dom, mid,
+                                [[convert(x) for x in r] for r in frows])
+    g = LinRel.from_constraints(field, mid, cod,
+                                [[convert(x) for x in r] for r in grows])
+    edges = [(s, t, lab if lab.value is None
+              else EdgeLabel(lab.kind, convert(lab.value)))
+             for s, t, lab in circuit.graph.edges]
+    box = blackbox(LCircuit(LGraph(circuit.graph.node_count, edges),
+                            circuit.inputs, circuit.outputs), field)
+    rowsets = [rref(sparse, field)[0], kernel(sparse, field, width).rows,
+               eliminate(sparse, field, gone),
+               Subspace(field, width, dense).rows, f.space.rows,
+               f.compose(g).space.rows, f.tensor(g).space.rows,
+               box.space.rows, box.space.annihilator().rows]
+    return rowsets, format_linrel(box)
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@PROPERTY
+@given(data=st.data())
+def test_values_stay_exact(field, data):
+    """Each result holds stored values only, and the same inputs with
+    their integers given as Fractions give equal rows and the same
+    printed text."""
+    rows = data.draw(sparse_rows(field))
+    gone = sorted(data.draw(st.sets(st.integers(0, len(rows[0]) - 1))))
+    composable = data.draw(composable_rows(field))
+    circuit = data.draw(circuits(field))
+    got = _exact_results(field, _as_ints, rows, gone, composable, circuit)
+    again = _exact_results(field, _as_fractions, rows, gone, composable,
+                           circuit)
+    assert got == again
+    for rowsets, _text in (got, again):
+        for out in rowsets:
+            _assert_exact(field, out)
+
+
 def test_from_constraints_coerces_and_checks_widths():
     # integer rows are coerced; no rows give the whole space
     assert LinRel.from_constraints(QQ, 1, 1, [[1, -1]]) == \
@@ -243,8 +320,8 @@ def test_from_constraints_coerces_and_checks_widths():
             LinRel.from_constraints(QQ, 1, 1, rows)
     # affine rows end in minus the constant, so they are one entry wider
     two = AffRel.from_constraints(QQ, 1, 1, [[1, -1, -2]])
-    assert two.contains([QQ.coerce(2), QQ.zero])
-    assert not two.contains([QQ.zero, QQ.zero])
+    assert aff_contains(two, [QQ.coerce(2), QQ.zero])
+    assert not aff_contains(two, [QQ.zero, QQ.zero])
     assert AffRel.from_constraints(QS, 0, 1, []).hspace.dim == 2
     for rows in ([[1, 2]], [[1, 0, 0], [1]], [[1, 0, 0, 0]]):
         with pytest.raises(DimensionMismatch, match="width 3"):

@@ -14,7 +14,8 @@ from propnet.scalar import (DivisionByZero, FIELDS, MAX_EXPONENT, Poly, QQ,
 
 from helpers import (PROPERTY, oracle_add, oracle_divmod, oracle_monic,
                      oracle_mul, oracle_neg, oracle_scale, oracle_trim,
-                     rand_poly, rand_ratfunc, scalars, sympy_poly, to_sympy)
+                     is_stored, rand_poly, rand_ratfunc, scalars, sympy_poly,
+                     to_sympy)
 
 
 def test_poly_basics():
@@ -36,6 +37,24 @@ def test_poly_rejects_floats():
     assert Poly([Fraction(1, 10), 1]).coeffs == (Fraction(1, 10), 1)
 
 
+def test_rationals_are_ints_when_integral():
+    assert (type(QQ.zero), type(QQ.one)) == (int, int)
+    for x, want in ((Fraction(4, 2), 2), (True, 1), (-3, -3)):
+        got = QQ.coerce(x)
+        assert type(got) is int and got == want
+    assert type(QQ.coerce(Fraction(1, 2))) is Fraction
+    assert type(parse_rat("4/2")) is int and parse_rat("4/2") == 2
+    assert parse_rat("(1/2)^-1") == 2 and type(parse_rat("(1/2)^-1")) is int
+    for x, want in ((2, Fraction(1, 2)), (Fraction(-1, 3), -3),
+                    (Fraction(2, 3), Fraction(3, 2)), (-1, -1)):
+        got = QQ.inv(x)
+        assert got == want and is_stored(got)
+    assert format_scalar(2) == format_scalar(Fraction(2)) == "2"
+    assert Poly.const(Fraction(6, 3)).content == 2
+    assert type(RatFunc(Poly([1, 2]), Poly([2])).num.content) is Fraction
+    assert type(RatFunc(Poly([2, 4]), Poly([2])).num.content) is int
+
+
 @st.composite
 def _wide_coeffs(draw):
     """Zero to five coefficients of 3 to 64 bits, zero ones and a
@@ -49,14 +68,15 @@ def _wide_coeffs(draw):
 
 def _assert_stored_form(p):
     """Primitive integers with a positive leading one, or none and content
-    0; rebuilt from its coefficients it is equal and hashes equal."""
+    0; the content and every coefficient an int exactly when integral;
+    rebuilt from its coefficients it is equal and hashes equal."""
     if p.prim:
         assert all(type(x) is int for x in p.prim)
         assert math.gcd(*p.prim) == 1 and p.prim[-1] > 0
-        assert type(p.content) is Fraction and p.content != 0
+        assert p.content != 0
     else:
         assert p.content == 0
-    assert all(type(c) is Fraction for c in p.coeffs)
+    assert all(map(is_stored, (p.content, *p.coeffs)))
     again = Poly(p.coeffs)
     assert again == p and hash(again) == hash(p)
 
