@@ -1,14 +1,12 @@
 """Affine relations as linear relations with a unit wire, and
 source-aware black-boxing.
 
-An affine relation f: p -> q is stored as its homogenization f#, the
-canonical span over (dom, cod, h) whose last wire h carries the constant:
-f is the h = 1 slice, empty exactly when h vanishes on f#.  Every
-operation is one step on spanning rows, with h a shared variable
-(Bonchi, Piedeleu, Sobocinski and Zanasi, "Graphical Affine Algebra",
-2019): ``compose`` and ``tensor`` are one ``compose_bases`` each, whose
-middle holds h, ``linear_part`` eliminates h, and ``from_linrel`` adds
-the unit row h = 1.
+An affine relation f: p -> q is stored as the reduced echelon constraint
+rows of its homogenization f# over (dom, cod, h): the kernel
+representation (Willems, IEEE CSM 2007) with a unit wire h (Bonchi,
+Piedeleu, Sobocinski and Zanasi, "Graphical Affine Algebra", 2019).  A
+row's h entry is minus its constant; f is the h = 1 slice, empty exactly
+when the last row is h = 0.  No operation eliminates h.
 """
 
 from __future__ import annotations
@@ -16,40 +14,42 @@ from __future__ import annotations
 from .exactla import Subspace, eliminate, kernel
 from .scalar import Field, QS
 from .setprops import InterfaceMismatch
-from .linrel import (LinRel, OddDimension, boundary_rows, compose_bases,
-                     format_constraints, is_lagrangian, label_rows,
-                     port_var_names)
+from .linrel import (LinRel, OddDimension, boundary_rows, format_constraints,
+                     is_lagrangian, label_rows, port_var_names)
 from .circuit import LCircuit
 
 
 class AffRel:
-    __slots__ = ("dom", "cod", "hspace")
+    __slots__ = ("dom", "cod", "constraints")
 
-    def __init__(self, dom: int, cod: int, hspace: Subspace):
-        if hspace.ambient != dom + cod + 1:
+    def __init__(self, dom: int, cod: int, constraints: Subspace):
+        if constraints.ambient != dom + cod + 1:
             raise ValueError("ambient must be dom + cod + 1")
         self.dom = dom
         self.cod = cod
-        self.hspace = hspace
+        self.constraints = constraints
 
     @property
     def field(self) -> Field:
-        return self.hspace.field
+        return self.constraints.field
+
+    @property
+    def hspace(self) -> Subspace:
+        """f# itself, the solutions of the rows: built on each read."""
+        return kernel(self.constraints.rows, self.field,
+                      self.constraints.ambient)
 
     @classmethod
     def from_linrel(cls, rel: LinRel) -> "AffRel":
-        """``rel``'s rows and the unit row h = 1: no row of ``rel`` holds
-        h, so the rows are already reduced."""
-        h = rel.dom + rel.cod
+        """``rel``'s constraint rows, none of which holds h."""
         return cls(rel.dom, rel.cod, Subspace.canonical(
-            rel.field, h + 1, rel.space.rows + [{h: rel.field.one}]))
+            rel.field, rel.dom + rel.cod + 1, rel.space.annihilator().rows))
 
     @classmethod
     def from_constraints(cls, field, dom, cod, rows):
         """Rows span dom+cod+1 entries, coerced into ``field``; the last
         is minus the constant.  No rows give the whole space."""
-        return cls(dom, cod,
-                   LinRel.from_constraints(field, dom, cod + 1, rows).space)
+        return cls(dom, cod, Subspace(field, dom + cod + 1, rows))
 
     @classmethod
     def identity(cls, field, n: int) -> "AffRel":
@@ -60,42 +60,45 @@ class AffRel:
         return cls.from_linrel(LinRel.symmetry(field, m, n))
 
     def is_empty(self) -> bool:
-        h = self.dom + self.cod
-        return all(h not in row for row in self.hspace.rows)
+        """Whether the rows hold 0 = 1: a reduced row with its pivot at h,
+        the last column, is h = 0 itself and comes last."""
+        rows = self.constraints.rows
+        return bool(rows) and min(rows[-1]) == self.dom + self.cod
 
     def linear_part(self) -> LinRel:
-        """The h = 0 slice: what of f#'s span is left once h is
-        eliminated from it."""
+        """The h = 0 slice: the solutions of the rows without their h
+        entries."""
         h = self.dom + self.cod
-        return LinRel(self.dom, self.cod, Subspace.span(
-            self.field, h, eliminate(self.hspace.rows, self.field, [h])))
+        return LinRel(self.dom, self.cod, kernel(
+            [{j: x for j, x in r.items() if j != h}
+             for r in self.constraints.rows], self.field, h))
 
     def compose(self, other: "AffRel") -> "AffRel":
-        """``compose_bases`` of f#, read as dom -> cod+1, and g's basis
-        lifted to (mid+1) -> (cod+1): the middle is the wires plus h, so
-        h is shared."""
+        """f's rows over (u, v, h) and g's over (v, w, h), placed in the
+        joint layout (u, w, h, v), then v eliminated: what is left is
+        already over (u, w, h)."""
         if self.cod != other.dom:
             raise InterfaceMismatch(
                 f"cannot compose {self.cod} -> with {other.dom} <-")
-        d = other.dom
-        return AffRel(self.dom, other.cod,
-                      compose_bases(self.field, self.hspace.rows,
-                                    _lift(other, d), self.dom, d + 1,
-                                    other.cod + 1))
+        dom, mid, cod = self.dom, self.cod, other.cod
+        h = dom + cod
+        v = range(h + 1, h + 1 + mid)
+        rows = (_place(other.constraints.rows, [*v, *range(dom, h), h])
+                + _place(self.constraints.rows, [*range(dom), *v, h]))
+        return AffRel(dom, cod, Subspace.span(
+            self.field, h + 1, eliminate(rows, self.field, v)))
 
     def tensor(self, other: "AffRel") -> "AffRel":
-        """``compose_bases`` of f#, read as (dom, cod) -> h, and g's basis
-        lifted to h -> (dom', cod', h), so h is the whole middle; the
-        columns are then put in (dom, dom', cod, cod', h) order."""
+        """Both row sets placed in the (dom, dom', cod, cod', h) layout,
+        h shared, and reduced once."""
         d1, c1, d2, c2 = self.dom, self.cod, other.dom, other.cod
-        joint = compose_bases(self.field, self.hspace.rows, _lift(other, 0),
-                              d1 + c1, 1, d2 + c2 + 1)
-        # (d1, c1, d2, c2, h) -> (d1, d2, c1, c2, h)
-        col = [*range(d1), *range(d1 + d2, d1 + d2 + c1),
-               *range(d1, d1 + d2), *range(d1 + d2 + c1, joint.ambient)]
-        return AffRel(d1 + d2, c1 + c2, Subspace.span(
-            self.field, joint.ambient,
-            [{col[k]: x for k, x in w.items()} for w in joint.rows]))
+        h = d1 + d2 + c1 + c2
+        rows = (_place(self.constraints.rows,
+                       [*range(d1), *range(d1 + d2, d1 + d2 + c1), h])
+                + _place(other.constraints.rows,
+                         [*range(d1, d1 + d2), *range(d1 + d2 + c1, h), h]))
+        return AffRel(d1 + d2, c1 + c2, Subspace.span(self.field, h + 1,
+                                                      rows))
 
     def __eq__(self, other):
         if not isinstance(other, AffRel):
@@ -104,26 +107,23 @@ class AffRel:
             return False
         if self.is_empty() and other.is_empty():
             return True
-        return self.hspace == other.hspace
+        return self.constraints == other.constraints
 
     def __hash__(self):
         if self.is_empty():
             return hash((self.dom, self.cod, "empty"))
-        return hash((self.dom, self.cod, self.hspace))
+        return hash((self.dom, self.cod, self.constraints))
 
     def __repr__(self):
         if self.is_empty():
             return f"AffRel({self.dom}->{self.cod}, EMPTY)"
-        return (f"AffRel({self.dom}->{self.cod}, "
-                f"dim {self.hspace.dim - 1} affine)")
+        return (f"AffRel({self.dom}->{self.cod}, dim "
+                f"{self.dom + self.cod - self.constraints.dim} affine)")
 
 
-def _lift(rel: AffRel, d: int):
-    """``rel``'s basis, unreduced, with a copy of its h inserted at column
-    d: each vector (x, t) becomes (x before d, t, x from d on, t)."""
-    h = rel.dom + rel.cod
-    return [{k + (k >= d): x for k, x in w.items()}
-            | ({d: w[h]} if h in w else {}) for w in rel.hspace.rows]
+def _place(rows, cols):
+    """Sparse rows with column k moved to ``cols[k]``."""
+    return [{cols[k]: x for k, x in r.items()} for r in rows]
 
 
 def is_aff_lagrangian(rel: AffRel) -> bool:
@@ -147,10 +147,10 @@ def isource_rel(field: Field, i) -> AffRel:
 
 
 def aff_blackbox(c: LCircuit, field: Field = QS) -> AffRel:
-    """Black-boxing with sources: the kernel of the circuit's rows over
-    its boundary and the shared homogenizing constant."""
-    return AffRel(2 * c.m, 2 * c.n, kernel(boundary_rows(c, field), field,
-                                           2 * (c.m + c.n) + 1))
+    """Black-boxing with sources: the circuit's rows over its boundary
+    and the shared homogenizing constant, reduced."""
+    return AffRel(2 * c.m, 2 * c.n, Subspace.span(
+        field, 2 * (c.m + c.n) + 1, boundary_rows(c, field)))
 
 
 def format_affrel(rel: AffRel) -> str:
@@ -159,5 +159,4 @@ def format_affrel(rel: AffRel) -> str:
     if rel.dom % 2 or rel.cod % 2:
         raise OddDimension("printing expects (phi, I) ports")
     names = port_var_names(rel.dom // 2, rel.cod // 2)
-    return format_constraints(rel.field, rel.hspace.annihilator().basis,
-                              names)
+    return format_constraints(rel.field, rel.constraints.basis, names)

@@ -21,10 +21,11 @@ reduced by construction (identity, symmetry, tensor) use
 ``Subspace.canonical`` and skip it; rows computed from field elements
 (``dagger``, and the rows ``eliminate`` leaves) use ``Subspace.span``,
 which reduces without coercing.  ``eliminate`` projects columns off sparse
-rows one Markowitz pivot at a time: a composite of relations is the span
-of what is left of both bases once their middle is eliminated, and a
-circuit's black box is ``eliminate`` of its internal unknowns, then
-``kernel``.
+rows one Markowitz pivot at a time: a composite of relations is what is
+left of both bases (or, for affine relations, both constraint row sets)
+once their middle is eliminated, and a circuit's black box is
+``eliminate`` of its internal unknowns, then ``kernel`` (or, affine,
+``rref``).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class Subspace:
             v = [field.coerce(x) for x in v]
             if len(v) != ambient:
                 raise DimensionMismatch(
-                    f"vector of length {len(v)} in ambient {ambient}")
+                    f"row length {len(v)} differs from width {ambient}")
             rows.append({j: x for j, x in enumerate(v) if x})
         self.field = field
         self.ambient = ambient

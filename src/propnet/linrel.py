@@ -47,10 +47,6 @@ class LinRel:
         return self.space.field
 
     @classmethod
-    def from_vectors(cls, field, dom, cod, vectors) -> "LinRel":
-        return cls(dom, cod, Subspace(field, dom + cod, vectors))
-
-    @classmethod
     def from_constraints(cls, field, dom, cod, rows) -> "LinRel":
         """Relation cut out by homogeneous constraint rows, whose entries
         are coerced into ``field``; no rows give the whole space, and a

@@ -47,7 +47,7 @@ class SigFlowModel(LinRelModel):
         field = self.field
         if name.startswith("scalar:"):
             c = field.parse(name.split(":", 1)[1])
-            return LinRel.from_vectors(field, 1, 1, [[field.one, c]])
+            return LinRel.from_constraints(field, 1, 1, [[c, -field.one]])
         return super().gen(name)
 
 

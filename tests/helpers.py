@@ -1,5 +1,6 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,12 +8,15 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from propnet.afflag import AffRel, isource_rel, vsource_rel
 from propnet.exactla import Subspace, kernel, rref
-from propnet.linrel import label_rows
+from propnet.linrel import K_corel, label_rows, rlc_rel
 from propnet.scalar import QQ, QS, RatFunc, Poly, format_scalar
-from propnet.setprops import Corelation, Cospan, _UnionFind
-from propnet.circuit import EdgeLabel, LCircuit, LGraph
-from propnet.term import Gen, Id, Par, Seq, Sym, arity, par, seq
+from propnet.setprops import Corelation, CorelModel, Cospan, _UnionFind
+from propnet.circuit import (CIRCUIT_SIGNATURE, EdgeLabel, LCircuit, LGraph,
+                             label_from_gen_name)
+from propnet.term import (Gen, Id, Par, PropModel, Seq, Sym, arity, par,
+                          seq)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +485,39 @@ def circuit_kernel(c, field):
         kcl[s][nb + nnodes + e] = -one
         kcl[t][nb + nnodes + e] = kcl[t][nb + nnodes + e] + one
     return kernel(to_sparse(rows + kcl), field, width)
+
+
+class AffineCircuitModel(PropModel):
+    """Circuit terms valued in affine relations over ``field``, generator
+    by generator: the second route to black-boxing with sources.  A
+    form's children fold in from the left by the binary ``compose`` and
+    ``tensor``."""
+
+    width = 2
+    signature = CIRCUIT_SIGNATURE
+
+    def __init__(self, field):
+        self.field = field
+
+    def gen(self, name):
+        if name in CorelModel.GENERATORS:
+            return AffRel.from_linrel(
+                K_corel(self.field, CorelModel.GENERATORS[name]))
+        label = label_from_gen_name(name)
+        if label.kind == "vsource":
+            return vsource_rel(self.field, label.value)
+        if label.kind == "isource":
+            return isource_rel(self.field, label.value)
+        return AffRel.from_linrel(rlc_rel(self.field, label))
+
+    def symmetry(self, m, n):
+        return AffRel.symmetry(self.field, 2 * m, 2 * n)
+
+    def seq(self, first, *rest):
+        return functools.reduce(AffRel.compose, rest, first)
+
+    def par(self, first, *rest):
+        return functools.reduce(AffRel.tensor, rest, first)
 
 
 def rand_circuit(rng, max_nodes=6, max_edges=8, kinds=RLC_KINDS):

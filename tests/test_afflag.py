@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from propnet.afflag import (AffRel, aff_blackbox, format_affrel,
                             is_aff_lagrangian, isource_rel, vsource_rel)
-from propnet.circuit import LCircuit, LGraph, parse_label
-from propnet.linrel import LinRel, blackbox, impedance_rel
+from propnet.circuit import (CIRCUIT_SIGNATURE, CircuitModel, LCircuit,
+                             LGraph, parse_label)
+from propnet.linrel import LinRel, blackbox, impedance_rel, label_rows
 from propnet.exactla import kernel
 from propnet.scalar import QQ, QS
+from propnet.term import evaluate, parse_term
 
-from helpers import (PROPERTY, aff_contains, composable_rows, rand_circuit,
-                     rand_corelation, scalars, stacked_composite, to_sparse,
-                     witness)
+from helpers import (PROPERTY, AffineCircuitModel, aff_contains,
+                     composable_rows, rand_circuit, rand_circuit_gens,
+                     rand_corelation, rand_term, rank, scalars,
+                     stacked_composite, to_sparse, witness)
 from propnet.linrel import K_corel
 
 SOURCE_KINDS = ("wire", "resistor", "inductor", "capacitor", "vsource",
@@ -221,3 +224,69 @@ def test_linear_part_drops_h_qq(case):
 @given(relation_rows(QS))
 def test_linear_part_drops_h_qs(case):
     check_linear_part_drops_h(QS, case)
+
+
+def check_empty_exactly_when_h_raises_rank(field, case):
+    """A relation is empty exactly when its rows force h = 0, that is
+    when dropping the h column lowers their rank."""
+    dom, cod, rows = case
+    f = AffRel.from_constraints(field, dom, cod, rows)
+    assert f.is_empty() == \
+        (rank(rows, field) > rank([r[:-1] for r in rows], field))
+
+
+# a current source: its last canonical row, I_out = I, holds h off its
+# pivot, and the relation is not empty
+_ISOURCE = (2, 2, label_rows(QQ, "isource", 1))
+
+
+@PROPERTY
+@given(relation_rows(QQ))
+@example(_EMPTY)
+@example(_ISOURCE)
+def test_empty_exactly_when_h_raises_rank_qq(case):
+    check_empty_exactly_when_h_raises_rank(QQ, case)
+
+
+@PROPERTY
+@given(relation_rows(QS))
+def test_empty_exactly_when_h_raises_rank_qs(case):
+    check_empty_exactly_when_h_raises_rank(QS, case)
+
+
+@st.composite
+def circuit_terms(draw, field):
+    """Random circuit terms, sources included, whose labels ``field`` can
+    read."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    gens = rand_circuit_gens(rng, with_sources=True)
+    if field is QQ:
+        gens = [g for g in gens
+                if not g.startswith(("label:inductor", "label:capacitor"))]
+    return rand_term(rng, CIRCUIT_SIGNATURE, gens, rng.randint(0, 3))
+
+
+def check_blackbox_matches_affine_model(field, t):
+    """Graph elimination of the circuit against compositional evaluation
+    of its term in affine relations."""
+    circuit = evaluate(t, CircuitModel())
+    assert aff_blackbox(circuit, field) == \
+        evaluate(t, AffineCircuitModel(field))
+
+
+# conflicting current sources in series: the empty relation
+_CONFLICT = parse_term("(seq (label isource 1) (label isource 2))")
+
+
+@PROPERTY
+@given(circuit_terms(QQ))
+@example(_CONFLICT)
+def test_blackbox_matches_affine_model_qq(t):
+    check_blackbox_matches_affine_model(QQ, t)
+
+
+@PROPERTY
+@given(circuit_terms(QS))
+@example(_CONFLICT)
+def test_blackbox_matches_affine_model_qs(t):
+    check_blackbox_matches_affine_model(QS, t)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import sys
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from propnet.circuit import MAX_NODES, circuit_from_json
 from propnet.cli import SUITES, _models, build_parser, main
@@ -10,6 +15,8 @@ from propnet.linrel import impedance_rel, parse_linrel
 from propnet.scalar import FIELDS, MAX_NESTING, QQ, QS
 from propnet.term import (MAX_WIDTH, Gen, Id, Sym, arity, model_equal, par,
                           seq)
+
+from test_cli_golden import CIRCUITS, EQ_PAIRS, TERMS
 
 
 def run(capsys, *argv):
@@ -497,3 +504,135 @@ def test_every_model_is_a_symmetric_monoidal_functor(field):
         assert model_equal(model, par(Id(0), g), g), name
         assert model_equal(model, par(g, Id(0)), g), name
         assert model_equal(model, seq(Id(2), g), g), name
+
+
+# ---------------------------------------------------------------------------
+# hostile input: whatever the text, the CLI exits 0, 1 or 2, and with 2 it
+# prints one error line; circuits stay within 6 nodes, since elimination
+# work has no limit of its own
+
+HOSTILE = settings(derandomize=True, max_examples=300, database=None,
+                   deadline=timedelta(seconds=10),
+                   suppress_health_check=[HealthCheck.too_slow])
+
+# what an edit puts in: brackets, tokens, NUL, non-ASCII digits and letters,
+# operators and long numbers
+_PIECES = st.sampled_from([
+    "(", ")", "()", " ", "\x00", "\n", "\t", "²", "٣", "é", "\u2212", "-",
+    "/", "^", "*", "+", ".", "s", "0", "1", "-1", "1000", "9" * 40, "gen",
+    "seq", "par", "id", "sym", "label", "scalar", "m", "add", "1j",
+    "resistor", "isource", "vsource", "inductor"])
+
+LITERALS = ["2", "-1/3", "0", "(s + 1)/(s - 2)", "s^2 - 1", "1/0", "0^-1",
+            "2^10", "(1/2)*s"]
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after up to three bracket, token, span or byte edits."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["bracket", "token", "span", "byte"]))
+        if edit == "bracket":
+            text = text[:i] + draw(st.sampled_from("()")) + text[i:]
+        elif edit == "token":
+            tokens = text.split(" ")
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = draw(_PIECES)
+            text = " ".join(tokens)
+        elif edit == "span":
+            text = text[:i] + text[i + draw(st.integers(1, 6)):]
+        else:
+            data = bytearray(text.encode("utf-8", "surrogateescape"))
+            if data:
+                data[min(i, len(data) - 1)] = draw(st.integers(0, 255))
+            text = data.decode("utf-8", "surrogateescape")
+    return text
+
+
+_LITERAL = (st.sampled_from(LITERALS).flatmap(mutated)
+            | st.text("0123456789s+-*/^() .²٣\x00e", max_size=12))
+_TERM = (st.sampled_from(TERMS + [t for pair in EQ_PAIRS for t in pair])
+         .flatmap(mutated)
+         | st.builds("({} {})".format,
+                     st.sampled_from(["scalar", "label resistor",
+                                      "label impedance", "label isource"]),
+                     _LITERAL))
+_FIELD = st.sampled_from(sorted(FIELDS))
+
+
+def assert_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.startswith("propnet: error:") and \
+            err.count("\n") == 1 and err.endswith("\n"), argv
+    else:
+        assert err == "", argv
+
+
+@HOSTILE
+@given(st.data())
+def test_hostile_terms_exit_cleanly(data):
+    field = data.draw(_FIELD)
+    command = data.draw(st.sampled_from(["eval", "eq", "square", "alpha"]))
+    terms = [data.draw(_TERM) for _ in range(2 if command == "eq" else 1)]
+    argv = [command, *(f"--term={t}" for t in terms), "--field", field]
+    if command in ("eval", "eq"):
+        argv += ["--model", data.draw(st.sampled_from(sorted(_models(QQ))))]
+    assert_clean_exit(argv)
+
+
+_KEYS = ["nodes", "edges", "inputs", "outputs", "src", "tgt", "label",
+         "kind", "value"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | _LITERAL
+    | st.sampled_from(["wire", "resistor", "vsource", "isource",
+                       "capacitor", "nosuch"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def malformed_circuits(draw):
+    """A circuit's JSON text with one value swapped, a key dropped, or
+    its text edited."""
+    data = json.loads(json.dumps(CIRCUITS[draw(st.sampled_from(
+        sorted(CIRCUITS)))]))
+    edit = draw(st.sampled_from(["swap", "drop", "text"]))
+    parent, key = data, draw(st.sampled_from(sorted(data)))
+    while isinstance(parent[key], (dict, list)) and parent[key] \
+            and draw(st.booleans()):
+        parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                   else range(len(parent))))
+    if edit == "swap":
+        parent[key] = draw(_JSON)
+    elif edit == "drop":
+        del parent[key]
+    text = json.dumps(data)
+    if edit == "text":
+        text = draw(mutated(text))
+    try:
+        nodes = json.loads(text).get("nodes")
+    except (ValueError, AttributeError):
+        nodes = None
+    assume(not isinstance(nodes, int) or nodes <= 6)
+    return text
+
+
+@pytest.fixture(scope="module")
+def circuit_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "circuit.json"
+
+
+@HOSTILE
+@given(text=malformed_circuits(), field=_FIELD)
+def test_malformed_circuit_json_exits_cleanly(circuit_path, text, field):
+    circuit_path.write_text(text, encoding="utf-8", errors="surrogateescape")
+    assert_clean_exit(["blackbox", "--circuit", str(circuit_path),
+                       "--field", field])

@@ -84,6 +84,12 @@ CIRCUITS = {
                         _edge(0, 1, "vsource", "2")]},
     "no_ports": {"nodes": 2, "inputs": [], "outputs": [],
                  "edges": [{"src": 0, "tgt": 1, "label": _WIRE}]},
+    # the last canonical row of a current source holds h off its pivot
+    "isource": {"nodes": 2, "inputs": [0], "outputs": [1],
+                "edges": [_edge(0, 1, "isource", "1")]},
+    "isource_resistor": {"nodes": 3, "inputs": [0], "outputs": [2],
+                         "edges": [_edge(0, 1, "isource", "2"),
+                                   _edge(1, 2, "resistor", "3")]},
 }
 
 

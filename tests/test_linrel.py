@@ -203,7 +203,7 @@ def _linrels(draw, field):
     cod = draw(st.integers(0 if dom else 1, 3))
     rows = draw(sparse_rows(field, max_rows=4, min_cols=dom + cod,
                             max_cols=dom + cod))
-    return LinRel.from_vectors(field, dom, cod, rows)
+    return LinRel(dom, cod, Subspace(field, dom + cod, rows))
 
 
 @pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
@@ -219,17 +219,17 @@ def test_tensor_and_from_linrel_are_reduced(field, data):
               + [[field.zero] * f.dom + list(w[:g.dom]) + [field.zero] * f.cod
                  + list(w[g.dom:]) for w in g.space.basis])
     assert t.space.basis == Subspace(field, t.dom + t.cod, padded).basis
-    assert _is_reduced(AffRel.from_linrel(f).hspace)
+    assert _is_reduced(AffRel.from_linrel(f).constraints)
 
 
 @pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
 def test_identity_and_symmetry_are_reduced(field):
     for n in range(5):
         assert _is_reduced(LinRel.identity(field, n).space)
-        assert _is_reduced(AffRel.identity(field, n).hspace)
+        assert _is_reduced(AffRel.identity(field, n).constraints)
         for m in range(5):
             assert _is_reduced(LinRel.symmetry(field, m, n).space)
-            assert _is_reduced(AffRel.symmetry(field, m, n).hspace)
+            assert _is_reduced(AffRel.symmetry(field, m, n).constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +313,8 @@ def test_from_constraints_coerces_and_checks_widths():
         LinRel.identity(QQ, 1)
     full = LinRel.from_constraints(QS, 1, 2, [])
     assert full.space.dim == 3
-    assert full == LinRel.from_vectors(QS, 1, 2,
-                                       [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert full == LinRel(1, 2, Subspace(QS, 3, [[1, 0, 0], [0, 1, 0],
+                                                 [0, 0, 1]]))
     for rows in ([[1, 0, 0]], [[1, 0], [1]], [[1, 0], [0, 1, 0]]):
         with pytest.raises(DimensionMismatch, match="width 2"):
             LinRel.from_constraints(QQ, 1, 1, rows)
@@ -394,7 +394,7 @@ def _lagrangians(draw, field):
             cur = -s[p][k] if p < m else s[p][k]
             v += [cur, -phi] if p in turned else [phi, cur]
         vecs.append(v)
-    return LinRel.from_vectors(field, 2 * m, 2 * n, vecs)
+    return LinRel(2 * m, 2 * n, Subspace(field, 2 * (m + n), vecs))
 
 
 @pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
@@ -410,8 +410,8 @@ def test_is_lagrangian_matches_pairwise_oracle(field, data):
         keep = data.draw(st.integers(0, lag.space.dim))
         rows = data.draw(sparse_rows(field, max_rows=width // 2 + 1,
                                      min_cols=width, max_cols=width))
-        rel = LinRel.from_vectors(field, lag.dom, lag.cod,
-                                  lag.space.basis[:keep] + rows)
+        rel = LinRel(lag.dom, lag.cod, Subspace(
+            field, width, lag.space.basis[:keep] + rows))
         assert is_lagrangian(rel) == lagrangian_oracle(rel)
 
 

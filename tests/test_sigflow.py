@@ -3,6 +3,7 @@ import random
 import pytest
 
 from propnet.circuit import CircuitModel
+from propnet.exactla import Subspace
 from propnet.laws import bimonoid_laws, frobenius_monoid_laws, run_suite
 from propnet.linrel import (CorelToLinRelModel, LinRel, UnsupportedLabel,
                             impedance_rel)
@@ -22,7 +23,7 @@ SF_GENS = ["codup", "codel", "dup", "del", "add", "coadd", "zero", "cozero",
 def test_generator_relations():
     m = SigFlowModel(QQ)
     one, zero = QQ.one, QQ.zero
-    assert m.gen("dup") == LinRel.from_vectors(QQ, 1, 2, [[one, one, one]])
+    assert m.gen("dup") == LinRel(1, 2, Subspace(QQ, 3, [[one, one, one]]))
     assert m.gen("add").space.contains([one, QQ.coerce(2), QQ.coerce(3)])
     assert not m.gen("add").space.contains([one, one, QQ.coerce(3)])
     assert m.gen("zero").space.contains([zero])
@@ -48,9 +49,23 @@ def test_constraint_table_matches_spanning_vectors(field):
         rel = model.gen(name)
         assert (rel.dom, rel.cod) == (dom, cod)
         assert rel.space.rows == \
-            LinRel.from_vectors(field, dom, cod, vecs).space.rows, name
+            Subspace(field, dom + cod, vecs).rows, name
         # built once per field
         assert model.gen(name) is SigFlowModel(field).gen(name)
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["q", "qs"])
+def test_scalar_generator_spans_one_and_its_gain(field):
+    # the row c x - y = 0 cuts out the span of (1, c), c = 0 included
+    model = SigFlowModel(field)
+    for lit in ("2", "-1/3", "0", "1"):
+        c = field.parse(lit)
+        assert model.gen("scalar:" + lit).space == \
+            Subspace(field, 2, [[field.one, c]])
+    if field is QS:
+        s = field.parse("s")
+        assert model.gen("scalar:1/s").space == \
+            Subspace(field, 2, [[field.one, s.inv()]])
 
 
 def test_scalar_composition():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from propnet.afflag import AffRel
 from propnet.circuit import LCircuit, LGraph
 from propnet.cli import _models
+from propnet.exactla import Subspace
 from propnet.linrel import CorelToLinRelModel, LinRel
 from propnet.scalar import QQ, QS
 from propnet.setprops import (BoolRel, Corelation, CorelModel, Cospan,
@@ -545,7 +546,7 @@ def test_identity_is_the_empty_symmetry(field):
         for carrier, ident in expected.items():
             assert carrier.identity(n) == carrier.symmetry(0, n) == ident
             assert type(carrier.identity(n)) is carrier
-        lin = LinRel.from_vectors(field, n, n, diagonal)
+        lin = LinRel(n, n, Subspace(field, 2 * n, diagonal))
         assert LinRel.identity(field, n).space.basis == lin.space.basis
         assert LinRel.symmetry(field, 0, n).space.basis == lin.space.basis
         assert AffRel.identity(field, n).hspace.basis == \
