@@ -2,20 +2,21 @@
 source-aware black-boxing.
 
 An affine relation f: p -> q is stored as the reduced echelon constraint
-rows of its homogenization f# over (dom, cod, h): the kernel
-representation (Willems, IEEE CSM 2007) with a unit wire h (Bonchi,
-Piedeleu, Sobocinski and Zanasi, "Graphical Affine Algebra", 2019).  A
-row's h entry is minus its constant; f is the h = 1 slice, empty exactly
-when the last row is h = 0.  No operation eliminates h.
+rows of its homogenization f# over (dom, cod, h), with a unit wire h
+(Bonchi, Piedeleu, Sobocinski and Zanasi, "Graphical Affine Algebra",
+2019): a linear relation's rows with one more column, composed and
+tensored by the same ``linrel.compose_rows`` and ``tensor_rows``, with h
+as their shared tail.  A row's h entry is minus its constant; f is the
+h = 1 slice, empty exactly when the last row is h = 0.
 """
 
 from __future__ import annotations
 
-from .exactla import Subspace, eliminate, kernel
+from .exactla import Subspace, kernel
 from .scalar import Field, QS
-from .setprops import InterfaceMismatch
-from .linrel import (LinRel, OddDimension, boundary_rows, format_constraints,
-                     is_lagrangian, label_rows, port_var_names)
+from .linrel import (LinRel, OddDimension, boundary_rows, compose_rows,
+                     format_constraints, is_lagrangian, label_rows,
+                     port_var_names, tensor_rows)
 from .circuit import LCircuit
 
 
@@ -43,7 +44,7 @@ class AffRel:
     def from_linrel(cls, rel: LinRel) -> "AffRel":
         """``rel``'s constraint rows, none of which holds h."""
         return cls(rel.dom, rel.cod, Subspace.canonical(
-            rel.field, rel.dom + rel.cod + 1, rel.space.annihilator().rows))
+            rel.field, rel.dom + rel.cod + 1, rel.constraints.rows))
 
     @classmethod
     def from_constraints(cls, field, dom, cod, rows):
@@ -66,39 +67,19 @@ class AffRel:
         return bool(rows) and min(rows[-1]) == self.dom + self.cod
 
     def linear_part(self) -> LinRel:
-        """The h = 0 slice: the solutions of the rows without their h
-        entries."""
+        """The h = 0 slice: the rows without their h entries, save 0 = 1,
+        which becomes 0 = 0.  h is no pivot of the others, so they stay
+        reduced."""
         h = self.dom + self.cod
-        return LinRel(self.dom, self.cod, kernel(
-            [{j: x for j, x in r.items() if j != h}
-             for r in self.constraints.rows], self.field, h))
+        return LinRel(self.dom, self.cod, Subspace.canonical(
+            self.field, h, [{j: x for j, x in r.items() if j != h}
+                            for r in self.constraints.rows if min(r) != h]))
 
     def compose(self, other: "AffRel") -> "AffRel":
-        """f's rows over (u, v, h) and g's over (v, w, h), placed in the
-        joint layout (u, w, h, v), then v eliminated: what is left is
-        already over (u, w, h)."""
-        if self.cod != other.dom:
-            raise InterfaceMismatch(
-                f"cannot compose {self.cod} -> with {other.dom} <-")
-        dom, mid, cod = self.dom, self.cod, other.cod
-        h = dom + cod
-        v = range(h + 1, h + 1 + mid)
-        rows = (_place(other.constraints.rows, [*v, *range(dom, h), h])
-                + _place(self.constraints.rows, [*range(dom), *v, h]))
-        return AffRel(dom, cod, Subspace.span(
-            self.field, h + 1, eliminate(rows, self.field, v)))
+        return AffRel(*compose_rows(self, other, 1))
 
     def tensor(self, other: "AffRel") -> "AffRel":
-        """Both row sets placed in the (dom, dom', cod, cod', h) layout,
-        h shared, and reduced once."""
-        d1, c1, d2, c2 = self.dom, self.cod, other.dom, other.cod
-        h = d1 + d2 + c1 + c2
-        rows = (_place(self.constraints.rows,
-                       [*range(d1), *range(d1 + d2, d1 + d2 + c1), h])
-                + _place(other.constraints.rows,
-                         [*range(d1, d1 + d2), *range(d1 + d2 + c1, h), h]))
-        return AffRel(d1 + d2, c1 + c2, Subspace.span(self.field, h + 1,
-                                                      rows))
+        return AffRel(*tensor_rows((self, other), 1))
 
     def __eq__(self, other):
         if not isinstance(other, AffRel):
@@ -119,11 +100,6 @@ class AffRel:
             return f"AffRel({self.dom}->{self.cod}, EMPTY)"
         return (f"AffRel({self.dom}->{self.cod}, dim "
                 f"{self.dom + self.cod - self.constraints.dim} affine)")
-
-
-def _place(rows, cols):
-    """Sparse rows with column k moved to ``cols[k]``."""
-    return [{cols[k]: x for k, x in r.items()} for r in rows]
 
 
 def is_aff_lagrangian(rel: AffRel) -> bool:

@@ -156,8 +156,7 @@ def _show_linrel(rel: LinRel) -> str:
         return format_linrel(rel)
     names = ([f"x{i + 1}" for i in range(rel.dom)]
              + [f"y{j + 1}" for j in range(rel.cod)])
-    return format_constraints(rel.field, rel.space.annihilator().basis,
-                              names)
+    return format_constraints(rel.field, rel.constraints.basis, names)
 
 
 def _show_value(value) -> str:
@@ -173,8 +172,9 @@ def _distinguish(a, b):
         if (a.dom, a.cod) != (b.dom, b.cod):
             return f"interface {a.dom}->{a.cod} vs {b.dom}->{b.cod}"
         for x, y, which in ((a, b, "first"), (b, a, "second")):
+            within = y.space
             for v in x.space.basis:
-                if not y.space.contains(v):
+                if not within.contains(v):
                     lits = ", ".join(map(format_scalar, v))
                     return f"vector ({lits}) in {which} only"
     first, second = _show_value(a), _show_value(b)

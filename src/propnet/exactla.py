@@ -16,16 +16,17 @@ two nonzeros per vector, so a relation costs time and memory in proportion
 to its nonzeros (row-wise storage, Gustavson 1978; sparse elimination,
 Davis 2006, chapters 2 and 6).
 
-``rref`` reduces to the canonical form.  Constructors whose basis is
-reduced by construction (identity, symmetry, tensor) use
-``Subspace.canonical`` and skip it; rows computed from field elements
-(``dagger``, and the rows ``eliminate`` leaves) use ``Subspace.span``,
-which reduces without coercing.  ``eliminate`` projects columns off sparse
-rows one Markowitz pivot at a time: a composite of relations is what is
-left of both bases (or, for affine relations, both constraint row sets)
-once their middle is eliminated, and a circuit's black box is
-``eliminate`` of its internal unknowns, then ``kernel`` (or, affine,
-``rref``).
+A relation stores its constraint rows as such a subspace (see
+``linrel``).  ``rref`` reduces to the canonical form.  Rows reduced by
+construction (symmetry, tensor) use ``Subspace.canonical`` and skip it;
+rows computed from field elements (``dagger``, and the rows ``eliminate``
+leaves) use ``Subspace.span``, which reduces without coercing.
+``eliminate`` projects columns off sparse rows one Markowitz pivot at a
+time: a composite of relations is what is left of both constraint row
+sets once their middle is eliminated, and a circuit's black box is what
+is left of its equations once its internal unknowns are.  ``kernel``
+solves rows for a basis; only the read-only views ``LinRel.space`` and
+``AffRel.hspace`` call it.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ def rref(rows, field: Field):
     Incremental Gauss-Jordan: each row in turn is reduced by the pivot rows
     whose columns it holds.  Those hold no other pivot column, so none
     comes back.  What is left, if anything, is scaled to 1 at its least
-    column (negated when that entry is -1, with no inverse), and that
-    column is cleared from the earlier pivot rows, which gain only columns
-    right of it.  The reduced echelon form is unique and a field value has
-    one canonical form, so the rows are the dense elimination's, entry by
-    entry.
+    column (negated when that entry is -1, with no inverse; the pivot is
+    set to 1, not multiplied out), and that column is cleared from the
+    earlier pivot rows, which gain only columns right of it.  The reduced
+    echelon form is unique and a field value has one canonical form, so
+    the rows are the dense elimination's, entry by entry.
     """
     one, minus_one = field.one, -field.one
     done = {}  # pivot column -> its row
@@ -66,11 +67,11 @@ def rref(rows, field: Field):
         p = row[c]
         unit = _unit(p, one, minus_one)
         if unit == -1:
-            row = {j: -x for j, x in row.items()}
+            row = {j: one if j == c else -x for j, x in row.items()}
         elif not unit:
             inv = field.inv(p)
-            row = {j: stored(x * inv) for j, x in row.items()}
-        row[c] = one
+            row = {j: one if j == c else stored(x * inv)
+                   for j, x in row.items()}
         if c in seen:
             for prow in done.values():
                 if c in prow:
@@ -159,10 +160,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient, *(frozenset(r.items()) for r in self.rows)))
-
-    def annihilator(self) -> "Subspace":
-        """Subspace of covectors c with c.v = 0 for every v here."""
-        return kernel(self.rows, self.field, self.ambient)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field.name}^{self.ambient})"

@@ -1,6 +1,13 @@
-"""Linear relations as canonical subspaces, symplectic predicates, the
-functor from corelations to potential/current relations, and black-boxing
-of linear circuits.
+"""Linear relations as canonical constraint rows, symplectic predicates,
+the functor from corelations to potential/current relations, and
+black-boxing of linear circuits.
+
+A relation is stored as the reduced echelon rows of its kernel
+representation (Willems, IEEE CSM 2007; every linear relation has one:
+Bonchi, Sobocinski and Zanasi, "Interacting Hopf algebras", JPAA 2017),
+``LinRel`` over (dom, cod) and ``afflag.AffRel`` over (dom, cod, h).  Both
+compose by ``compose_rows`` and tensor by ``tensor_rows``, whose shared
+tail s is h, never eliminated.  The printers print the stored rows.
 
 Coordinate convention: domain ports first, then codomain ports; a circuit
 port carries the pair (phi, I) in that order.  The symplectic form per
@@ -13,7 +20,7 @@ from __future__ import annotations
 import functools
 import re
 
-from .exactla import DimensionMismatch, Subspace, eliminate, kernel
+from .exactla import Subspace, eliminate, kernel
 from .scalar import Field, QS, RatFunc, format_scalar
 from .setprops import Corelation, CorelModel, InterfaceMismatch
 from .circuit import (CIRCUIT_SIGNATURE, SOURCE_KINDS, EdgeLabel, LCircuit,
@@ -30,33 +37,34 @@ class UnsupportedLabel(ValueError):
 
 
 class LinRel:
-    """Linear relation k^dom -> k^cod as a canonical subspace of
-    k^(dom+cod)."""
+    """Linear relation k^dom -> k^cod, stored as ``constraints``: the
+    reduced echelon constraint rows of its subspace of k^(dom+cod)."""
 
-    __slots__ = ("dom", "cod", "space")
+    __slots__ = ("dom", "cod", "constraints")
 
-    def __init__(self, dom: int, cod: int, space: Subspace):
-        if space.ambient != dom + cod:
+    def __init__(self, dom: int, cod: int, constraints: Subspace):
+        if constraints.ambient != dom + cod:
             raise ValueError("ambient dimension must be dom + cod")
         self.dom = dom
         self.cod = cod
-        self.space = space
+        self.constraints = constraints
 
     @property
     def field(self) -> Field:
-        return self.space.field
+        return self.constraints.field
+
+    @property
+    def space(self) -> Subspace:
+        """The relation itself, the solutions of the rows, built on read."""
+        return kernel(self.constraints.rows, self.field,
+                      self.constraints.ambient)
 
     @classmethod
     def from_constraints(cls, field, dom, cod, rows) -> "LinRel":
         """Relation cut out by homogeneous constraint rows, whose entries
         are coerced into ``field``; no rows give the whole space, and a
         row not dom + cod long raises ``DimensionMismatch``."""
-        width = dom + cod
-        if any(len(r) != width for r in rows):
-            raise DimensionMismatch(f"row length differs from width {width}")
-        return cls(dom, cod, kernel(
-            [{j: y for j, x in enumerate(r) if (y := field.coerce(x))}
-             for r in rows], field, width))
+        return cls(dom, cod, Subspace(field, dom + cod, rows))
 
     @classmethod
     def identity(cls, field, n: int) -> "LinRel":
@@ -64,100 +72,113 @@ class LinRel:
 
     @classmethod
     def symmetry(cls, field, m: int, n: int) -> "LinRel":
-        """Basis with pivots 0..m+n-1 in order and one entry in each other
-        column, so it is already the reduced echelon basis."""
-        one, size = field.one, m + n
-        rows = ([{i: one, size + n + i: one} for i in range(m)]
-                + [{m + j: one, size + j: one} for j in range(n)])
+        """The rows x_i - y_sigma(i): pivots 0..m+n-1 in order and one
+        entry in each other column, so they are already reduced."""
+        one, minus_one, size = field.one, -field.one, m + n
+        rows = ([{i: one, size + n + i: minus_one} for i in range(m)]
+                + [{m + j: one, size + j: minus_one} for j in range(n)])
         return cls(size, size, Subspace.canonical(field, 2 * size, rows))
 
     def compose(self, *others: "LinRel") -> "LinRel":
-        """The composites, from the left, each by ``compose_bases``."""
+        """The composites, from the left, each by ``compose_rows``."""
         out = self
         for other in others:
-            if out.cod != other.dom:
-                raise InterfaceMismatch(
-                    f"cannot compose {out.cod} -> with {other.dom} <-")
-            out = LinRel(out.dom, other.cod,
-                         compose_bases(out.field, out.space.rows,
-                                       other.space.rows, out.dom, out.cod,
-                                       other.cod))
+            out = LinRel(*compose_rows(out, other, 0))
         return out
 
     def tensor(self, *others: "LinRel") -> "LinRel":
-        """Every basis shifted once into the (dom_1, ..., dom_k, cod_1, ...,
-        cod_k) layout, in pivot order.
-
-        The blocks have disjoint supports and each block keeps the order of
-        its columns, so every shifted vector still has its pivot 1 at its
-        least column and is the only vector nonzero there.  A reduced basis
-        lists the vectors whose pivot is a domain wire first, so those of
-        every relation in turn, then the rest, are the union in pivot
-        order: the reduced echelon basis, with no ``rref`` and no sort.
-        """
-        rels = (self, *others)
-        dom = sum([r.dom for r in rels])
-        cod = sum([r.cod for r in rels])
-        # pivots on domain wires, then on codomain wires; d and c count
-        # the domain and codomain wires before r's
-        heads, tails, d, c = [], [], 0, 0
-        for r in rels:
-            n, e = r.dom, dom + c - r.dom  # the shifts of r's two blocks
-            for v in r.space.rows:
-                (heads if min(v) < n else tails).append(
-                    {k + (d if k < n else e): x for k, x in v.items()})
-            d, c = d + n, c + r.cod
-        return LinRel(dom, cod, Subspace.canonical(self.field, dom + cod,
-                                                   heads + tails))
+        return LinRel(*tensor_rows((self, *others), 0))
 
     def dagger(self) -> "LinRel":
         dom, cod = self.dom, self.cod
-        rows = [{k + cod if k < dom else k - dom: x for k, x in v.items()}
-                for v in self.space.rows]
-        return LinRel(cod, dom,
-                      Subspace.span(self.field, self.space.ambient, rows))
+        rows = [{k + cod if k < dom else k - dom: x for k, x in r.items()}
+                for r in self.constraints.rows]
+        return LinRel(cod, dom, Subspace.span(self.field, dom + cod, rows))
 
     def __eq__(self, other):
         if not isinstance(other, LinRel):
             return NotImplemented
         return (self.dom == other.dom and self.cod == other.cod
-                and self.space == other.space)
+                and self.constraints == other.constraints)
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.space))
+        return hash((self.dom, self.cod, self.constraints))
 
     def __repr__(self):
-        return (f"LinRel({self.dom}->{self.cod}, "
-                f"dim {self.space.dim} over {self.field.name})")
+        return (f"LinRel({self.dom}->{self.cod}, dim "
+                f"{self.dom + self.cod - self.constraints.dim} over "
+                f"{self.field.name})")
 
 
-def compose_bases(field: Field, frows, grows, dom: int, mid: int,
-                  cod: int) -> Subspace:
-    """Canonical span of the (u, w) with (u, v) in the span of the sparse
-    rows ``frows`` and (v, w) in that of ``grows``: ``eliminate`` the v
-    columns of the rows (0, w, v) of ``grows`` and (u, 0, -v) of
-    ``frows``, in that order, so that pivot ties fall on the unit pivots a
-    reduced basis starts with.  The middle comes last, so what is left
-    is already over (u, w)."""
-    end = dom + cod
-    rows = [{k + end if k < mid else k + dom - mid: x for k, x in w.items()}
-            for w in grows]
-    rows += [{k if k < dom else k + cod: x if k < dom else -x
-              for k, x in v.items()} for v in frows]
-    return Subspace.span(field, end,
-                         eliminate(rows, field, range(end, end + mid)))
+def compose_rows(f, g, tail: int):
+    """(dom, cod, constraints) of f;g, with a tail s of ``tail`` columns:
+    f's rows over (u, v, s) and g's over (v, w, s) placed in the layout
+    (u, w, s, v), g's first; once v is eliminated they are over (u, w, s)."""
+    if f.cod != g.dom:
+        raise InterfaceMismatch(f"cannot compose {f.cod} -> with {g.dom} <-")
+    dom, mid, cod = f.dom, f.cod, g.cod
+    end = dom + cod + tail
+    v = range(end, end + mid)
+    rows = (_place(g.constraints.rows, [*v, *range(dom, end)])
+            + _place(f.constraints.rows,
+                     [*range(dom), *v, *range(dom + cod, end)]))
+    return dom, cod, Subspace.span(f.field, end,
+                                   eliminate(rows, f.field, v))
+
+
+def _place(rows, cols):
+    """Sparse rows with column k moved to ``cols[k]``."""
+    return [{cols[k]: x for k, x in r.items()} for r in rows]
+
+
+def tensor_rows(rels, tail: int):
+    """(dom, cod, constraints) of the tensor, with a tail s of ``tail``
+    columns: every row shifted once into the (dom_1, ..., dom_k, cod_1,
+    ..., cod_k, s) layout, in pivot order.
+
+    The blocks have disjoint supports and each block keeps the order of
+    its columns, so every shifted row still has its pivot 1 at its least
+    column and is the only row nonzero there.  A reduced row set lists the
+    rows whose pivot is a domain wire first, so those of every relation in
+    turn, then the rest, are the union in pivot order: the reduced echelon
+    rows, with no ``rref`` and no sort.  Only a pivot in s, an empty
+    affine factor's 0 = 1, breaks this; then the rows are reduced.
+    """
+    dom = sum([r.dom for r in rels])
+    cod = sum([r.cod for r in rels])
+    # pivots on domain wires, then the rest; d and c count the domain and
+    # codomain wires before r's
+    heads, tails, d, c = [], [], 0, 0
+    for r in rels:
+        n, m = r.dom, r.dom + r.cod
+        e, t = dom + c - n, dom + cod - m  # shifts of r's codomain and tail
+        for v in r.constraints.rows:
+            (heads if min(v) < n else tails).append(
+                {k + (d if k < n else e if k < m else t): x
+                 for k, x in v.items()})
+        d, c = d + n, c + r.cod
+    empty = tail and any(min(v) >= dom + cod for v in tails)
+    return dom, cod, (Subspace.span if empty else Subspace.canonical)(
+        rels[0].field, dom + cod + tail, heads + tails)
 
 
 def is_lagrangian(rel: LinRel) -> bool:
     """Whether the relation is its own complement under the conjugate-domain
-    symplectic form, with coordinates read as (phi, I) pairs."""
+    symplectic form, with coordinates read as (phi, I) pairs: whether it
+    has (dom + cod) / 2 rows and any two vanish under the dual form on
+    covectors, the sum over ports of r_phi s_I - r_I s_phi, negated on
+    the domain ports."""
     if rel.dom % 2 or rel.cod % 2:
         raise OddDimension("ports carry (phi, I) pairs; dimensions must be even")
-    # per basis vector v, the covector u -> w(v, u): (-I, phi) on each
-    # codomain port, negated on the domain ports
-    rows = [{k ^ 1: -x if (k % 2 == 0) == (k < rel.dom) else x
-             for k, x in v.items()} for v in rel.space.rows]
-    return kernel(rows, rel.field, rel.space.ambient) == rel.space
+    rows = rel.constraints.rows
+    # per row r, the covector s -> (dual form of r and s): (-r_I, r_phi) on
+    # each codomain port, negated on the domain ports
+    duals = [{k ^ 1: -x if (k % 2 == 0) == (k < rel.dom) else x
+              for k, x in r.items()} for r in rows]
+    zero = rel.field.zero
+    return 2 * len(rows) == rel.dom + rel.cod and not any(
+        sum((x * s[k] for k, x in dual.items() if k in s), zero)
+        for i, dual in enumerate(duals) for s in rows[i + 1:])
 
 
 def K_corel(field: Field, c: Corelation) -> LinRel:
@@ -174,7 +195,7 @@ def K_corel(field: Field, c: Corelation) -> LinRel:
         rows += [{phi(block[0]): one, phi(el): -one} for el in block[1:]]
         rows.append({phi(el) + 1: one if el[0] == "x" else -one
                      for el in block})
-    return LinRel(2 * m, 2 * n, kernel(rows, field, 2 * (m + n)))
+    return LinRel(2 * m, 2 * n, Subspace.span(field, 2 * (m + n), rows))
 
 
 @functools.cache
@@ -314,8 +335,8 @@ def blackbox(c: LCircuit, field: Field = QS) -> LinRel:
     have no h entries."""
     if any(lab.kind in SOURCE_KINDS for _s, _t, lab in c.graph.edges):
         raise UnsupportedLabel("source labels need the affine black-boxing")
-    return LinRel(2 * c.m, 2 * c.n, kernel(boundary_rows(c, field), field,
-                                           2 * (c.m + c.n)))
+    return LinRel(2 * c.m, 2 * c.n, Subspace.span(
+        field, 2 * (c.m + c.n), boundary_rows(c, field)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +414,7 @@ def format_linrel(rel: LinRel) -> str:
     if rel.dom % 2 or rel.cod % 2:
         raise OddDimension("printing expects (phi, I) ports")
     names = port_var_names(rel.dom // 2, rel.cod // 2)
-    return format_constraints(rel.field, rel.space.annihilator().basis,
-                              names)
+    return format_constraints(rel.field, rel.constraints.basis, names)
 
 
 def parse_linrel(src: str, mports: int, nports: int,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from propnet.afflag import AffRel, isource_rel, vsource_rel
 from propnet.exactla import Subspace, kernel, rref
-from propnet.linrel import K_corel, label_rows, rlc_rel
+from propnet.linrel import K_corel, LinRel, label_rows, rlc_rel
 from propnet.scalar import QQ, QS, RatFunc, Poly, format_scalar
 from propnet.setprops import Corelation, CorelModel, Cospan, _UnionFind
 from propnet.circuit import (CIRCUIT_SIGNATURE, EdgeLabel, LCircuit, LGraph,
@@ -213,6 +213,13 @@ def to_sparse(rows):
 def to_dense(rows, width, field):
     """Sparse rows as row lists of length ``width``."""
     return [[r.get(j, field.zero) for j in range(width)] for r in rows]
+
+
+def from_vectors(field, dom, cod, vectors) -> LinRel:
+    """The relation spanned by dense vectors of length dom + cod, coerced
+    into ``field``: its constraint rows are the kernel of the vectors."""
+    vectors = [[field.coerce(x) for x in v] for v in vectors]
+    return LinRel(dom, cod, kernel(to_sparse(vectors), field, dom + cod))
 
 
 def rank(rows, field) -> int:

@@ -10,7 +10,7 @@ from propnet.afflag import (AffRel, aff_blackbox, format_affrel,
 from propnet.circuit import (CIRCUIT_SIGNATURE, CircuitModel, LCircuit,
                              LGraph, parse_label)
 from propnet.linrel import LinRel, blackbox, impedance_rel, label_rows
-from propnet.exactla import kernel
+from propnet.exactla import Subspace, kernel
 from propnet.scalar import QQ, QS
 from propnet.term import evaluate, parse_term
 
@@ -184,6 +184,9 @@ def check_tensor_against_stacking(field, fcase, gcase):
     assert (got.dom, got.cod) == (d1 + d2, c1 + c2)
     assert got.hspace == kernel(to_sparse(rows), field,
                                 d1 + d2 + c1 + c2 + 1)
+    # the merged rows are the reduced echelon rows of both row sets
+    assert got.constraints.rows == \
+        Subspace(field, d1 + d2 + c1 + c2 + 1, rows).rows
 
 
 def check_linear_part_drops_h(field, case):

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from propnet.afflag import AffRel, aff_blackbox
+from propnet import afflag, exactla, linrel
+from propnet.afflag import (AffRel, aff_blackbox, format_affrel,
+                            is_aff_lagrangian)
 from propnet.circuit import (MAX_NODES, SOURCE_KINDS, WIRE, CircuitModel,
                              EdgeLabel, LCircuit, LGraph, parse_label)
 from propnet.linrel import (CorelToLinRelModel, K_corel, LinRel, OddDimension,
@@ -17,10 +20,12 @@ from propnet.exactla import (DimensionMismatch, Subspace, eliminate, kernel,
                              rref)
 from propnet.scalar import QQ, QS, Poly, RatFunc
 from propnet.setprops import CorelModel
+from propnet.cli import main
 from propnet.term import MAX_WIDTH, evaluate, parse_term
 
 from helpers import (PROPERTY, RLC_KINDS, aff_contains, circuit_kernel,
-                     circuits, composable_rows, is_stored, ladder_circuit,
+                     circuit_to_json, circuits, composable_rows,
+                     from_vectors, is_stored, ladder_circuit,
                      lagrangian_oracle, rand_circuit, rand_circuit_gens,
                      rand_corelation, rand_term, scalars, sparse_rows,
                      stacked_composite, to_sparse)
@@ -29,7 +34,7 @@ from helpers import (PROPERTY, RLC_KINDS, aff_contains, circuit_kernel,
 def _member(rel, vec):
     field = rel.field
     return all(sum((a * b for a, b in zip(row, vec)), field.zero) == field.zero
-               for row in rel.space.annihilator().basis)
+               for row in rel.constraints.basis)
 
 
 def test_K_on_generators():
@@ -213,7 +218,7 @@ def test_tensor_and_from_linrel_are_reduced(field, data):
     f = data.draw(_linrels(field))
     g = data.draw(_linrels(field))
     t = f.tensor(g)
-    assert _is_reduced(t.space)
+    assert _is_reduced(t.constraints) and _is_reduced(t.space)
     padded = ([list(v[:f.dom]) + [field.zero] * g.dom + list(v[f.dom:])
                + [field.zero] * g.cod for v in f.space.basis]
               + [[field.zero] * f.dom + list(w[:g.dom]) + [field.zero] * f.cod
@@ -225,10 +230,10 @@ def test_tensor_and_from_linrel_are_reduced(field, data):
 @pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
 def test_identity_and_symmetry_are_reduced(field):
     for n in range(5):
-        assert _is_reduced(LinRel.identity(field, n).space)
+        assert _is_reduced(LinRel.identity(field, n).constraints)
         assert _is_reduced(AffRel.identity(field, n).constraints)
         for m in range(5):
-            assert _is_reduced(LinRel.symmetry(field, m, n).space)
+            assert _is_reduced(LinRel.symmetry(field, m, n).constraints)
             assert _is_reduced(AffRel.symmetry(field, m, n).constraints)
 
 
@@ -283,7 +288,7 @@ def _exact_results(field, convert, rows, gone, composable, circuit):
                eliminate(sparse, field, gone),
                Subspace(field, width, dense).rows, f.space.rows,
                f.compose(g).space.rows, f.tensor(g).space.rows,
-               box.space.rows, box.space.annihilator().rows]
+               box.space.rows, box.constraints.rows]
     return rowsets, format_linrel(box)
 
 
@@ -313,8 +318,8 @@ def test_from_constraints_coerces_and_checks_widths():
         LinRel.identity(QQ, 1)
     full = LinRel.from_constraints(QS, 1, 2, [])
     assert full.space.dim == 3
-    assert full == LinRel(1, 2, Subspace(QS, 3, [[1, 0, 0], [0, 1, 0],
-                                                 [0, 0, 1]]))
+    assert full == from_vectors(QS, 1, 2, [[1, 0, 0], [0, 1, 0],
+                                           [0, 0, 1]])
     for rows in ([[1, 0, 0]], [[1, 0], [1]], [[1, 0], [0, 1, 0]]):
         with pytest.raises(DimensionMismatch, match="width 2"):
             LinRel.from_constraints(QQ, 1, 1, rows)
@@ -394,7 +399,7 @@ def _lagrangians(draw, field):
             cur = -s[p][k] if p < m else s[p][k]
             v += [cur, -phi] if p in turned else [phi, cur]
         vecs.append(v)
-    return LinRel(2 * m, 2 * n, Subspace(field, 2 * (m + n), vecs))
+    return from_vectors(field, 2 * m, 2 * n, vecs)
 
 
 @pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
@@ -410,8 +415,37 @@ def test_is_lagrangian_matches_pairwise_oracle(field, data):
         keep = data.draw(st.integers(0, lag.space.dim))
         rows = data.draw(sparse_rows(field, max_rows=width // 2 + 1,
                                      min_cols=width, max_cols=width))
-        rel = LinRel(lag.dom, lag.cod, Subspace(
-            field, width, lag.space.basis[:keep] + rows))
+        rel = from_vectors(field, lag.dom, lag.cod,
+                           lag.space.basis[:keep] + rows)
+        assert is_lagrangian(rel) == lagrangian_oracle(rel)
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@PROPERTY
+@given(data=st.data())
+def test_is_lagrangian_on_rows_matches_pairwise_oracle(field, data):
+    """``is_lagrangian`` reads the constraint rows; the oracle checks
+    the basis.  On black boxes (Lagrangian), their linear parts with
+    sources, a box with one row swapped for an arbitrary one (often half
+    the rows, seldom isotropic), arbitrary rows, and the composites,
+    tensors and daggers of these."""
+    box = blackbox(data.draw(circuits(field)), field)
+    part = aff_blackbox(data.draw(circuits(field, sources=True)),
+                        field).linear_part()
+    width = box.dom + box.cod
+    rows = data.draw(sparse_rows(field, max_rows=width // 2 + 2,
+                                 min_cols=width, max_cols=width)) \
+        if width else []
+    swapped = LinRel.from_constraints(
+        field, box.dom, box.cod, box.constraints.basis[:-1] + rows[:1])
+    cod = 2 * data.draw(st.integers(0, 2))
+    free = data.draw(sparse_rows(field, max_rows=(box.cod + cod) // 2 + 1,
+                                 min_cols=box.cod + cod,
+                                 max_cols=box.cod + cod)) \
+        if box.cod + cod else []
+    other = LinRel.from_constraints(field, box.cod, cod, free)
+    for rel in (box, part, swapped, other, box.compose(other),
+                box.tensor(part), swapped.dagger()):
         assert is_lagrangian(rel) == lagrangian_oracle(rel)
 
 
@@ -513,3 +547,46 @@ def test_widest_identity_composite_stays_sparse():
     assert peak < 20_000_000
     assert rel == model.symmetry(half, half)
     assert rel.space.dim == 2 * MAX_WIDTH
+
+
+# ---------------------------------------------------------------------------
+# relations are stored as their constraint rows, so no engine path solves
+# for a basis
+
+def test_no_engine_path_takes_a_kernel(tmp_path, capsys, monkeypatch):
+    """With ``kernel`` refused wherever it is bound, every operation that
+    builds, composes, tensors, black-boxes, checks or prints a relation
+    still runs, and so do the CLI's ``eval`` and ``blackbox``: only the
+    read-only views ``LinRel.space`` and ``AffRel.hspace`` solve for a
+    basis."""
+    def refuse(*_args):
+        raise AssertionError("kernel called")
+
+    for module in (exactla, linrel, afflag):
+        monkeypatch.setattr(module, "kernel", refuse)
+    for field in (QQ, QS):
+        imp = LinRel.from_constraints(field, 2, 2, [[1, 0, -1, 3],
+                                                    [0, 1, 0, -1]])
+        split = K_corel(field, CorelModel.GENERATORS["d"])
+        rel = split.compose(imp.tensor(LinRel.symmetry(field, 0, 2)))
+        assert is_lagrangian(rel) and is_lagrangian(rel.dagger())
+        assert format_linrel(rel.dagger()) and repr(rel)
+        box = blackbox(CORNER_CIRCUITS["shared legs"], field)
+        assert is_lagrangian(box) and format_linrel(box)
+        for name in ("parallel edges", "conflicting sources"):
+            aff = aff_blackbox(CORNER_CIRCUITS[name], field)
+            lifted = AffRel.from_linrel(imp)
+            both = aff.compose(lifted).tensor(AffRel.symmetry(field, 2, 0))
+            assert is_aff_lagrangian(both) and format_affrel(both)
+            assert repr(both.linear_part()) and repr(both)
+            assert both.is_empty() == ("sources" in name)
+    terms = [("linrel", "(seq (gen d) (par (label resistor 2) "
+                        "(label capacitor 3)) (gen m))"),
+             ("sigflow", "(seq (gen dup) (gen add) (scalar 2/3))"),
+             ("bondgraph-f", "(par (gen 1u) (gen 0e) (gen 0j))")]
+    for model, term in terms:
+        assert main(["eval", "--model", model, "--term", term]) == 0
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(circuit_to_json(ladder_circuit(3, [2, 3]))))
+    assert main(["blackbox", "--circuit", str(path)]) == 0
+    assert "= 0" in capsys.readouterr().out

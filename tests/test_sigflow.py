@@ -14,7 +14,7 @@ from propnet.sigflow import (SIGFLOW_CONSTRAINTS, SIGFLOW_SIGNATURE,
 from propnet.term import (Gen, Id, Par, Seq, arity, evaluate, format_term,
                           parse_term, seq)
 
-from helpers import rand_circuit_gens, rand_term
+from helpers import from_vectors, rand_circuit_gens, rand_term
 
 SF_GENS = ["codup", "codel", "dup", "del", "add", "coadd", "zero", "cozero",
            "scalar:2", "scalar:-1/3"]
@@ -23,7 +23,7 @@ SF_GENS = ["codup", "codel", "dup", "del", "add", "coadd", "zero", "cozero",
 def test_generator_relations():
     m = SigFlowModel(QQ)
     one, zero = QQ.one, QQ.zero
-    assert m.gen("dup") == LinRel(1, 2, Subspace(QQ, 3, [[one, one, one]]))
+    assert m.gen("dup") == from_vectors(QQ, 1, 2, [[one, one, one]])
     assert m.gen("add").space.contains([one, QQ.coerce(2), QQ.coerce(3)])
     assert not m.gen("add").space.contains([one, one, QQ.coerce(3)])
     assert m.gen("zero").space.contains([zero])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from propnet.afflag import AffRel
 from propnet.circuit import LCircuit, LGraph
 from propnet.cli import _models
-from propnet.exactla import Subspace
 from propnet.linrel import CorelToLinRelModel, LinRel
 from propnet.scalar import QQ, QS
 from propnet.setprops import (BoolRel, Corelation, CorelModel, Cospan,
@@ -23,8 +22,8 @@ from propnet.term import (MAX_WIDTH, ArityMismatch, Gen, Id, Par, Seq, Sym,
                           evaluate, format_term, model_equal, par,
                           parse_term, seq)
 
-from helpers import (PROPERTY, fold_evaluate, pi0_cospan, rand_term,
-                     rand_term_with_dom)
+from helpers import (PROPERTY, fold_evaluate, from_vectors, pi0_cospan,
+                     rand_term, rand_term_with_dom)
 
 WIRE_GENS = ["m", "i", "d", "e"]
 
@@ -546,7 +545,7 @@ def test_identity_is_the_empty_symmetry(field):
         for carrier, ident in expected.items():
             assert carrier.identity(n) == carrier.symmetry(0, n) == ident
             assert type(carrier.identity(n)) is carrier
-        lin = LinRel(n, n, Subspace(field, 2 * n, diagonal))
+        lin = from_vectors(field, n, n, diagonal)
         assert LinRel.identity(field, n).space.basis == lin.space.basis
         assert LinRel.symmetry(field, 0, n).space.basis == lin.space.basis
         assert AffRel.identity(field, n).hspace.basis == \
