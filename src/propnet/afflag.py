@@ -75,11 +75,14 @@ class AffRel:
             self.field, h, [{j: x for j, x in r.items() if j != h}
                             for r in self.constraints.rows if min(r) != h]))
 
-    def compose(self, other: "AffRel") -> "AffRel":
-        return AffRel(*compose_rows(self, other, 1))
+    def compose(self, *others: "AffRel") -> "AffRel":
+        out = self
+        for other in others:
+            out = AffRel(*compose_rows(out, other, 1))
+        return out
 
-    def tensor(self, other: "AffRel") -> "AffRel":
-        return AffRel(*tensor_rows((self, other), 1))
+    def tensor(self, *others: "AffRel") -> "AffRel":
+        return AffRel(*tensor_rows((self, *others), 1))
 
     def __eq__(self, other):
         if not isinstance(other, AffRel):

@@ -17,16 +17,14 @@ to its nonzeros (row-wise storage, Gustavson 1978; sparse elimination,
 Davis 2006, chapters 2 and 6).
 
 A relation stores its constraint rows as such a subspace (see
-``linrel``).  ``rref`` reduces to the canonical form.  Rows reduced by
-construction (symmetry, tensor) use ``Subspace.canonical`` and skip it;
+``linrel``).  ``rref`` reduces to the canonical form, and a composite is
+the reduced rows of both row sets past their middle.  Rows reduced by
+construction (symmetry, tensor, composite) use ``Subspace.canonical``;
 rows computed from field elements (``dagger``, and the rows ``eliminate``
 leaves) use ``Subspace.span``, which reduces without coercing.
-``eliminate`` projects columns off sparse rows one Markowitz pivot at a
-time: a composite of relations is what is left of both constraint row
-sets once their middle is eliminated, and a circuit's black box is what
-is left of its equations once its internal unknowns are.  ``kernel``
-solves rows for a basis; only the read-only views ``LinRel.space`` and
-``AffRel.hspace`` call it.
+``eliminate`` projects a circuit's internal unknowns off its equations
+one Markowitz pivot at a time.  ``kernel`` solves rows for a basis; only
+the read-only views ``LinRel.space`` and ``AffRel.hspace`` call it.
 """
 
 from __future__ import annotations
@@ -196,11 +194,6 @@ def kernel(rows, field: Field, width: int) -> Subspace:
     return Subspace.canonical(field, width, basis)
 
 
-def _is_constant(x) -> bool:
-    """Every rational is; a rational function is when both parts are."""
-    return not isinstance(x, RatFunc) or x.num.degree + x.den.degree == 0
-
-
 def _unit(x, one, minus_one) -> int:
     """1 or -1 when x is that field value, else 0."""
     return 1 if x == one else -1 if x == minus_one else 0
@@ -208,13 +201,13 @@ def _unit(x, one, minus_one) -> int:
 
 def eliminate(rows, field: Field, columns):
     """Sparse rows (dicts from column to nonzero entry) whose solutions are
-    those of ``rows`` (not changed) projected off ``columns``: each step
-    subtracts a pivot row from the other rows holding its column, then
-    drops it and any empty row.  Pivots have the least Markowitz cost
-    (row length - 1) * (column count - 1) (Tinney & Walker 1967), then a
-    constant entry, then the lowest column and row.  A heap holds each
-    column's best pivot, re-keyed when the column gains or loses a row;
-    other stale keys are recomputed when they come up.
+    those of ``rows`` (not changed) projected off ``columns``, a circuit's
+    black box: each step subtracts a pivot row from the other rows holding
+    its column, then drops it and any empty row.  Pivots have the least
+    Markowitz cost (row length - 1) * (column count - 1) (Tinney & Walker
+    1967), then a constant entry, which slows Q(s) degree growth, then the
+    lowest column and row.  A heap holds each column's best pivot, re-keyed
+    when the column gains or loses a row, and other stale keys when met.
     """
     rows = [dict(r) for r in rows]
     where = {c: set() for c in columns}
@@ -223,9 +216,17 @@ def eliminate(rows, field: Field, columns):
             where[c].add(i)
 
     def key(c):
-        n = len(where[c]) - 1
-        return min(((len(rows[i]) - 1) * n, not _is_constant(rows[i][c]),
-                    c, i) for i in where[c])
+        held = where[c]
+        if len(held) == 1:
+            (i,) = held
+            x = rows[i][c]
+            return (0, isinstance(x, RatFunc)
+                    and len(x.num.prim) + len(x.den.prim) != 2, c, i)
+        n = len(held) - 1
+        return min(((len(rows[i]) - 1) * n,
+                    isinstance(x := rows[i][c], RatFunc)
+                    and len(x.num.prim) + len(x.den.prim) != 2, c, i)
+                   for i in held)
 
     heap = sorted(key(c) for c in where if where[c])  # a sorted list is a heap
     one, minus_one = field.one, -field.one

@@ -6,8 +6,9 @@ A relation is stored as the reduced echelon rows of its kernel
 representation (Willems, IEEE CSM 2007; every linear relation has one:
 Bonchi, Sobocinski and Zanasi, "Interacting Hopf algebras", JPAA 2017),
 ``LinRel`` over (dom, cod) and ``afflag.AffRel`` over (dom, cod, h).  Both
-compose by ``compose_rows`` and tensor by ``tensor_rows``, whose shared
-tail s is h, never eliminated.  The printers print the stored rows.
+compose by ``compose_rows``, one ``rref`` with the middle first, and
+tensor by ``tensor_rows``; their shared tail s is h.  The printers print
+the stored rows.
 
 Coordinate convention: domain ports first, then codomain ports; a circuit
 port carries the pair (phi, I) in that order.  The symplectic form per
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import re
 
-from .exactla import Subspace, eliminate, kernel
+from .exactla import Subspace, eliminate, kernel, rref
 from .scalar import Field, QS, RatFunc, format_scalar
 from .setprops import Corelation, CorelModel, InterfaceMismatch
 from .circuit import (CIRCUIT_SIGNATURE, SOURCE_KINDS, EdgeLabel, LCircuit,
@@ -112,18 +113,23 @@ class LinRel:
 
 def compose_rows(f, g, tail: int):
     """(dom, cod, constraints) of f;g, with a tail s of ``tail`` columns:
-    f's rows over (u, v, s) and g's over (v, w, s) placed in the layout
-    (u, w, s, v), g's first; once v is eliminated they are over (u, w, s)."""
+    the v-free rows spanned by f's rows over (u, v, s) and g's over
+    (v, w, s), reduced once in the layout (v, u, w, s).  No reduced row
+    with its pivot in v takes part in a v-free combination, so the rest,
+    shifted left by |v|, are f;g's reduced rows (the elimination property
+    of a block order: Cox, Little and O'Shea, "Ideals, Varieties, and
+    Algorithms", section 3.1)."""
     if f.cod != g.dom:
         raise InterfaceMismatch(f"cannot compose {f.cod} -> with {g.dom} <-")
     dom, mid, cod = f.dom, f.cod, g.cod
-    end = dom + cod + tail
-    v = range(end, end + mid)
-    rows = (_place(g.constraints.rows, [*v, *range(dom, end)])
-            + _place(f.constraints.rows,
-                     [*range(dom), *v, *range(dom + cod, end)]))
-    return dom, cod, Subspace.span(f.field, end,
-                                   eliminate(rows, f.field, v))
+    end = mid + dom + cod + tail
+    rows = (_place(g.constraints.rows, [*range(mid), *range(mid + dom, end)])
+            + _place(f.constraints.rows, [*range(mid, mid + dom), *range(mid),
+                                          *range(mid + dom + cod, end)]))
+    reduced, pivots = rref(rows, f.field)
+    return dom, cod, Subspace.canonical(f.field, end - mid, [
+        {k - mid: x for k, x in r.items()}
+        for r, p in zip(reduced, pivots) if p >= mid])
 
 
 def _place(rows, cols):

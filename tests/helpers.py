@@ -1,6 +1,5 @@
 """Shared generators and brute-force oracles for the test suite."""
 
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -496,9 +495,7 @@ def circuit_kernel(c, field):
 
 class AffineCircuitModel(PropModel):
     """Circuit terms valued in affine relations over ``field``, generator
-    by generator: the second route to black-boxing with sources.  A
-    form's children fold in from the left by the binary ``compose`` and
-    ``tensor``."""
+    by generator: the second route to black-boxing with sources."""
 
     width = 2
     signature = CIRCUIT_SIGNATURE
@@ -519,12 +516,6 @@ class AffineCircuitModel(PropModel):
 
     def symmetry(self, m, n):
         return AffRel.symmetry(self.field, 2 * m, 2 * n)
-
-    def seq(self, first, *rest):
-        return functools.reduce(AffRel.compose, rest, first)
-
-    def par(self, first, *rest):
-        return functools.reduce(AffRel.tensor, rest, first)
 
 
 def rand_circuit(rng, max_nodes=6, max_edges=8, kinds=RLC_KINDS):

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from propnet.afflag import (AffRel, aff_blackbox, format_affrel,
 from propnet.circuit import (CIRCUIT_SIGNATURE, CircuitModel, LCircuit,
                              LGraph, parse_label)
 from propnet.linrel import LinRel, blackbox, impedance_rel, label_rows
-from propnet.exactla import Subspace, kernel
+from propnet.exactla import Subspace, kernel, rref
 from propnet.scalar import QQ, QS
 from propnet.term import evaluate, parse_term
 
@@ -133,6 +134,10 @@ def check_compose_against_stacking(field, case):
     assert (got.dom, got.cod) == (dom, cod)
     assert got.hspace == stacked_composite(field, dom, mid, cod, frows,
                                            grows, h=1)
+    # the rows are stored unchecked: they must be reduced and over (u, w, h)
+    rows = got.constraints.rows
+    assert rref(rows, field)[0] == rows
+    assert all(max(r) < dom + cod + 1 for r in rows)
 
 
 # g = {w1 + w2 = 1}: lifted by a copy of h after its (empty) domain, its
@@ -141,9 +146,17 @@ def check_compose_against_stacking(field, case):
 _ONE_SUM = (1, 0, 2, [[QQ.one, -QQ.one]], [[QQ.one, QQ.one, -QQ.one]])
 
 
+# {v = 1} then {v = 2}: an empty composite of two nonempty relations
+_DISJOINT = (0, 1, 0, [[QQ.one, -QQ.one]], [[QQ.one, -QQ.coerce(2)]])
+# {u = 1} then {w = -2}: a middle of width 0
+_NO_MIDDLE = (1, 0, 1, [[QQ.one, -QQ.one]], [[QQ.one, QQ.coerce(2)]])
+
+
 @PROPERTY
 @given(composable_rows(QQ, h=1))
 @example(_ONE_SUM)
+@example(_DISJOINT)
+@example(_NO_MIDDLE)
 def test_compose_matches_stacked_kernel_qq(case):
     check_compose_against_stacking(QQ, case)
 
@@ -214,6 +227,48 @@ def test_tensor_matches_stacked_kernel_qq(fcase, gcase):
 @given(relation_rows(QS), relation_rows(QS))
 def test_tensor_matches_stacked_kernel_qs(fcase, gcase):
     check_tensor_against_stacking(QS, fcase, gcase)
+
+
+@st.composite
+def affine_chains(draw, field, length=3):
+    """Affine relations n_0 -> n_1 -> ... -> n_length, any of them
+    sometimes forced empty by a row h = 0."""
+    sizes = [draw(st.integers(0, 2)) for _ in range(length + 1)]
+    entry = st.one_of(st.just(field.zero), st.just(field.one),
+                      st.just(-field.one), scalars(field))
+    rels = []
+    for dom, cod in zip(sizes, sizes[1:]):
+        width = dom + cod + 1
+        rows = [[draw(entry) for _ in range(width)]
+                for _ in range(draw(st.integers(0, width)))]
+        if draw(st.integers(0, 3)) == 0:
+            rows.append([field.zero] * (width - 1) + [field.one])
+        rels.append(AffRel.from_constraints(field, dom, cod, rows))
+    return rels
+
+
+def check_nary_against_binary_fold(field, chain, factors):
+    """``compose`` and ``tensor`` of any number of further values store the
+    rows of the binary fold from the left, an empty factor included."""
+    factors = [AffRel.from_constraints(field, *case) for case in factors]
+    empty = AffRel.from_constraints(field, *_EMPTY)
+    for op, rels in [(AffRel.compose, chain), (AffRel.tensor, factors),
+                     (AffRel.tensor, [factors[0], empty, *factors[1:]])]:
+        first, *rest = rels
+        got = op(first, *rest)
+        folded = functools.reduce(op, rest, first)
+        assert (got.dom, got.cod) == (folded.dom, folded.cod)
+        assert got.constraints.rows == folded.constraints.rows
+        assert op(first).constraints.rows == first.constraints.rows
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@PROPERTY
+@given(data=st.data())
+def test_nary_compose_and_tensor_match_binary_fold(field, data):
+    check_nary_against_binary_fold(
+        field, data.draw(affine_chains(field)),
+        [data.draw(relation_rows(field)) for _ in range(3)])
 
 
 @PROPERTY

@@ -346,6 +346,10 @@ def check_compose_against_stacking(field, case):
         LinRel.from_constraints(field, mid, cod, grows))
     assert (got.dom, got.cod) == (dom, cod)
     assert got.space == stacked_composite(field, dom, mid, cod, frows, grows)
+    # the rows are stored unchecked: they must be reduced and over (u, w)
+    rows = got.constraints.rows
+    assert rref(rows, field)[0] == rows
+    assert all(max(r) < dom + cod for r in rows)
 
 
 def _compose_examples(test):
@@ -590,3 +594,45 @@ def test_no_engine_path_takes_a_kernel(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(circuit_to_json(ladder_circuit(3, [2, 3]))))
     assert main(["blackbox", "--circuit", str(path)]) == 0
     assert "= 0" in capsys.readouterr().out
+
+
+def test_relations_compose_without_eliminate(capsys, monkeypatch):
+    """Composing, tensoring and daggering relations, and the CLI commands
+    that check generator images against their equations, reach no
+    ``eliminate``: a composite is read off one ``rref``.  Black-boxing
+    still eliminates, which shows that the refusal is in place."""
+    def refuse(*_args):
+        raise AssertionError("eliminate called")
+
+    for module in (exactla, linrel):
+        monkeypatch.setattr(module, "eliminate", refuse)
+    for field in (QQ, QS):
+        imp = LinRel.from_constraints(field, 2, 2, [[1, 0, -1, 3],
+                                                    [0, 1, 0, -1]])
+        split = K_corel(field, CorelModel.GENERATORS["d"])
+        rel = split.compose(imp.tensor(LinRel.symmetry(field, 0, 2)),
+                            LinRel.symmetry(field, 2, 2))
+        assert rel.dagger().compose(rel).dom == 4 and repr(rel)
+        # {phi = 1} then {phi = 2}: empty, and so is a tensor with it
+        one = AffRel.from_constraints(field, 0, 2, [[1, 0, -1]])
+        two = AffRel.from_constraints(field, 2, 0, [[1, 0, -2]])
+        empty = one.compose(two)
+        assert empty.is_empty() and format_affrel(empty) == "EMPTY"
+        lifted = AffRel.from_linrel(imp)
+        both = one.compose(lifted, lifted).tensor(empty, one)
+        assert both.is_empty() and (both.dom, both.cod) == (0, 4)
+        assert not one.compose(lifted).tensor(one).is_empty()
+        with pytest.raises(AssertionError, match="eliminate called"):
+            blackbox(CORNER_CIRCUITS["shared legs"], field)
+    commands = [["alpha", "--field", "q", "--term",
+                 "(seq (gen 1d) (gen 1j))"],
+                ["laws", "bondgraph-f", "--field", "q"],
+                ["laws", "finrelk", "--field", "q"],
+                ["eval", "--model", "linrel", "--term",
+                 "(seq (gen d) (par (label resistor 2) "
+                 "(label capacitor 3)) (gen m))"],
+                ["eval", "--model", "sigflow", "--term",
+                 "(seq (gen dup) (gen add) (scalar 2/3))"]]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
