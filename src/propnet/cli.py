@@ -172,9 +172,10 @@ def _distinguish(a, b):
         if (a.dom, a.cod) != (b.dom, b.cod):
             return f"interface {a.dom}->{a.cod} vs {b.dom}->{b.cod}"
         for x, y, which in ((a, b, "first"), (b, a, "second")):
-            within = y.space
             for v in x.space.basis:
-                if not within.contains(v):
+                # v lies in y exactly when every row of y vanishes on it
+                if any(sum((c * v[j] for j, c in row.items()), a.field.zero)
+                       for row in y.constraints.rows):
                     lits = ", ".join(map(format_scalar, v))
                     return f"vector ({lits}) in {which} only"
     first, second = _show_value(a), _show_value(b)

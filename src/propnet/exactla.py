@@ -17,11 +17,13 @@ to its nonzeros (row-wise storage, Gustavson 1978; sparse elimination,
 Davis 2006, chapters 2 and 6).
 
 A relation stores its constraint rows as such a subspace (see
-``linrel``).  ``rref`` reduces to the canonical form, and a composite is
-the reduced rows of both row sets past their middle.  Rows reduced by
-construction (symmetry, tensor, composite) use ``Subspace.canonical``;
-rows computed from field elements (``dagger``, and the rows ``eliminate``
-leaves) use ``Subspace.span``, which reduces without coercing.
+``linrel``).  ``rref`` reduces to the canonical form.  A composite is one
+``rref`` started past the middle v: an echelon basis in a block order,
+reduced forward only over v, then one reduction of what is left (Cox,
+Little and O'Shea, section 3.1).  Rows reduced by construction (symmetry,
+tensor, composite) use ``Subspace.canonical``; rows computed from field
+elements (``dagger``, and the rows ``eliminate`` leaves) use
+``Subspace.span``, which reduces without coercing.
 ``eliminate`` projects a circuit's internal unknowns off its equations
 one Markowitz pivot at a time.  ``kernel`` solves rows for a basis; only
 the read-only views ``LinRel.space`` and ``AffRel.hspace`` call it.
@@ -38,10 +40,13 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def rref(rows, field: Field):
+def rref(rows, field: Field, start: int = 0):
     """Reduced row echelon form of sparse rows (copied, not changed).
     Returns (rows, pivot_columns), in increasing pivot order; rows that
-    reduce to nothing are dropped.
+    reduce to nothing are dropped.  With ``start`` > 0, only the rows whose
+    pivot is at or past ``start`` are returned, the reduced basis of the
+    span's rows with no column before it, and a forward pass (``_forward``)
+    sets the rest aside first.
 
     Incremental Gauss-Jordan: each row in turn is reduced by the pivot rows
     whose columns it holds.  Those hold no other pivot column, so none
@@ -53,23 +58,20 @@ def rref(rows, field: Field):
     the rows are the dense elimination's, entry by entry.
     """
     one, minus_one = field.one, -field.one
+    head = {}  # pivot column before start -> its row, never reduced
     done = {}  # pivot column -> its row
     seen = set()  # every column a pivot row has held
     for row in rows:
         row = dict(row)
+        if start and not _forward(row, head, start, field, one, minus_one):
+            continue
         for c in [c for c in row if c in done]:
             _subtract(row, row.pop(c), done[c], c, one, minus_one)
         if not row:
             continue
         c = min(row)
-        p = row[c]
-        unit = _unit(p, one, minus_one)
-        if unit == -1:
-            row = {j: one if j == c else -x for j, x in row.items()}
-        elif not unit:
-            inv = field.inv(p)
-            row = {j: one if j == c else stored(x * inv)
-                   for j, x in row.items()}
+        if row[c] != one:
+            row = _scaled(row, c, field, one, minus_one)
         if c in seen:
             for prow in done.values():
                 if c in prow:
@@ -78,6 +80,36 @@ def rref(rows, field: Field):
         done[c] = row
     pivots = sorted(done)
     return [done[c] for c in pivots], pivots
+
+
+def _forward(row, head, start, field, one, minus_one) -> bool:
+    """Reduce ``row`` in place by ``head``'s rows (pivot column before
+    ``start`` -> row with pivot 1), least column first, and tell whether
+    what is left lies at or past ``start``; if not, it is nothing or a new
+    pivot row, scaled and never touched again.  So ``head`` is an echelon
+    basis, not a reduced one, but the rows left past ``start`` still span
+    the span's rows with no column before it: a combination holding rows
+    of ``head`` is nonzero at their least pivot (Cox, Little and O'Shea,
+    "Ideals, Varieties, and Algorithms", section 3.1)."""
+    while row:
+        c = min(row)
+        if c >= start:
+            return True
+        if c not in head:
+            head[c] = (row if row[c] == one
+                       else _scaled(row, c, field, one, minus_one))
+            return False
+        _subtract(row, row.pop(c), head[c], c, one, minus_one)
+    return False
+
+
+def _scaled(row, c, field, one, minus_one):
+    """``row`` over its entry at c, not 1, which is set to 1: negated when
+    that entry is -1, with no inverse."""
+    if row[c] == minus_one:
+        return {j: one if j == c else -x for j, x in row.items()}
+    inv = field.inv(row[c])
+    return {j: one if j == c else stored(x * inv) for j, x in row.items()}
 
 
 def _subtract(row, f, prow, c, one, minus_one):
@@ -139,15 +171,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, v) -> bool:
-        """Whether the dense vector ``v`` (coerced) adds no pivot to the
-        canonical rows."""
-        v = [self.field.coerce(x) for x in v]
-        if len(v) != self.ambient:
-            raise DimensionMismatch("vector length != ambient")
-        rows = self.rows + [{j: x for j, x in enumerate(v) if x}]
-        return len(rref(rows, self.field)[0]) == self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -6,7 +6,7 @@ A relation is stored as the reduced echelon rows of its kernel
 representation (Willems, IEEE CSM 2007; every linear relation has one:
 Bonchi, Sobocinski and Zanasi, "Interacting Hopf algebras", JPAA 2017),
 ``LinRel`` over (dom, cod) and ``afflag.AffRel`` over (dom, cod, h).  Both
-compose by ``compose_rows``, one ``rref`` with the middle first, and
+compose by ``compose_rows``, one ``rref`` past the middle, and
 tensor by ``tensor_rows``; their shared tail s is h.  The printers print
 the stored rows.
 
@@ -113,12 +113,12 @@ class LinRel:
 
 def compose_rows(f, g, tail: int):
     """(dom, cod, constraints) of f;g, with a tail s of ``tail`` columns:
-    the v-free rows spanned by f's rows over (u, v, s) and g's over
-    (v, w, s), reduced once in the layout (v, u, w, s).  No reduced row
-    with its pivot in v takes part in a v-free combination, so the rest,
-    shifted left by |v|, are f;g's reduced rows (the elimination property
-    of a block order: Cox, Little and O'Shea, "Ideals, Varieties, and
-    Algorithms", section 3.1)."""
+    f's rows over (u, v, s) and g's over (v, w, s), in the layout
+    (v, u, w, s), reduced by ``rref`` from |v| on: an echelon basis in
+    that block order, reduced forward only over v, then one reduction of
+    what is left past v, which spans the v-free rows (Cox, Little and
+    O'Shea, "Ideals, Varieties, and Algorithms", section 3.1).  Shifted
+    left by |v|, those reduced rows are f;g's."""
     if f.cod != g.dom:
         raise InterfaceMismatch(f"cannot compose {f.cod} -> with {g.dom} <-")
     dom, mid, cod = f.dom, f.cod, g.cod
@@ -126,10 +126,9 @@ def compose_rows(f, g, tail: int):
     rows = (_place(g.constraints.rows, [*range(mid), *range(mid + dom, end)])
             + _place(f.constraints.rows, [*range(mid, mid + dom), *range(mid),
                                           *range(mid + dom + cod, end)]))
-    reduced, pivots = rref(rows, f.field)
     return dom, cod, Subspace.canonical(f.field, end - mid, [
         {k - mid: x for k, x in r.items()}
-        for r, p in zip(reduced, pivots) if p >= mid])
+        for r in rref(rows, f.field, mid)[0]])
 
 
 def _place(rows, cols):

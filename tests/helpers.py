@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from propnet.afflag import AffRel, isource_rel, vsource_rel
-from propnet.exactla import Subspace, kernel, rref
+from propnet.exactla import DimensionMismatch, Subspace, kernel, rref
 from propnet.linrel import K_corel, LinRel, label_rows, rlc_rel
 from propnet.scalar import QQ, QS, RatFunc, Poly, format_scalar
 from propnet.setprops import Corelation, CorelModel, Cospan, _UnionFind
@@ -290,10 +290,19 @@ def to_sympy(sympy, s, x):
     return sympy_poly(sympy, s, x.num) / sympy_poly(sympy, s, x.den)
 
 
+def contains(space, v) -> bool:
+    """Whether the dense vector ``v`` (coerced) lies in ``space``: it adds
+    no pivot to the canonical rows."""
+    v = [space.field.coerce(x) for x in v]
+    if len(v) != space.ambient:
+        raise DimensionMismatch("vector length != ambient")
+    return len(rref(space.rows + to_sparse([v]), space.field)[0]) == space.dim
+
+
 def aff_contains(rel, point) -> bool:
     """Whether the affine relation ``rel`` holds the dense ``point``: its
     homogenized span holds the point with h = 1."""
-    return rel.hspace.contains(list(point) + [rel.field.one])
+    return contains(rel.hspace, list(point) + [rel.field.one])
 
 
 def witness(rel):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propnet.exactla import (DimensionMismatch, Subspace, eliminate, kernel,
@@ -10,7 +10,7 @@ from propnet.exactla import (DimensionMismatch, Subspace, eliminate, kernel,
 from propnet.linrel import LinRel
 from propnet.scalar import QQ, QS, RatFunc
 
-from helpers import (PROPERTY, dense_rref, from_vectors, is_stored,
+from helpers import (PROPERTY, contains, dense_rref, from_vectors, is_stored,
                      rand_fraction, rand_ratfunc, rand_rows, rand_scalar,
                      rank, scalars, sparse_rows, to_dense, to_sparse,
                      to_sympy)
@@ -90,7 +90,7 @@ def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         Subspace(QQ, 3, [[one, one]])
     with pytest.raises(DimensionMismatch):
-        Subspace(QQ, 2, [[one, one]]).contains([one])
+        contains(Subspace(QQ, 2, [[one, one]]), [one])
 
 
 def test_over_qs_entries():
@@ -199,6 +199,54 @@ def test_rref_is_idempotent(field, data):
     assert pivots2 == pivots
     assert _forms(to_dense(again, len(rows[0]), field)) == \
         _forms(to_dense(red, len(rows[0]), field))
+
+
+def check_rref_from(field, case):
+    """For every ``start`` from 0 to the width plus 1, ``rref`` from
+    ``start`` gives the rows of the full ``rref`` whose pivot is at or past
+    it, in the same canonical forms and with the same pivots; the input
+    rows are not changed."""
+    width, rows = case
+    sparse = to_sparse([[field.coerce(x) for x in r] for r in rows])
+    before = [dict(r) for r in sparse]
+    full, pivots = rref(sparse, field)
+    for start in range(width + 2):
+        red, got = rref(sparse, field, start)
+        assert got == [p for p in pivots if p >= start]
+        assert _forms(to_dense(red, width, field)) == _forms(to_dense(
+            [r for r, p in zip(full, pivots) if p >= start], width, field))
+        assert sparse == before
+    assert rref(sparse, field, 0) == (full, pivots)
+
+
+def _rref_from_examples(test):
+    """A row wholly before column 2; rows whose entries before column 2
+    cancel; duplicate rows; no rows."""
+    for case in [(4, [[2, 1, 0, 0], [0, 0, 1, 3], [0, 3, 0, 0]]),
+                 (4, [[1, 2, 0, 1], [1, 2, 1, 0], [2, 4, 3, -1]]),
+                 (3, [[1, -1, 2], [0, 1, 1], [1, -1, 2], [1, -1, 2]]),
+                 (3, [])]:
+        test = example(case)(test)
+    return test
+
+
+def _rows_and_width(field):
+    return sparse_rows(field, max_rows=6, max_cols=7).map(
+        lambda rows: (len(rows[0]), rows))
+
+
+@PROPERTY
+@given(_rows_and_width(QQ))
+@_rref_from_examples
+def test_rref_from_a_start_column_qq(case):
+    check_rref_from(QQ, case)
+
+
+@PROPERTY
+@given(_rows_and_width(QS))
+@_rref_from_examples
+def test_rref_from_a_start_column_qs(case):
+    check_rref_from(QS, case)
 
 
 def test_sums_and_products_of_fractions_are_stored():

@@ -1,10 +1,12 @@
+import ast
+import inspect
 import json
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propnet import afflag, exactla, linrel
@@ -375,6 +377,70 @@ def test_compose_matches_stacked_kernel_qq(case):
 @_compose_examples
 def test_compose_matches_stacked_kernel_qs(case):
     check_compose_against_stacking(QS, case)
+
+
+@st.composite
+def _wide_composable(draw, field, h=0):
+    """As ``composable_rows``, with a middle of 8 to 10 wires and one to
+    three nonzeros per row, as generator relations have."""
+    dom, mid, cod = (draw(st.integers(*span)) for span in
+                     ((0, 3), (8, 10), (0, 3)))
+    entry = st.one_of(st.just(field.one), st.just(-field.one),
+                      scalars(field))
+
+    def rows(width):
+        out = [[field.zero] * width
+               for _ in range(draw(st.integers(0, width)))]
+        for row in out:
+            for j in draw(st.sets(st.integers(0, width - 1), min_size=1,
+                                  max_size=3)):
+                row[j] = draw(entry)
+        return out
+
+    return dom, mid, cod, rows(dom + mid + h), rows(mid + cod + h)
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@pytest.mark.parametrize("h", [0, 1], ids=["linear", "affine"])
+@settings(PROPERTY, max_examples=50)
+@given(data=st.data())
+def test_compose_over_a_wide_middle_is_one_rref_past_it(field, h, data):
+    """A compose, linear or affine, over a middle of 8 to 10 wires makes
+    one ``rref`` call, started at the middle's width, and no
+    ``eliminate`` or ``Subspace.span``; its rows are reduced, over the
+    right columns, and cut out the stacked kernel's composite."""
+    dom, mid, cod, frows, grows = data.draw(_wide_composable(field, h))
+    rel = AffRel if h else LinRel
+    f = rel.from_constraints(field, dom, mid, frows)
+    g = rel.from_constraints(field, mid, cod, grows)
+    calls = []
+
+    def counted(rows, over, start=0):
+        calls.append(start)
+        return rref(rows, over, start)
+
+    def refuse(*_args):
+        raise AssertionError("refused call")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linrel, "rref", counted)
+        for module in (exactla, linrel):
+            patch.setattr(module, "eliminate", refuse)
+        patch.setattr(Subspace, "span", refuse)
+        got = f.compose(g)
+    assert calls == [mid]
+    rows = got.constraints.rows
+    assert rref(rows, field)[0] == rows
+    assert all(max(r) < dom + cod + h for r in rows)
+    assert (got.hspace if h else got.space) == stacked_composite(
+        field, dom, mid, cod, frows, grows, h)
+
+
+def test_linrel_imports_no_private_name_of_exactla():
+    names = [a.name for node in ast.walk(ast.parse(inspect.getsource(linrel)))
+             if isinstance(node, ast.ImportFrom) and node.module == "exactla"
+             for a in node.names]
+    assert "rref" in names and not [n for n in names if n.startswith("_")]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from propnet.sigflow import (SIGFLOW_CONSTRAINTS, SIGFLOW_SIGNATURE,
 from propnet.term import (Gen, Id, Par, Seq, arity, evaluate, format_term,
                           parse_term, seq)
 
-from helpers import from_vectors, rand_circuit_gens, rand_term
+from helpers import contains, from_vectors, rand_circuit_gens, rand_term
 
 SF_GENS = ["codup", "codel", "dup", "del", "add", "coadd", "zero", "cozero",
            "scalar:2", "scalar:-1/3"]
@@ -24,11 +24,11 @@ def test_generator_relations():
     m = SigFlowModel(QQ)
     one, zero = QQ.one, QQ.zero
     assert m.gen("dup") == from_vectors(QQ, 1, 2, [[one, one, one]])
-    assert m.gen("add").space.contains([one, QQ.coerce(2), QQ.coerce(3)])
-    assert not m.gen("add").space.contains([one, one, QQ.coerce(3)])
-    assert m.gen("zero").space.contains([zero])
+    assert contains(m.gen("add").space, [one, QQ.coerce(2), QQ.coerce(3)])
+    assert not contains(m.gen("add").space, [one, one, QQ.coerce(3)])
+    assert contains(m.gen("zero").space, [zero])
     assert m.gen("zero").space.dim == 0
-    assert m.gen("scalar:-1/3").space.contains([QQ.coerce(3), -one])
+    assert contains(m.gen("scalar:-1/3").space, [QQ.coerce(3), -one])
 
 
 # the generators as spanning vectors, name -> (dom, cod, vectors)
