@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import RatFunc, parse_rat, parse_ratfunc, format_scalar
+from .scalar import QS, RatFunc, parse_rat, parse_ratfunc, format_scalar
 from .setprops import WIRE_SIGNATURE, InterfaceMismatch, _UnionFind
 from .term import PropModel, Signature, UnknownGenerator
 
@@ -44,9 +44,11 @@ class EdgeLabel:
         elif self.kind in ("resistor", "inductor", "capacitor"):
             if type(self.value) not in (int, Fraction) or self.value <= 0:
                 raise ValueError(f"{self.kind} needs a positive rational")
+        elif type(self.value) in (int, Fraction, RatFunc):
+            # a constant is kept as the rational that QS stores it as
+            object.__setattr__(self, "value", QS.coerce(self.value))
         else:
-            if not isinstance(self.value, RatFunc):
-                raise ValueError(f"{self.kind} needs a rational function")
+            raise ValueError(f"{self.kind} needs a rational function")
 
     def sort_key(self):
         return (self.kind, "" if self.value is None

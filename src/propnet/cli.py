@@ -12,7 +12,7 @@ import functools
 import os
 import sys
 
-from .scalar import FIELDS, QS, format_scalar
+from .scalar import FIELDS, QS
 from .term import Gen, Id, Sym, evaluate, par, parse_term, seq
 from .setprops import (BoolRelModel, Corelation, CorelModel, CospanModel,
                        NatSpanModel, format_corel)
@@ -176,7 +176,7 @@ def _distinguish(a, b):
                 # v lies in y exactly when every row of y vanishes on it
                 if any(sum((c * v[j] for j, c in row.items()), a.field.zero)
                        for row in y.constraints.rows):
-                    lits = ", ".join(map(format_scalar, v))
+                    lits = ", ".join(map(a.field.format, v))
                     return f"vector ({lits}) in {which} only"
     first, second = _show_value(a), _show_value(b)
     if first == second and isinstance(a, LCircuit):

@@ -2,11 +2,12 @@
 
 A row is a dict from column to nonzero entry, and its entries are already
 field elements in their stored form (the public constructors coerce dense
-raw data): over Q an int exactly when integral, else a Fraction (see
-``scalar``).  A product or a sum of two Fractions can be integral, so each
-one stored is brought back to that form (``scalar.stored``), and a pivot is
-inverted with ``field.inv``, never with ``/``, which would turn two ints
-into a float.
+raw data): a rational is an int exactly when integral, else a Fraction,
+and over Q(s) a constant is such a rational, a RatFunc only when it holds
+s (see ``scalar``).  A product or a sum of two Fractions can be integral,
+so each one stored is brought back to that form (``scalar.stored``), and
+a pivot is inverted with ``field.inv``, never with ``/``, which would
+turn two ints into a float.
 
 A subspace is stored as its reduced echelon basis: sparse rows, each with
 pivot 1 at its least column, in increasing pivot order.  That form is
@@ -18,12 +19,12 @@ Davis 2006, chapters 2 and 6).
 
 A relation stores its constraint rows as such a subspace (see
 ``linrel``).  ``rref`` reduces to the canonical form.  A composite is one
-``rref`` started past the middle v: an echelon basis in a block order,
-reduced forward only over v, then one reduction of what is left (Cox,
-Little and O'Shea, section 3.1).  Rows reduced by construction (symmetry,
-tensor, composite) use ``Subspace.canonical``; rows computed from field
-elements (``dagger``, and the rows ``eliminate`` leaves) use
-``Subspace.span``, which reduces without coercing.
+``rref`` started past the middle v, at negative columns: an echelon basis
+in a block order, reduced forward only over v, then one reduction of what
+is left (Cox, Little and O'Shea, section 3.1).  Rows reduced by
+construction (symmetry, tensor, composite) use ``Subspace.canonical``;
+rows computed from field elements (``dagger``, and the rows ``eliminate``
+leaves) use ``Subspace.span``, which reduces without coercing.
 ``eliminate`` projects a circuit's internal unknowns off its equations
 one Markowitz pivot at a time.  ``kernel`` solves rows for a basis; only
 the read-only views ``LinRel.space`` and ``AffRel.hspace`` call it.
@@ -40,13 +41,13 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def rref(rows, field: Field, start: int = 0):
+def rref(rows, field: Field, start: int | None = None):
     """Reduced row echelon form of sparse rows (copied, not changed).
     Returns (rows, pivot_columns), in increasing pivot order; rows that
-    reduce to nothing are dropped.  With ``start`` > 0, only the rows whose
-    pivot is at or past ``start`` are returned, the reduced basis of the
+    reduce to nothing are dropped.  With a ``start`` column, only the rows
+    whose pivot is at or past it are returned, the reduced basis of the
     span's rows with no column before it, and a forward pass (``_forward``)
-    sets the rest aside first.
+    sets the rest aside first; columns may be negative.
 
     Incremental Gauss-Jordan: each row in turn is reduced by the pivot rows
     whose columns it holds.  Those hold no other pivot column, so none
@@ -63,7 +64,8 @@ def rref(rows, field: Field, start: int = 0):
     seen = set()  # every column a pivot row has held
     for row in rows:
         row = dict(row)
-        if start and not _forward(row, head, start, field, one, minus_one):
+        if start is not None and not _forward(row, head, start, field, one,
+                                              minus_one):
             continue
         for c in [c for c in row if c in done]:
             _subtract(row, row.pop(c), done[c], c, one, minus_one)
@@ -243,12 +245,10 @@ def eliminate(rows, field: Field, columns):
         if len(held) == 1:
             (i,) = held
             x = rows[i][c]
-            return (0, isinstance(x, RatFunc)
-                    and len(x.num.prim) + len(x.den.prim) != 2, c, i)
+            return (0, type(x) is RatFunc, c, i)
         n = len(held) - 1
         return min(((len(rows[i]) - 1) * n,
-                    isinstance(x := rows[i][c], RatFunc)
-                    and len(x.num.prim) + len(x.den.prim) != 2, c, i)
+                    type(rows[i][c]) is RatFunc, c, i)
                    for i in held)
 
     heap = sorted(key(c) for c in where if where[c])  # a sorted list is a heap

@@ -113,22 +113,21 @@ class LinRel:
 
 def compose_rows(f, g, tail: int):
     """(dom, cod, constraints) of f;g, with a tail s of ``tail`` columns:
-    f's rows over (u, v, s) and g's over (v, w, s), in the layout
-    (v, u, w, s), reduced by ``rref`` from |v| on: an echelon basis in
-    that block order, reduced forward only over v, then one reduction of
-    what is left past v, which spans the v-free rows (Cox, Little and
-    O'Shea, "Ideals, Varieties, and Algorithms", section 3.1).  Shifted
-    left by |v|, those reduced rows are f;g's."""
+    f's rows over (u, v, s) and g's over (v, w, s), placed with v at the
+    columns -|v| to -1 before (u, w, s), reduced by ``rref`` from column
+    0 on: an echelon basis in that block order, reduced forward only over
+    v, then one reduction of what is left past v, which spans the v-free
+    rows (Cox, Little and O'Shea, "Ideals, Varieties, and Algorithms",
+    section 3.1).  Those reduced rows are f;g's as they stand."""
     if f.cod != g.dom:
         raise InterfaceMismatch(f"cannot compose {f.cod} -> with {g.dom} <-")
     dom, mid, cod = f.dom, f.cod, g.cod
-    end = mid + dom + cod + tail
-    rows = (_place(g.constraints.rows, [*range(mid), *range(mid + dom, end)])
-            + _place(f.constraints.rows, [*range(mid, mid + dom), *range(mid),
-                                          *range(mid + dom + cod, end)]))
-    return dom, cod, Subspace.canonical(f.field, end - mid, [
-        {k - mid: x for k, x in r.items()}
-        for r in rref(rows, f.field, mid)[0]])
+    end, v = dom + cod + tail, [*range(-mid, 0)]
+    rows = (_place(g.constraints.rows, [*v, *range(dom, end)])
+            + _place(f.constraints.rows, [*range(dom), *v,
+                                          *range(dom + cod, end)]))
+    return dom, cod, Subspace.canonical(f.field, end,
+                                        rref(rows, f.field, 0)[0])
 
 
 def _place(rows, cols):
@@ -244,12 +243,11 @@ class CorelToLinRelModel(LinRelModel):
 
 def _label_value(field: Field, kind: str, value):
     """A label's value in ``field``.  Impedance and source values are read
-    as rational functions; over q only a constant one has a value."""
+    in q(s); over q only a constant one has a value."""
+    value = QS.coerce(value)
     if isinstance(value, RatFunc) and field is not QS:
-        if value.num.degree > 0 or value.den.degree > 0:
-            raise UnsupportedLabel(f"{kind} value {format_scalar(value)} "
-                                   f"needs the field q(s)")
-        value = value.num.leading()
+        raise UnsupportedLabel(f"{kind} value {format_scalar(value)} "
+                               f"needs the field q(s)")
     return field.coerce(value)
 
 
@@ -387,7 +385,7 @@ def format_linear_combination(field, coeffs, names) -> str:
         if cval == field.zero:
             continue
         neg = _is_negative(cval)
-        mag = format_scalar(-cval if neg else cval)
+        mag = field.format(-cval if neg else cval)
         if mag == "1":
             text = name
         else:
@@ -409,7 +407,7 @@ def format_constraints(field, rows, names) -> str:
         return "(no constraints)"
     lines = []
     for row in rows:
-        const = format_scalar(-row[-1]) if len(row) > len(names) else "0"
+        const = field.format(-row[-1]) if len(row) > len(names) else "0"
         lines.append(
             f"{format_linear_combination(field, row, names)} = {const}")
     return "\n".join(lines)

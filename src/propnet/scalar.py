@@ -9,8 +9,7 @@ compares and hashes equal to the equal Fraction, so the stored form is
 unique and equality stays structural.  ``int / int`` is a float, so no
 field value is divided with ``/``: an inverse is ``Field.inv``, and a
 quotient of rationals is built as ``Fraction(a, b)`` and brought to its
-stored form by ``stored``.  Only the literal parser divides with ``/``,
-and its values are Fractions and RatFuncs.
+stored form by ``stored``; the literal parser, too, divides by ``QS.inv``.
 
 A polynomial is stored fraction-free, as one rational content times a
 primitive integer tuple, so its arithmetic is integer arithmetic plus one
@@ -18,9 +17,14 @@ operation on the contents.  Rational functions are kept canonical with a
 monic denominator and coprime numerator/denominator, so equality is plain
 structural equality.
 
-Most rational functions met in practice have a constant part (circuit
-matrices are full of 0, 1 and -1, and resistor values are constants), and
-a constant part is coprime to anything nonzero.  So ``RatFunc`` runs
+A value of Q(s) is stored as a rational, in the same form, exactly when
+it is constant, and as a ``RatFunc`` only when it holds s.  Most entries
+met in practice are constants (circuit matrices are full of 0, 1 and -1,
+and resistor values are constants), and they skip the two ``Poly``s; a
+RatFunc with a rational takes a direct path with no gcd, and a constant
+result of two RatFuncs is demoted.  ``QS.format`` prints a constant as a
+constant polynomial, -(13/5), as it prints a RatFunc's coefficients.  A
+constant part is coprime to anything nonzero, so ``RatFunc`` runs
 ``poly_gcd`` only when both parts have positive degree.
 
 ``poly_gcd`` computes the gcd of the stored primitive parts with the
@@ -350,6 +354,9 @@ def _cancel(num: Poly, den: Poly, g: Poly):
 
 class RatFunc:
     """Element of Q(s) in canonical form: monic denominator, coprime parts.
+    A constant is stored as a rational; this constructor can still build
+    a constant RatFunc, which equals its rational and ``QS.coerce``
+    demotes.
 
     Construction takes the shortest route to that form.  A zero numerator
     gives 0/1.  A constant denominator c gives num/c.  A constant numerator
@@ -359,8 +366,9 @@ class RatFunc:
     constant denominator ends up as the one shared polynomial 1.
 
     Negation and inversion of a canonical value are canonical after at most
-    a scaling, so they build their results with ``_canonical`` and skip
-    this constructor; every other result goes through it.
+    a scaling, and so are (num + c den)/den and c num/den for a rational c,
+    so they build their results with ``_canonical`` and skip this
+    constructor; a result of two RatFuncs goes through it.
     """
 
     __slots__ = ("num", "den")
@@ -406,24 +414,20 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(other)
-        if isinstance(other, Poly):
-            return RatFunc(other)
-        return NotImplemented
+    def _constant(self) -> bool:
+        return self.den is _ONE and len(self.num.prim) < 2
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        other = _operand(other)
+        if type(other) is RatFunc:
+            if self.den == other.den:
+                return _reduced(self.num + other.num, self.den)
+            return _reduced(self.num * other.den + other.num * self.den,
+                            self.den * other.den)
+        if other is NotImplemented or not other:
+            return other if other is NotImplemented else self
+        # gcd(num + c den, den) = gcd(num, den) = 1
+        return RatFunc._canonical(self.num + self.den.scale(other), self.den)
 
     __radd__ = __add__
 
@@ -432,21 +436,21 @@ class RatFunc:
         return RatFunc._canonical(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        other = _operand(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den is _ONE and other.den is _ONE:
-            return RatFunc(self.num * other.num)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        other = _operand(other)
+        if type(other) is RatFunc:
+            if self.den is _ONE and other.den is _ONE:
+                return _reduced(self.num * other.num)
+            return _reduced(self.num * other.num, self.den * other.den)
+        if other is NotImplemented or not other:
+            return other
+        return RatFunc._canonical(self.num.scale(other), self.den)
 
     __rmul__ = __mul__
 
@@ -462,29 +466,46 @@ class RatFunc:
         return RatFunc._canonical(den, _ONE if len(num.prim) == 1 else num)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
+        other = _operand(other)
+        return other if other is NotImplemented else self * _inv_qs(other)
 
     def __rtruediv__(self, other):
         return self.inv() * other
 
     def __eq__(self, other):
         if type(other) is not RatFunc:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            other = _operand(other)
+            if type(other) is not RatFunc:
+                # NotImplemented, or a rational, equal only to a constant
+                return other if other is NotImplemented else \
+                    self._constant() and self.num.content == other
         return self.num == other.num and self.den == other.den
 
     def __bool__(self):
         return not self.is_zero()
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant hashes as the rational it equals
+        return hash(self.num.content if self._constant()
+                    else (self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({format_scalar(self)!r})"
+
+
+def _reduced(num: Poly, den: Poly = None):
+    """num/den in its stored form: a constant as its rational."""
+    r = RatFunc(num, den)
+    return r.num.content if r._constant() else r
+
+
+def _operand(x):
+    """``x`` as a RatFunc or a stored rational, or NotImplemented."""
+    if type(x) is RatFunc or type(x) is int:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _coerce_q(x)
+    return _reduced(x) if isinstance(x, Poly) else NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +513,17 @@ class RatFunc:
 
 class Field:
     """A scalar field: its zero and one, ``coerce`` and ``parse`` into its
-    values, and ``inv``, the one way a value is divided by."""
+    values, ``inv``, the one way a value is divided by, and ``format``,
+    which prints a value."""
 
-    def __init__(self, name, zero, one, coerce, parse, inv):
+    def __init__(self, name, zero, one, coerce, parse, inv, format):
         self.name = name
         self.zero = zero
         self.one = one
         self.coerce = coerce
         self.parse = parse
         self.inv = inv
+        self.format = format
 
     def __repr__(self):
         return f"Field({self.name})"
@@ -521,10 +544,19 @@ def _inv_q(x):
 
 
 def _coerce_qs(x):
-    out = RatFunc._coerce(x)
+    out = _operand(x)
     if out is NotImplemented:
         raise TypeError(f"not a rational function: {x!r}")
-    return out
+    return out.num.content if type(out) is RatFunc and out._constant() \
+        else out
+
+
+def _inv_qs(x):
+    if type(x) is RatFunc:
+        return x.inv()
+    if not x:
+        raise DivisionByZero("inverse of zero rational function")
+    return _div(1, x)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +607,7 @@ def _parse_term(lx, atom):
             rhs = _parse_factor(lx, atom)
             if not rhs:
                 raise DivisionByZero("division by zero in scalar literal")
-            val = val / rhs
+            val = val * _inv_qs(rhs)  # two ints would divide to a float
         elif ch is not None and ch in _DIGITS + "s(":
             # implicit multiplication, e.g. "2s"
             val = val * _parse_factor(lx, atom)
@@ -619,7 +651,7 @@ def _parse_factor(lx, atom):
         if sign < 0:
             if not acc:
                 raise DivisionByZero("zero raised to negative power")
-            acc = atom(1) / acc
+            acc = _inv_qs(acc)
         return acc
     return base
 
@@ -702,9 +734,10 @@ def parse_rat(src: str):
     return stored(_parse(src, atom))
 
 
-def parse_ratfunc(src: str) -> RatFunc:
-    return _parse(src, lambda x: RatFunc.s() if x == "s"
-                  else RatFunc.const(x))
+def parse_ratfunc(src: str):
+    """The value of a literal in its stored form in Q(s)."""
+    return _coerce_qs(_parse(src, lambda x: RatFunc.s() if x == "s"
+                             else Fraction(x)))
 
 
 def format_poly(p: Poly) -> str:
@@ -733,6 +766,13 @@ def _fmt_coeff(c) -> str:
     return f"({c.numerator}/{c.denominator})"
 
 
+def _format_qs(x) -> str:
+    """A value of Q(s) as printed: a constant as the constant polynomial,
+    with a fraction bracketed, as in -(13/5)."""
+    return format_scalar(x) if isinstance(x, RatFunc) else \
+        format_poly(Poly.const(x))
+
+
 def format_scalar(x) -> str:
     if isinstance(x, (int, Fraction)):
         return str(x)
@@ -743,8 +783,7 @@ def format_scalar(x) -> str:
     raise TypeError(f"not a scalar: {x!r}")
 
 
-QQ = Field("q", 0, 1, _coerce_q, parse_rat, _inv_q)
-QS = Field("qs", RatFunc.const(0), RatFunc.const(1), _coerce_qs,
-           parse_ratfunc, RatFunc.inv)
+QQ = Field("q", 0, 1, _coerce_q, parse_rat, _inv_q, format_scalar)
+QS = Field("qs", 0, 1, _coerce_qs, parse_ratfunc, _inv_qs, _format_qs)
 
 FIELDS = {"q": QQ, "qs": QS}

@@ -9,7 +9,7 @@ evaluated translation must match black-boxing.
 
 from __future__ import annotations
 
-from .scalar import Field, QS, format_scalar
+from .scalar import Field, QS
 from .linrel import (LinRel, LinRelModel, UnsupportedLabel, blackbox,
                      label_impedance)
 from .circuit import CircuitModel, SOURCE_KINDS, label_from_gen_name
@@ -58,16 +58,16 @@ def box_eval(t: PropTerm, field: Field = QS) -> LinRel:
 # ---------------------------------------------------------------------------
 # The translation T from circuit terms, doubling every wire
 
-def _scalar_gen(value) -> PropTerm:
-    """``format_scalar`` writes balanced brackets and single spaces, so
+def _scalar_gen(value, field: Field) -> PropTerm:
+    """``field.format`` writes balanced brackets and single spaces, so
     the printed ``(scalar LIT)`` reads back to this generator."""
-    return Gen("scalar:" + format_scalar(value))
+    return Gen("scalar:" + field.format(value))
 
 
-def _impedance_term(z) -> PropTerm:
+def _impedance_term(z, field: Field) -> PropTerm:
     """phi2 = phi1 + Z I1 and I2 = I1 on a doubled wire."""
     one = Id(1)
-    return seq(par(one, Gen("dup")), par(one, _scalar_gen(z), one),
+    return seq(par(one, Gen("dup")), par(one, _scalar_gen(z, field), one),
                par(Gen("add"), one))
 
 
@@ -76,7 +76,8 @@ def _label_term(name: str, field: Field) -> PropTerm:
     if label.kind in SOURCE_KINDS:
         raise UnsupportedLabel(
             f"{label.kind} has no signal-flow translation")
-    return _impedance_term(label_impedance(field, label.kind, label.value))
+    return _impedance_term(label_impedance(field, label.kind, label.value),
+                           field)
 
 
 # T on the junctions; a label's image is its ``_label_term``

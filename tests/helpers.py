@@ -124,6 +124,16 @@ def is_stored(q) -> bool:
     return type(q) is int or type(q) is Fraction and q.denominator != 1
 
 
+def is_stored_qs(x) -> bool:
+    """Whether a value of Q(s) is in its stored form: a RatFunc exactly
+    when it holds s, its parts with stored contents and coefficients, and
+    a stored rational when it is constant."""
+    if type(x) is not RatFunc:
+        return is_stored(x)
+    return max(x.num.degree, x.den.degree) > 0 and all(
+        is_stored(c) for p in (x.num, x.den) for c in (p.content, *p.coeffs))
+
+
 def rand_poly(rng, max_deg=2):
     coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(max_deg + 1)]
     return Poly(coeffs)
@@ -195,7 +205,7 @@ def rand_ratfunc(rng, max_deg=2):
 def rand_scalar(rng, field):
     if field is QQ:
         return rand_fraction(rng)
-    return rand_ratfunc(rng)
+    return QS.coerce(rand_ratfunc(rng))
 
 
 def rand_rows(rng, field, nrows, ncols):
@@ -331,10 +341,11 @@ _nonzero_polys = _polys.filter(lambda p: not p.is_zero())
 
 
 def scalars(field):
-    """Nonzero field elements, with pivot values other than 1."""
+    """Nonzero field elements in their stored form, with pivot values
+    other than 1."""
     if field is QQ:
         return _fractions
-    return st.builds(RatFunc, _nonzero_polys, _nonzero_polys)
+    return st.builds(RatFunc, _nonzero_polys, _nonzero_polys).map(QS.coerce)
 
 
 @st.composite
@@ -412,7 +423,7 @@ def circuits(draw, field, sources=False):
         kinds += ["vsource", "isource"]
     positive = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
     # a value 0 sometimes, so that impedances and sources can vanish
-    value = (st.just(Fraction(0)) | _fractions).map(RatFunc.const)
+    value = (st.just(Fraction(0)) | _fractions).map(QS.coerce)
     if field is QS:
         value = value | scalars(QS)
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from propnet.circuit import MAX_NODES, circuit_from_json
 from propnet.cli import SUITES, _models, build_parser, main
-from propnet.linrel import impedance_rel, parse_linrel
+from propnet.afflag import format_affrel, vsource_rel
+from propnet.linrel import format_linrel, impedance_rel, parse_linrel
 from propnet.scalar import FIELDS, MAX_NESTING, QQ, QS
 from propnet.term import (MAX_WIDTH, Gen, Id, Sym, arity, model_equal, par,
                           seq)
@@ -113,6 +114,34 @@ def test_eval_linrel_field_q(capsys):
     assert code == 0
     rel = parse_linrel(out, 1, 1)
     assert rel.space.dim == 2
+
+
+def test_qs_constants_print_as_constant_polynomials(tmp_path, capsys):
+    """A constant of q(s) is stored as a rational but printed as the
+    constant polynomial, a fraction bracketed: a right side reads
+    -(13/5) over q(s) and -13/5 over q.  A coefficient reads the same
+    over both."""
+    path = write_circuit(tmp_path, {
+        "nodes": 2,
+        "edges": [{"src": 0, "tgt": 1,
+                   "label": {"kind": "vsource", "value": "13/5"}}],
+        "inputs": [0], "outputs": [1],
+    })
+    for field, rhs, two_thirds in ((QS, "-(13/5)", "(2/3)"),
+                                   (QQ, "-13/5", "2/3")):
+        assert format_linrel(impedance_rel(field, field.parse("-13/5"))) == \
+            "phi_in_1 - phi_out_1 - (13/5)*I_out_1 = 0\nI_in_1 - I_out_1 = 0"
+        source = f"phi_in_1 - phi_out_1 = {rhs}\nI_in_1 - I_out_1 = 0"
+        assert format_affrel(vsource_rel(field, field.parse("13/5"))) == \
+            source
+        args = ("--field", field.name)
+        assert run(capsys, "blackbox", "--circuit", path, *args) == \
+            (0, source + "\n", "")
+        assert run(capsys, "eval", "--model", "sigflow", "--term",
+                   "(scalar 2/3)", *args) == (0, "x1 - (3/2)*y1 = 0\n", "")
+        assert run(capsys, "eq", "--model", "sigflow", "--term",
+                   "(scalar 2/3)", "--term", "(scalar -1/3)", *args) == \
+            (1, f"DIFFER\nvector (1, {two_thirds}) in first only\n", "")
 
 
 def test_constant_labels_over_q(tmp_path, capsys):

@@ -11,7 +11,8 @@ from propnet.linrel import LinRel
 from propnet.scalar import QQ, QS, RatFunc
 
 from helpers import (PROPERTY, contains, dense_rref, from_vectors, is_stored,
-                     rand_fraction, rand_ratfunc, rand_rows, rand_scalar,
+                     is_stored_qs, rand_fraction, rand_ratfunc, rand_rows,
+                     rand_scalar,
                      rank, scalars, sparse_rows, to_dense, to_sparse,
                      to_sympy)
 
@@ -104,7 +105,7 @@ def test_over_qs_entries():
     assert s * v[0] + v[1] == QS.zero
     for _ in range(10):
         x = rand_scalar(rng, QS)
-        assert QS.coerce(x) == x
+        assert QS.coerce(x) == x and is_stored_qs(x)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,8 @@ def _rand_entry(rng, field):
     if rng.random() < 0.3:
         return field.zero
     # degree 1 over Q(s) keeps the eliminations small
-    return rand_fraction(rng) if field is QQ else rand_ratfunc(rng, 1)
+    return rand_fraction(rng) if field is QQ else \
+        QS.coerce(rand_ratfunc(rng, 1))
 
 
 def _kernel_cases(rng, field):
@@ -164,7 +166,10 @@ over_fields = pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
 
 def _forms(rows):
     """Rows of exact canonical forms: (numerator, denominator) of a
-    Fraction, coefficient tuples of a RatFunc's parts."""
+    rational, coefficient tuples of a RatFunc's parts; a RatFunc must hold
+    s, since a constant is stored as a rational."""
+    assert all(is_stored_qs(x) for r in rows for x in r
+               if type(x) is RatFunc)
     return [[(x.num.coeffs, x.den.coeffs) if isinstance(x, RatFunc)
              else (x.numerator, x.denominator) for x in r] for r in rows]
 
@@ -182,6 +187,8 @@ def test_rref_matches_dense_oracle(field, data):
     before = [dict(r) for r in sparse]
     red, pivots = rref(sparse, field)
     dense_red, dense_pivots = dense_rref(rows, field)
+    if field is QS:
+        assert all(is_stored_qs(x) for r in red for x in r.values())
     assert pivots == dense_pivots
     assert _forms(to_dense(red, width, field)) == _forms(dense_red)
     assert all(min(r) == c and r[c] == field.one and field.zero not in

@@ -158,12 +158,10 @@ def test_no_function_names_itself():
 
 # Functions that may hold a true division, each with why it stays exact:
 # ``int / int`` is a float, so a field value is divided only by way of
-# ``Field.inv`` or ``Fraction``.
-TRUE_DIVISION = {
-    "scalar._parse_term": "the literal parser's values are Fraction or "
-                          "RatFunc",
-    "scalar._parse_factor": "the same parser's negative powers",
-}
+# ``Field.inv`` or ``Fraction``.  There are none: the literal parser
+# divides by ``QS.inv`` too, since two of its Q(s) values, demoted to
+# constants, can both be ints.
+TRUE_DIVISION = {}
 
 
 def true_divisions(tree):
@@ -190,8 +188,35 @@ def test_finds_a_true_division():
 
 
 def test_no_true_division():
-    """No ``/`` on field values outside the literal parser, so that no
-    float can enter an exact computation."""
+    """No ``/`` on field values, so that no float can enter an exact
+    computation."""
     found = {f"{path.stem}.{where}" for path in MODULES
              for where, _line in true_divisions(parse(path))}
     assert sorted(found) == sorted(TRUE_DIVISION)
+
+
+def ratfunc_constructions(tree):
+    """The lines of a tree that call the ``RatFunc`` constructor or
+    ``RatFunc.const``, directly or through a module."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (ast.unparse(node.func).split(".")[-1] == "RatFunc"
+                 or ast.unparse(node.func).endswith("RatFunc.const"))]
+
+
+def test_finds_a_ratfunc_construction():
+    src = ast.parse("a = RatFunc(1)\nb = RatFunc.const(2)\nc = RatFunc.s()\n"
+                    "d = QS.coerce(3)\ne = scalar.RatFunc(Poly.s(), 2)\n"
+                    "f = isinstance(a, RatFunc)\n")
+    assert ratfunc_constructions(src) == [1, 2, 5]
+
+
+def test_constants_enter_qs_only_through_scalar():
+    """Only ``scalar`` builds a RatFunc with its constructor or
+    ``RatFunc.const``, which can make a constant one; every other module
+    gets its Q(s) values from ``QS``, which stores a constant as a
+    rational."""
+    found = {f"{path.stem}:{line}" for path in MODULES
+             if path.stem != "scalar"
+             for line in ratfunc_constructions(parse(path))}
+    assert sorted(found) == []

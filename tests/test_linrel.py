@@ -27,7 +27,7 @@ from propnet.term import MAX_WIDTH, evaluate, parse_term
 
 from helpers import (PROPERTY, RLC_KINDS, aff_contains, circuit_kernel,
                      circuit_to_json, circuits, composable_rows,
-                     from_vectors, is_stored, ladder_circuit,
+                     from_vectors, is_stored, is_stored_qs, ladder_circuit,
                      lagrangian_oracle, rand_circuit, rand_circuit_gens,
                      rand_corelation, rand_term, scalars, sparse_rows,
                      stacked_composite, to_sparse)
@@ -257,22 +257,28 @@ def _as_fractions(x):
 
 
 def _assert_exact(field, rows):
-    """Every entry a stored rational over q, and over q(s) a RatFunc whose
-    parts have stored contents and coefficients."""
+    """Every entry a stored rational over q; over q(s) a RatFunc exactly
+    when it holds s, with parts of stored contents and coefficients, and
+    a stored rational when it is constant."""
+    stored_form = is_stored if field is QQ else is_stored_qs
     for row in rows:
         for x in row.values():
-            if field is QQ:
-                assert is_stored(x), x
-            else:
-                assert type(x) is RatFunc, x
-                assert all(is_stored(c) for p in (x.num, x.den)
-                           for c in (p.content, *p.coeffs)), x
+            assert stored_form(x), x
 
 
-def _exact_results(field, convert, rows, gone, composable, circuit):
+def _with_values(circuit, convert):
+    edges = [(s, t, lab if lab.value is None
+              else EdgeLabel(lab.kind, convert(lab.value)))
+             for s, t, lab in circuit.graph.edges]
+    return LCircuit(LGraph(circuit.graph.node_count, edges),
+                    circuit.inputs, circuit.outputs)
+
+
+def _exact_results(field, convert, rows, gone, composable, circuit,
+                   sourced):
     """The rows of rref, kernel, eliminate, the coercing constructors,
-    compose, tensor and blackbox on inputs whose values are given through
-    ``convert``, and the printed black box."""
+    compose, tensor, blackbox and aff_blackbox on inputs whose values are
+    given through ``convert``, and the printed black boxes."""
     dense = [[convert(x) for x in r] for r in rows]
     width = len(dense[0])
     sparse = to_sparse([[field.coerce(x) for x in r] for r in dense])
@@ -281,17 +287,14 @@ def _exact_results(field, convert, rows, gone, composable, circuit):
                                 [[convert(x) for x in r] for r in frows])
     g = LinRel.from_constraints(field, mid, cod,
                                 [[convert(x) for x in r] for r in grows])
-    edges = [(s, t, lab if lab.value is None
-              else EdgeLabel(lab.kind, convert(lab.value)))
-             for s, t, lab in circuit.graph.edges]
-    box = blackbox(LCircuit(LGraph(circuit.graph.node_count, edges),
-                            circuit.inputs, circuit.outputs), field)
+    box = blackbox(_with_values(circuit, convert), field)
+    abox = aff_blackbox(_with_values(sourced, convert), field)
     rowsets = [rref(sparse, field)[0], kernel(sparse, field, width).rows,
                eliminate(sparse, field, gone),
                Subspace(field, width, dense).rows, f.space.rows,
                f.compose(g).space.rows, f.tensor(g).space.rows,
-               box.space.rows, box.constraints.rows]
-    return rowsets, format_linrel(box)
+               box.space.rows, box.constraints.rows, abox.constraints.rows]
+    return rowsets, format_linrel(box), format_affrel(abox)
 
 
 @pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
@@ -305,11 +308,13 @@ def test_values_stay_exact(field, data):
     gone = sorted(data.draw(st.sets(st.integers(0, len(rows[0]) - 1))))
     composable = data.draw(composable_rows(field))
     circuit = data.draw(circuits(field))
-    got = _exact_results(field, _as_ints, rows, gone, composable, circuit)
+    sourced = data.draw(circuits(field, sources=True))
+    got = _exact_results(field, _as_ints, rows, gone, composable, circuit,
+                         sourced)
     again = _exact_results(field, _as_fractions, rows, gone, composable,
-                           circuit)
+                           circuit, sourced)
     assert got == again
-    for rowsets, _text in (got, again):
+    for rowsets, *_texts in (got, again):
         for out in rowsets:
             _assert_exact(field, out)
 
@@ -406,17 +411,18 @@ def _wide_composable(draw, field, h=0):
 @given(data=st.data())
 def test_compose_over_a_wide_middle_is_one_rref_past_it(field, h, data):
     """A compose, linear or affine, over a middle of 8 to 10 wires makes
-    one ``rref`` call, started at the middle's width, and no
-    ``eliminate`` or ``Subspace.span``; its rows are reduced, over the
-    right columns, and cut out the stacked kernel's composite."""
+    one ``rref`` call, started at column 0 with the middle's wires at the
+    negative columns before it, and no ``eliminate`` or
+    ``Subspace.span``; its rows are reduced, over the right columns, and
+    cut out the stacked kernel's composite."""
     dom, mid, cod, frows, grows = data.draw(_wide_composable(field, h))
     rel = AffRel if h else LinRel
     f = rel.from_constraints(field, dom, mid, frows)
     g = rel.from_constraints(field, mid, cod, grows)
     calls = []
 
-    def counted(rows, over, start=0):
-        calls.append(start)
+    def counted(rows, over, start=None):
+        calls.append((start, {k for r in rows for k in r}))
         return rref(rows, over, start)
 
     def refuse(*_args):
@@ -428,7 +434,8 @@ def test_compose_over_a_wide_middle_is_one_rref_past_it(field, h, data):
             patch.setattr(module, "eliminate", refuse)
         patch.setattr(Subspace, "span", refuse)
         got = f.compose(g)
-    assert calls == [mid]
+    assert [start for start, _cols in calls] == [0]
+    assert calls[0][1] <= set(range(-mid, dom + cod + h))
     rows = got.constraints.rows
     assert rref(rows, field)[0] == rows
     assert all(max(r) < dom + cod + h for r in rows)

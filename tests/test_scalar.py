@@ -4,18 +4,19 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propnet import scalar
 from propnet.scalar import (DivisionByZero, FIELDS, MAX_EXPONENT, Poly, QQ,
                             QS, RatFunc, ScalarParseError, format_poly,
-                            format_scalar, parse_rat, parse_ratfunc, poly_gcd)
+                            format_scalar, parse_rat, parse_ratfunc, poly_gcd,
+                            stored)
 
 from helpers import (PROPERTY, oracle_add, oracle_divmod, oracle_monic,
                      oracle_mul, oracle_neg, oracle_scale, oracle_trim,
-                     is_stored, rand_poly, rand_ratfunc, scalars, sympy_poly,
-                     to_sympy)
+                     is_stored, is_stored_qs, rand_poly, rand_ratfunc,
+                     scalars, sympy_poly, to_sympy)
 
 
 def test_poly_basics():
@@ -218,15 +219,19 @@ def test_power_size_limit():
 
 
 def test_power_of_ratfunc_is_canonical_and_fast():
-    # powers multiply numerator and denominator apart, with no gcd
+    # powers multiply numerator and denominator apart, with no gcd; the
+    # power 0 and the powers of a constant are stored rationals
     for src in ("(s+1)/(s+2)", "(s/2 + 1/3)/(3*s^2 - 1)", "2/3", "s", "0"):
         base = parse_ratfunc(src)
-        acc = RatFunc(1)
+        acc = QS.one
         for k in range(11):
             got = parse_ratfunc(f"({src})^{k}")
-            assert (got.num, got.den) == (acc.num, acc.den)
-            assert (got.den is scalar._ONE) == (acc.den is scalar._ONE)
-            acc = acc * base
+            assert got == acc and is_stored_qs(got)
+            assert type(got) is type(acc)
+            if type(got) is RatFunc:
+                assert (got.num, got.den) == (acc.num, acc.den)
+                assert (got.den is scalar._ONE) == (acc.den is scalar._ONE)
+            acc = QS.coerce(acc * base)
     start = time.process_time()
     big = parse_ratfunc("((s+1)/(s+2))^400")
     assert time.process_time() - start < 1.0
@@ -252,28 +257,72 @@ def test_field_descriptors():
     assert QS.coerce(Fraction(1, 2)) == RatFunc.const(Fraction(1, 2))
     assert QS.parse("s/2") == RatFunc.s() * QS.coerce(Fraction(1, 2))
     assert format_scalar(Fraction(-1, 3)) == "-1/3"
+    assert QS.format(Fraction(-13, 5)) == "-(13/5)"
+    assert QS.format(Fraction(2, 3)) == "(2/3)" and QS.format(-4) == "-4"
+
+
+def test_qs_constants_are_stored_rationals():
+    """A value of Q(s) is a RatFunc exactly when it holds s: 0 and 1,
+    coerced and parsed constants, and the constant results of RatFunc
+    arithmetic are stored rationals.  A constant RatFunc built by the
+    constructor equals and hashes as its rational, and ``QS.coerce``
+    demotes it."""
+    assert (QS.zero, QS.one) == (0, 1)
+    assert type(QS.zero) is int and type(QS.one) is int
+    for c in (0, 3, Fraction(-1, 2)):
+        built = RatFunc.const(c)
+        assert built == c and c == built and hash(built) == hash(c)
+        for got in (QS.coerce(built), QS.coerce(Poly.const(c)),
+                    QS.coerce(c), QS.parse(str(c))):
+            assert got == c and type(got) is type(c)
+    assert QS.coerce(True) == 1 and type(QS.coerce(True)) is int
+    with pytest.raises(TypeError):
+        QS.coerce(0.5)
+    s = RatFunc.s()
+    for src, want in (("s/s", 1), ("(s/s)/(s/s)", 1), ("s - s", 0),
+                      ("(s+1)/(2s+2)", Fraction(1, 2)), ("(s/s)^-1", 1),
+                      ("s^0", 1), ("2/3 * (s - s + 1)", Fraction(2, 3))):
+        got = QS.parse(src)
+        assert got == want and type(got) is type(want), src
+    for got, want in ((s + 1 - s, 1), (s * QS.inv(s), 1), (s / s, 1),
+                      ((s + 1) / (2 * s + 2), Fraction(1, 2)), (s - s, 0)):
+        assert got == want and type(got) is type(want)
+    assert s != 0 and s != 1 and s * 0 == 0 and type(s * 0) is int
+    with pytest.raises(DivisionByZero):
+        s / 0
+    with pytest.raises(DivisionByZero):
+        QS.inv(0)
 
 
 # ---------------------------------------------------------------------------
 # differential check of Q(s) arithmetic against sympy
 
 def _operand(rng):
-    """Random element of Q(s): zero, constant, polynomial, quotient, or a
-    quotient built with a common factor that construction must cancel."""
+    """Random element of Q(s) in its stored form: zero, constant,
+    polynomial, quotient, or a quotient built with a common factor that
+    construction must cancel."""
     kind = rng.randrange(5)
     if kind == 0:
-        return RatFunc(0)
+        return QS.zero
     if kind == 1:
-        return RatFunc(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        return QS.coerce(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
     if kind == 2:
-        return RatFunc(rand_poly(rng, 2))
+        return QS.coerce(rand_poly(rng, 2))
     num, den = rand_poly(rng, 2), rand_poly(rng, 2)
     while den.is_zero():
         den = rand_poly(rng, 2)
     if kind == 4:
         common = Poly([rng.randint(-3, 3), rng.choice([1, 2])])
         num, den = num * common, den * common
-    return RatFunc(num, den)
+    return QS.coerce(RatFunc(num, den))
+
+
+def _parts(x):
+    """Coefficients of the numerator and the monic denominator of a value
+    of Q(s), a rational's included."""
+    if type(x) is RatFunc:
+        return x.num.coeffs, x.den.coeffs
+    return ((x,) if x else ()), (1,)
 
 
 def _sympy_canonical(sympy, s, expr):
@@ -304,23 +353,30 @@ def test_ratfunc_arithmetic_matches_sympy():
     rng = random.Random(5)
     ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
            "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+    # two rationals divide by QS.inv, since int / int is a float
+    engine = dict(ops, **{"/": lambda a, b: a / b if RatFunc in (
+        type(a), type(b)) else a * QS.inv(b)})
     checked = 0
     for _ in range(400):
         a = _operand(rng)
         b = _operand(rng)
-        if rng.random() < 0.3:
+        if rng.random() < 0.3 and type(a) is RatFunc:
             # equal denominators
-            b = RatFunc(rand_poly(rng, 2), a.den)
+            b = QS.coerce(RatFunc(rand_poly(rng, 2), a.den))
         op = rng.choice(sorted(ops))
-        if op == "/" and b.is_zero():
+        if op == "/" and not b:
             with pytest.raises(DivisionByZero):
-                a / b
+                engine[op](a, b)
             continue
-        got = ops[op](a, b)
-        _assert_canonical(got)
+        got = engine[op](a, b)
+        if RatFunc not in (type(a), type(b)):
+            got = stored(got)  # plain Fraction arithmetic
+        assert is_stored_qs(got), (a, op, b, got)
+        if type(got) is RatFunc:
+            _assert_canonical(got)
         want = _sympy_canonical(
             sympy, s, ops[op](to_sympy(sympy, s, a), to_sympy(sympy, s, b)))
-        assert (got.num.coeffs, got.den.coeffs) == want, (a, op, b)
+        assert _parts(got) == want, (a, op, b)
         checked += 1
     assert checked > 300
 
@@ -347,8 +403,13 @@ def test_ratfunc_construction_matches_sympy():
 @PROPERTY
 @given(scalars(QS))
 def test_neg_and_inv_build_canonical_values(x):
+    if type(x) is not RatFunc:
+        for got, want in ((-x, -Fraction(x)), (QS.inv(x), 1 / Fraction(x))):
+            assert got == want and is_stored(got)
+        return
     for got, want in ((-x, RatFunc(-x.num, x.den)),
-                      (x.inv(), RatFunc(x.den, x.num))):
+                      (QS.inv(x), RatFunc(x.den, x.num))):
+        assert is_stored_qs(got)
         assert (got.num, got.den) == (want.num, want.den)
         assert got.den.leading() == 1
         assert poly_gcd(got.num, got.den) == Poly.const(1)
@@ -468,7 +529,7 @@ def test_gcdheu_rejects_a_candidate_that_does_not_divide(monkeypatch):
 _coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
 _polys3 = st.lists(_coeffs, max_size=4).map(Poly)
 _nonzero_polys3 = _polys3.filter(lambda p: not p.is_zero())
-_qs = st.builds(RatFunc, _polys3, _nonzero_polys3)
+_qs = st.builds(RatFunc, _polys3, _nonzero_polys3).map(QS.coerce)
 
 
 @PROPERTY
@@ -484,9 +545,46 @@ def test_qs_ring_axioms(a, b, c):
 @PROPERTY
 @given(_qs.filter(bool))
 def test_qs_inverse(x):
-    one = x * x.inv()
-    assert one == RatFunc(1)
-    assert one.den is scalar._ONE
+    # a RatFunc times its inverse is demoted to the int 1; a rational
+    # product is stored as exactla stores it
+    one = stored(x * QS.inv(x))
+    assert one == 1 and type(one) is int
+
+
+_S = QS.parse("s")
+
+
+@settings(PROPERTY, max_examples=60)  # sympy's cancel is slow
+@given(_qs.filter(lambda x: type(x) is RatFunc),
+       _qs | st.builds(Fraction, st.integers(-9, 9),
+                       st.integers(1, 4)).map(QS.coerce))
+@example(_S + 1, -_S)  # a sum that cancels to a constant
+@example((_S + 1) / (_S - 1), (_S - 1) / (_S + 1))  # a product that is 1
+@example(_S, _S)
+def test_mixed_arithmetic_matches_sympy(a, b):
+    """A RatFunc ``a`` with ``b``, a RatFunc or a rational: +, -, * and /
+    in both operand orders, unary -, inverse, == and hash agree with sympy,
+    and every result is in its stored form."""
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    sa, sb = to_sympy(sympy, s, a), to_sympy(sympy, s, b)
+    cases = [((a + b, b + a), sa + sb), ((a - b,), sa - sb),
+             ((b - a,), sb - sa), ((a * b, b * a), sa * sb), ((-a,), -sa),
+             ((-b,), -sb), ((b / a,), sb / sa), ((QS.inv(a),), 1 / sa)]
+    if b:
+        cases += [((a / b,), sa / sb), ((QS.inv(b),), 1 / sb)]
+    else:
+        with pytest.raises(DivisionByZero):
+            a / b
+    for results, want in cases:
+        want = _sympy_canonical(sympy, s, want)
+        for got in results:
+            assert is_stored_qs(got), got
+            assert _parts(got) == want
+    equal = sympy.cancel(sa - sb) == 0
+    assert (a == b) == (b == a) == equal and (a != b) != equal
+    if equal:
+        assert hash(a) == hash(b)
 
 
 @PROPERTY
