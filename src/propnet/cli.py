@@ -21,7 +21,7 @@ from .linrel import (CorelToLinRelModel, LinRel, blackbox,
                      format_constraints, format_linrel)
 from .afflag import aff_blackbox, format_affrel
 from .sigflow import SigFlowModel, square_check
-from .laws import bimonoid_laws, frobenius_monoid_laws, run_suite
+from .laws import bimonoid_laws, frobenius_monoid_laws, intern, run_suite
 from .bondgraph import (FModel, GModel, alpha, bondgraph_laws,
                         check_absorption, check_naturality,
                         discriminating_law, junction_laws)
@@ -251,10 +251,16 @@ def _cmd_laws(args) -> int:
     if args.suite not in SUITES:
         raise KeyError(f"unknown suite {args.suite!r}; choose from "
                        f"{sorted(list(SUITES) + list(CHECK_SUITES))}")
-    model, laws, failing = SUITES[args.suite]
+    model, _laws, failing = SUITES[args.suite]
     return _report([(lid, holds, lid not in failing)
                     for lid, holds in run_suite(_models(field)[model],
-                                                laws)])
+                                                _interned(args.suite))])
+
+
+@functools.cache
+def _interned(name):
+    """The laws of ``SUITES[name]``, interned once per process."""
+    return intern(SUITES[name][1])
 
 
 def _check_term(args, check) -> int:

@@ -8,7 +8,7 @@ model is the whole story.
 
 from __future__ import annotations
 
-from .term import Gen, Id, PropModel, Sym, par, seq, model_equal
+from .term import Gen, Id, PropModel, Sym, dag_fold, model_equal, par, seq
 
 
 def _monoid_comonoid_laws(m, i, d, e, prefix):
@@ -92,7 +92,28 @@ def weak_bimonoid_laws(mult, unit, comult, counit, prefix=""):
     ]
 
 
+def intern(laws):
+    """The suite with equal subterms one node over all its sides, keyed as
+    in ``parse_term``: a leaf by its value, a form by its type and its
+    children's ids.  Interning twice gives the same nodes."""
+    nodes = {}  # key -> the node kept for it
+
+    def close(form, terms):
+        key = (type(form), *map(id, terms))
+        if key not in nodes:  # the form itself, if it has these children
+            own = (type(form), *map(id, form.terms))
+            nodes[key] = form if key == own else type(form)(tuple(terms))
+        return nodes[key]
+
+    def side(t):
+        return dag_fold(t, lambda leaf: nodes.setdefault(leaf, leaf), close)
+
+    return [(law_id, side(lhs), side(rhs)) for law_id, lhs, rhs in laws]
+
+
 def run_suite(model: PropModel, laws) -> list[tuple[str, bool]]:
-    """Evaluate both sides of every law; report (law_id, holds)."""
-    return [(law_id, model_equal(model, lhs, rhs))
+    """Evaluate both sides of every law; report (law_id, holds).  The sides
+    share one memo: a node, as ``intern`` leaves them, is valued once."""
+    memo = {}
+    return [(law_id, model_equal(model, lhs, rhs, memo))
             for law_id, lhs, rhs in laws]

@@ -251,6 +251,9 @@ def _label_value(field: Field, kind: str, value):
     return field.coerce(value)
 
 
+_S = RatFunc.s()  # the value s, shared by every inductor and capacitor
+
+
 def label_impedance(field: Field, kind: str, value):
     """Z in phi2 - phi1 = Z I of a wire, impedance, R, L or C label."""
     if kind == "wire":
@@ -258,7 +261,7 @@ def label_impedance(field: Field, kind: str, value):
     if kind in ("inductor", "capacitor"):
         if field is not QS:
             raise UnsupportedLabel(f"{kind}s need the field q(s)")
-        sv = field.coerce(RatFunc.s()) * field.coerce(value)
+        sv = _S * field.coerce(value)
         return sv if kind == "inductor" else sv.inv()
     return _label_value(field, kind, value)
 

@@ -404,10 +404,6 @@ class RatFunc:
         return out
 
     @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls(Poly.const(c))
-
-    @classmethod
     def s(cls) -> "RatFunc":
         return cls(Poly.s())
 

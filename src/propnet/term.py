@@ -7,7 +7,8 @@ once.  ``Seq`` and ``Par`` hold the children of one ``(seq ...)`` or
 ``Seq`` is in diagrammatic order: its first term happens first.  A model
 supplies the meaning of generators, identities, symmetries and the two
 compositions; ``evaluate`` is then the unique strict symmetric monoidal
-extension, and computes each distinct subterm's value once per call.
+extension, and computes each distinct subterm's value once per call, or
+once over many calls that share one memo, as a law suite's sides do.
 """
 
 from __future__ import annotations
@@ -175,59 +176,58 @@ def arity(t: PropTerm, sig: Signature, shared: set | None = None):
     for each form around where it arose, outermost first; past 8 forms,
     for the outermost and innermost 4 only."""
     seen = {}  # id of each subterm done -> its arity
-    stack, node = [], t  # stack: [form, k, acc] per open form
+    # the open form (None around t), its children, the index of the child
+    # walked, its arity so far and how a child folds in; stack: the same
+    # for each form around it; value: the child just done's, or None
+    form, terms, k, combine, stack = None, (t,), 0, None, []
+    acc = value = None
     try:
         while True:
+            if value is not None:
+                k += 1
+                acc = combine(acc, value, k) if k > 1 else value
+                if k == len(terms):
+                    value = seen[id(form)] = acc
+                    if not stack:
+                        return value
+                    form, terms, k, acc, combine = stack.pop()
+                    continue
+            node = terms[k]
             key = id(node)
             value = seen.get(key)
             if value is not None:
                 if shared is not None:
                     shared.add(key)
             elif type(node) is Seq or type(node) is Par:
-                stack.append([node, 1, None])
-                node = node.terms[0]
-                continue
+                stack.append((form, terms, k, acc, combine))
+                form, terms, k, acc = node, node.terms, 0, None
+                combine = _seq_arity if type(node) is Seq else _par_arity
             else:
                 value = seen[key] = _leaf_arity(node, sig)
-            while stack:
-                # off the stack while it is checked: a mismatch it raises
-                # is placed by the forms around it
-                frame = stack.pop()
-                form, k, acc = frame
-                if k > 1:
-                    value = (_seq_arity if type(form) is Seq
-                             else _par_arity)(acc, value, k)
-                if k < len(form.terms):
-                    frame[1:] = k + 1, value
-                    stack.append(frame)
-                    node = form.terms[k]
-                    break
-                seen[id(form)] = value
-            else:
-                return value
     except ArityMismatch as e:
-        where = [f"in term {k} of a {form.head}: " for form, k, _acc in stack]
+        where = [f"in term {k + 1} of a {form.head}: "
+                 for form, _terms, k, _acc, _combine in stack[1:]]
         if len(where) > 8:
             where[4:-4] = [f"… {len(where) - 8} more forms … "]
         raise ArityMismatch("".join(where) + str(e)) from None
 
 
-def dag_fold(t: PropTerm, leaf, close, shared=None):
+def dag_fold(t: PropTerm, leaf, close, shared=None, memo=None):
     """The value of ``t``, over an explicit stack, so nesting costs no
     Python stack: ``leaf(node)`` at a leaf, and ``close(form, values)`` at
     a form, given the values of all its children in order.  A subterm
     whose id is in ``shared`` (any subterm, when ``shared`` is None) is
     computed once, where it is first met, and its value is reused wherever
-    it recurs; no value outlives the call.  Given no ids, the walk is over
-    the tree and keeps no value past the form that takes it, as printing
-    needs: a printer that kept them would hold the text of every subterm
-    at once."""
-    if type(t) is not Seq and type(t) is not Par:
-        return leaf(t)
-    memo, stack = {}, [(t, [])]  # stack: (form, its values so far)
+    it recurs.  Values are kept by id in ``memo``, a new dict unless one is
+    given: terms folded with one memo, which keeps them alive, are one DAG.
+    Given no ids, the walk is over the tree and keeps no value past the
+    form that takes it, as printing needs: a printer that kept them would
+    hold the text of every subterm at once."""
+    memo = {} if memo is None else memo
+    # stack: (form, its children, their values so far); None holds t
+    stack = [(None, (t,), [])]
     while True:
-        form, values = stack[-1]
-        terms = form.terms
+        form, terms, values = stack[-1]
         k = len(values)
         while k < len(terms):
             node = terms[k]
@@ -235,7 +235,7 @@ def dag_fold(t: PropTerm, leaf, close, shared=None):
             if key in memo:
                 values.append(memo[key])
             elif type(node) is Seq or type(node) is Par:
-                stack.append((node, []))
+                stack.append((node, node.terms, []))
                 break
             else:
                 value = leaf(node)
@@ -245,12 +245,12 @@ def dag_fold(t: PropTerm, leaf, close, shared=None):
             k += 1
         else:
             stack.pop()
-            value = close(form, values)
             if not stack:
-                return value
+                return values[0]
+            value = close(form, values)
             if shared is None or id(form) in shared:
                 memo[id(form)] = value
-            stack[-1][1].append(value)
+            stack[-1][2].append(value)
 
 
 class PropModel:
@@ -303,15 +303,16 @@ def _power(seq, value, r):
         value = seq(value, value)
 
 
-def evaluate(t: PropTerm, model: PropModel):
+def evaluate(t: PropTerm, model: PropModel, memo: dict | None = None):
     """The value of ``t`` in ``model``, once ``arity`` has checked it.
 
-    A term is a DAG: a subterm met more than once is evaluated once.  Each
-    form hands its children's values, in order, to one call of
-    ``model.seq`` or ``model.par``, except that in a ``Seq`` a run of one
-    child r times over is first composed to one value by squaring, with
-    binary ``model.seq`` calls; a form that is a single run is that value."""
-    shared = set()
+    A term is a DAG: a subterm met more than once is evaluated once, or
+    once over all the calls given one ``memo`` in one model.  Each form
+    hands its children's values, in order, to one call of ``model.seq`` or
+    ``model.par``, except that in a ``Seq`` a run of one child r times over
+    is first composed to one value by squaring, with binary ``model.seq``
+    calls; a form that is a single run is that value."""
+    shared = set() if memo is None else None  # None: keep every value
     arity(t, model.signature, shared)
 
     def leaf(node):
@@ -335,11 +336,12 @@ def evaluate(t: PropTerm, model: PropModel):
             i = j
         return model.seq(*runs) if len(runs) > 1 else runs[0]
 
-    return dag_fold(t, leaf, close, shared)
+    return dag_fold(t, leaf, close, shared, memo)
 
 
-def model_equal(model: PropModel, s: PropTerm, t: PropTerm) -> bool:
-    return evaluate(s, model) == evaluate(t, model)
+def model_equal(model: PropModel, s: PropTerm, t: PropTerm,
+                memo: dict | None = None) -> bool:
+    return evaluate(s, model, memo) == evaluate(t, model, memo)
 
 
 # ---------------------------------------------------------------------------

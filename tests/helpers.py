@@ -14,8 +14,8 @@ from propnet.scalar import QQ, QS, RatFunc, Poly, format_scalar
 from propnet.setprops import Corelation, CorelModel, Cospan, _UnionFind
 from propnet.circuit import (CIRCUIT_SIGNATURE, EdgeLabel, LCircuit, LGraph,
                              label_from_gen_name)
-from propnet.term import (Gen, Id, Par, PropModel, Seq, Sym, arity, par,
-                          seq)
+from propnet.term import (ArityMismatch, Gen, Id, Par, PropModel, Seq, Sym,
+                          arity, evaluate, par, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +608,53 @@ def fold_evaluate(t, model):
             stack.pop()
         else:
             return value
+
+
+def arity_oracle(t, sig):
+    """``arity`` by recursion over the term: its value and the ids of the
+    subterms met more than once, or the same ``ArityMismatch``, named
+    from the forms around the fault and cut past 8 of them."""
+    seen, shared = {}, set()
+
+    def walk(node, where):
+        if id(node) in seen:
+            shared.add(id(node))
+            return seen[id(node)]
+        if type(node) is Gen:
+            value = sig.arity_of(node.name)
+        elif type(node) is Id:
+            value = (node.n, node.n)
+        elif type(node) is Sym:
+            value = (node.m + node.n, node.n + node.m)
+        else:
+            value = walk(node.terms[0], where + [(1, node.head)])
+            for k, child in enumerate(node.terms[1:], 2):
+                (dom, cod), (d, c) = value, walk(child, where + [
+                    (k, node.head)])
+                if type(node) is Par:
+                    value = (dom + d, cod + c)
+                elif d == cod:
+                    value = (dom, c)
+                else:
+                    named = [f"in term {j} of a {head}: "
+                             for j, head in where]
+                    if len(named) > 8:
+                        named = (named[:4] + [f"… {len(named) - 8} more "
+                                              "forms … "] + named[-4:])
+                    raise ArityMismatch(
+                        "".join(named) + f"cannot compose: term {k - 1} of "
+                        f"a seq has codomain {cod}, term {k} has domain {d}")
+        seen[id(node)] = value
+        return value
+
+    return walk(t, []), shared
+
+
+def law_oracle(model, laws):
+    """``run_suite`` law by law: both sides evaluated apart, with no value
+    carried from one call to the next."""
+    return [(law_id, evaluate(lhs, model) == evaluate(rhs, model))
+            for law_id, lhs, rhs in laws]
 
 
 def rand_term_with_dom(rng, sig, gens, dom, depth):

@@ -79,22 +79,47 @@ def test_every_export_is_used():
 
 def public_definitions(tree):
     """The public top-level functions and classes of a module, and the
-    public methods of its classes."""
+    public methods of its classes, each with its qualified name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
             if isinstance(node, ast.ClassDef):
-                yield from (m for m in node.body
+                yield from ((f"{node.name}.{m.name}", m) for m in node.body
                             if isinstance(m, ast.FunctionDef))
 
 
-def unreferenced(defining, counts):
+def lookups_by_owner(tree):
+    """How often a tree looks up each attribute, by (owner, attribute):
+    the owner is the bare name looked up on, or None."""
+    return Counter((n.value.id if isinstance(n.value, ast.Name) else None,
+                    n.attr)
+                   for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+
+
+def unreferenced(defining, counts, lookups=None, classes=frozenset()):
     """Public names defined in the tree ``defining`` that the name counts
     ``counts`` (of every tree, ``defining`` included) hold only inside
-    their own definitions."""
-    return [d.name for d in public_definitions(defining)
-            if not d.name.startswith("_")
-            and counts[d.name] == identifiers(d)[d.name]]
+    their own definitions.  Given ``lookups``, the ``lookups_by_owner`` of
+    every tree, a classmethod is used only by a lookup of its name that is
+    not on another class of ``classes``: ``Poly.const``, or a variable
+    named ``const``, does not use ``RatFunc.const``."""
+    found = []
+    for qualified, d in public_definitions(defining):
+        owner, _, name = qualified.rpartition(".")
+        if name.startswith("_"):
+            continue
+        if lookups is not None and owner and any(
+                isinstance(x, ast.Name) and x.id == "classmethod"
+                for x in d.decorator_list):
+            def uses(looked):
+                return sum(k for (on, attr), k in looked.items()
+                           if attr == name and on not in classes - {owner})
+            used = uses(lookups) > uses(lookups_by_owner(d))
+        else:
+            used = counts[name] > identifiers(d)[name]
+        if not used:
+            found.append(qualified)
+    return found
 
 
 def test_finds_an_unreferenced_definition():
@@ -103,7 +128,30 @@ def test_finds_an_unreferenced_definition():
                     "class Box:\n    def get(self):\n        return used()\n"
                     "    def _hidden(self):\n        pass\n")
     counts = identifiers(src) + identifiers(ast.parse("Box()"))
-    assert unreferenced(src, counts) == ["recursive", "get"]
+    assert unreferenced(src, counts) == ["recursive", "Box.get"]
+
+
+def test_finds_a_classmethod_used_only_through_another_class():
+    src = ast.parse("class Poly:\n    @classmethod\n"
+                    "    def const(cls, c):\n        return cls()\n\n"
+                    "class RatFunc:\n    @classmethod\n"
+                    "    def const(cls, c):\n"
+                    "        return RatFunc(Poly.const(c))\n\n"
+                    "    def inv(self):\n        return self\n\n"
+                    "HALF = RatFunc(Poly.const(2)).inv()\n")
+    counts, lookups = identifiers(src), lookups_by_owner(src)
+    classes = {"Poly", "RatFunc"}
+    assert unreferenced(src, counts, lookups, classes) == ["RatFunc.const"]
+    # bare names alone take Poly.const for a use of RatFunc.const
+    assert unreferenced(src, counts) == []
+    # so does a variable of its name; a lookup on its own class, or on
+    # anything that is not a class, is a use
+    for use, dead in (("const = 2\n", ["RatFunc.const"]),
+                      ("RatFunc.const(2)\n", []),
+                      ("x = RatFunc\nx.const(2)\n", [])):
+        more = ast.parse(use)
+        assert unreferenced(src, counts + identifiers(more),
+                            lookups + lookups_by_owner(more), classes) == dead
 
 
 def test_every_public_definition_is_used():
@@ -113,12 +161,18 @@ def test_every_public_definition_is_used():
     that only tests call belongs in ``tests/helpers.py``.  Names are
     matched bare, so a method counts as used whenever any attribute of
     its name is looked up, a same-named method of another class included:
-    a test-only method that shares its name with a used one passes."""
+    a test-only method that shares its name with a used one passes.  A
+    classmethod is the exception: only a lookup of its name that is not
+    on another class's name uses it."""
     trees = {p: parse(p) for p in [*SRC.glob("*.py"),
                                    *PERFBENCH.glob("*.py")]}
     counts = sum((identifiers(t) for t in trees.values()), Counter())
+    lookups = sum((lookups_by_owner(t) for t in trees.values()), Counter())
+    classes = {n.name for t in trees.values() for n in ast.walk(t)
+               if isinstance(n, ast.ClassDef)}
     unused = [f"{path.stem}.{name}" for path in MODULES
-              for name in unreferenced(trees[path], counts)]
+              for name in unreferenced(trees[path], counts, lookups,
+                                       classes)]
     assert unused == []
 
 

@@ -566,13 +566,13 @@ def _resistor(r):
 
 
 def _vsource(v):
-    return EdgeLabel("vsource", RatFunc.const(v))
+    return EdgeLabel("vsource", QS.coerce(v))
 
 
 CORNER_CIRCUITS = {
     "self-loops": LCircuit(LGraph(2, [
         (0, 0, _resistor(2)), (1, 1, WIRE), (0, 1, _resistor(3)),
-        (1, 1, EdgeLabel("isource", RatFunc.const(4)))]), [0], [1]),
+        (1, 1, EdgeLabel("isource", QS.coerce(4)))]), [0], [1]),
     "parallel edges": LCircuit(LGraph(2, [
         (0, 1, _resistor(2)), (1, 0, _resistor(3)), (0, 1, _vsource(1))]),
         [0], [1]),

@@ -6,7 +6,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from propnet.afflag import AffRel
@@ -22,8 +22,8 @@ from propnet.term import (MAX_WIDTH, ArityMismatch, Gen, Id, Par, Seq, Sym,
                           evaluate, format_term, model_equal, par,
                           parse_term, seq)
 
-from helpers import (PROPERTY, fold_evaluate, from_vectors, pi0_cospan,
-                     rand_term, rand_term_with_dom)
+from helpers import (PROPERTY, arity_oracle, fold_evaluate, from_vectors,
+                     pi0_cospan, rand_term, rand_term_with_dom)
 
 WIRE_GENS = ["m", "i", "d", "e"]
 
@@ -249,6 +249,60 @@ def test_arity_mismatch_names_the_enclosing_forms():
     assert named[10_000] == ("in term 2 of a seq: " * 4
                              + "… 9992 more forms … "
                              + "in term 2 of a seq: " * 4 + cannot)
+
+
+@st.composite
+def shared_terms(draw):
+    """A wire term built bottom up from a pool of subterms, so that they
+    recur: each new form takes the newest one first, so that forms nest
+    deep, then up to 3 more.  A seq's next child has the domain its last
+    one's codomain asks for, except where a wrong one is drawn."""
+    pool = [Gen(name) for name in WIRE_GENS] + [Id(1), Sym(1, 1)]
+    # what each pool entry's arity would be, were it well typed
+    arities = [WIRE_SIGNATURE.arity_of(name) for name in WIRE_GENS]
+    arities += [(1, 1), (2, 2)]
+    for _ in range(draw(st.integers(1, 14))):
+        picks = [len(pool) - 1]
+        wide = draw(st.booleans()) and arities[-1][1] < 12
+        for _ in range(draw(st.integers(1, 3))):
+            cod = arities[picks[-1]][1]
+            fits = [j for j, (d, _c) in enumerate(arities) if d == cod]
+            if wide or draw(st.integers(0, 15)) == 0 or not fits:
+                picks.append(draw(st.integers(0, len(pool) - 1)))
+            else:
+                picks.append(draw(st.sampled_from(fits)))
+        doms, cods = zip(*(arities[j] for j in picks))
+        pool.append((par if wide else seq)(*(pool[j] for j in picks)))
+        arities.append((sum(doms), sum(cods)) if wide
+                       else (doms[0], cods[-1]))
+    return pool[-1]
+
+
+def _deep_fault(levels):
+    """A mismatch ``levels`` seqs down, under forms that share a part."""
+    d, m = Gen("d"), Gen("m")
+    t, part = seq(d, d), seq(d, m, d)
+    for _ in range(levels):
+        t = seq(par(Id(1), Id(1)), m, part, t)
+    return t
+
+
+@PROPERTY
+@given(shared_terms())
+@example(_deep_fault(12))
+def test_arity_equals_a_recursive_oracle(t):
+    """The walk's value, shared ids and mismatch text are the recursive
+    oracle's, on terms with recurring subterms and on ill-typed ones,
+    however deep the fault lies."""
+    try:
+        want = arity_oracle(t, WIRE_SIGNATURE)
+    except ArityMismatch as e:
+        with pytest.raises(ArityMismatch) as caught:
+            arity(t, WIRE_SIGNATURE, set())
+        assert str(caught.value) == str(e)
+    else:
+        shared = set()
+        assert (arity(t, WIRE_SIGNATURE, shared), shared) == want
 
 
 class _CountingModel(CorelModel):
