@@ -13,7 +13,7 @@ from .term import (Gen, Id, Sym, Seq, Par, seq, par, parse_term,
 from .setprops import Corelation, Cospan, format_corel, parse_corel
 from .circuit import LCircuit, load_circuit
 from .linrel import LinRel, K_corel, blackbox, is_lagrangian, format_linrel
-from .afflag import AffRel, aff_blackbox, is_aff_lagrangian, format_affrel
+from .afflag import AffRel, aff_blackbox
 from .sigflow import box_eval, translate_T, square_check
 from .bondgraph import F_eval, G_eval, alpha, check_naturality
 

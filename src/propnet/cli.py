@@ -17,9 +17,8 @@ from .term import Gen, Id, Sym, evaluate, par, parse_term, seq
 from .setprops import (BoolRelModel, Corelation, CorelModel, CospanModel,
                        NatSpanModel, format_corel)
 from .circuit import CircuitModel, LCircuit, SOURCE_KINDS, load_circuit
-from .linrel import (CorelToLinRelModel, LinRel, blackbox,
-                     format_constraints, format_linrel)
-from .afflag import aff_blackbox, format_affrel
+from .linrel import CorelToLinRelModel, LinRel, blackbox, format_linrel
+from .afflag import aff_blackbox
 from .sigflow import SigFlowModel, square_check
 from .laws import bimonoid_laws, frobenius_monoid_laws, intern, run_suite
 from .bondgraph import (FModel, GModel, alpha, bondgraph_laws,
@@ -151,19 +150,11 @@ def _read_term(src: str):
     return parse_term(src)
 
 
-def _show_linrel(rel: LinRel) -> str:
-    if rel.dom % 2 == 0 and rel.cod % 2 == 0:
-        return format_linrel(rel)
-    names = ([f"x{i + 1}" for i in range(rel.dom)]
-             + [f"y{j + 1}" for j in range(rel.cod)])
-    return format_constraints(rel.field, rel.constraints.basis, names)
-
-
 def _show_value(value) -> str:
     if type(value) is Corelation:  # a Cospan prints its extras
         return format_corel(value)
     if isinstance(value, LinRel):
-        return _show_linrel(value)
+        return format_linrel(value)
     return repr(value)
 
 
@@ -197,10 +188,10 @@ def _show_circuit(c: LCircuit) -> str:
 def _cmd_blackbox(args) -> int:
     field = FIELDS[args.field]
     circuit = load_circuit(args.circuit)
-    if any(lab.kind in SOURCE_KINDS for _s, _t, lab in circuit.graph.edges):
-        print(format_affrel(aff_blackbox(circuit, field)))
-    else:
-        print(format_linrel(blackbox(circuit, field)))
+    box = (aff_blackbox if any(lab.kind in SOURCE_KINDS
+                               for _s, _t, lab in circuit.graph.edges)
+           else blackbox)
+    print(format_linrel(box(circuit, field)))
     return 0
 
 

@@ -27,7 +27,8 @@ rows computed from field elements (``dagger``, and the rows ``eliminate``
 leaves) use ``Subspace.span``, which reduces without coercing.
 ``eliminate`` projects a circuit's internal unknowns off its equations
 one Markowitz pivot at a time.  ``kernel`` solves rows for a basis; only
-the read-only views ``LinRel.space`` and ``AffRel.hspace`` call it.
+the read-only views ``LinRel.space``, which ``AffRel`` inherits, and
+``AffRel.hspace`` call it.
 """
 
 from __future__ import annotations

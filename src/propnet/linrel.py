@@ -4,11 +4,14 @@ black-boxing of linear circuits.
 
 A relation is stored as the reduced echelon rows of its kernel
 representation (Willems, IEEE CSM 2007; every linear relation has one:
-Bonchi, Sobocinski and Zanasi, "Interacting Hopf algebras", JPAA 2017),
-``LinRel`` over (dom, cod) and ``afflag.AffRel`` over (dom, cod, h).  Both
-compose by ``compose_rows``, one ``rref`` past the middle, and
-tensor by ``tensor_rows``; their shared tail s is h.  The printers print
-the stored rows.
+Bonchi, Sobocinski and Zanasi, "Interacting Hopf algebras", JPAA 2017)
+over (dom, cod, s), where the tail s is a class attribute: empty for
+``LinRel`` and the unit wire h for its subclass ``afflag.AffRel``.  Every
+relation operation is ``LinRel``'s: compose by ``compose_rows``, one
+``rref`` past the middle, tensor by ``tensor_rows``, and ``dagger``, all
+keeping s; relations with different tails do not mix.  One printer,
+``format_linrel``, prints the stored rows, and one check,
+``is_lagrangian``, reads them.
 
 Coordinate convention: domain ports first, then codomain ports; a circuit
 port carries the pair (phi, I) in that order.  The symplectic form per
@@ -39,13 +42,16 @@ class UnsupportedLabel(ValueError):
 
 class LinRel:
     """Linear relation k^dom -> k^cod, stored as ``constraints``: the
-    reduced echelon constraint rows of its subspace of k^(dom+cod)."""
+    reduced echelon constraint rows of its subspace of k^(dom+cod+tail).
+    ``tail`` is a class's count of columns after the ports: none here, and
+    the unit wire h for ``afflag.AffRel``; every operation keeps it."""
 
     __slots__ = ("dom", "cod", "constraints")
+    tail = 0
 
     def __init__(self, dom: int, cod: int, constraints: Subspace):
-        if constraints.ambient != dom + cod:
-            raise ValueError("ambient dimension must be dom + cod")
+        if constraints.ambient != dom + cod + self.tail:
+            raise ValueError("ambient dimension must be dom + cod + tail")
         self.dom = dom
         self.cod = cod
         self.constraints = constraints
@@ -62,10 +68,11 @@ class LinRel:
 
     @classmethod
     def from_constraints(cls, field, dom, cod, rows) -> "LinRel":
-        """Relation cut out by homogeneous constraint rows, whose entries
-        are coerced into ``field``; no rows give the whole space, and a
-        row not dom + cod long raises ``DimensionMismatch``."""
-        return cls(dom, cod, Subspace(field, dom + cod, rows))
+        """Relation cut out by constraint rows dom + cod + tail long, whose
+        entries are coerced into ``field`` (a tail entry is minus the
+        constant); no rows give the whole space, and a row of any other
+        length raises ``DimensionMismatch``."""
+        return cls(dom, cod, Subspace(field, dom + cod + cls.tail, rows))
 
     @classmethod
     def identity(cls, field, n: int) -> "LinRel":
@@ -78,32 +85,45 @@ class LinRel:
         one, minus_one, size = field.one, -field.one, m + n
         rows = ([{i: one, size + n + i: minus_one} for i in range(m)]
                 + [{m + j: one, size + j: minus_one} for j in range(n)])
-        return cls(size, size, Subspace.canonical(field, 2 * size, rows))
+        return cls(size, size,
+                   Subspace.canonical(field, 2 * size + cls.tail, rows))
 
     def compose(self, *others: "LinRel") -> "LinRel":
         """The composites, from the left, each by ``compose_rows``."""
         out = self
         for other in others:
-            out = LinRel(*compose_rows(out, other, 0))
+            out = type(self)(*compose_rows(out, other))
         return out
 
     def tensor(self, *others: "LinRel") -> "LinRel":
-        return LinRel(*tensor_rows((self, *others), 0))
+        return type(self)(*tensor_rows((self, *others)))
 
     def dagger(self) -> "LinRel":
+        """The converse: the dom and cod columns swap, the tail stays."""
         dom, cod = self.dom, self.cod
-        rows = [{k + cod if k < dom else k - dom: x for k, x in r.items()}
-                for r in self.constraints.rows]
-        return LinRel(cod, dom, Subspace.span(self.field, dom + cod, rows))
+        end = dom + cod
+        rows = [{k + cod if k < dom else k - dom if k < end else k: x
+                 for k, x in r.items()} for r in self.constraints.rows]
+        return type(self)(cod, dom, Subspace.span(
+            self.field, self.constraints.ambient, rows))
+
+    def is_empty(self) -> bool:
+        """Whether the rows hold 0 = 1: a reduced row with its pivot in the
+        tail, past the ports, is h = 0 itself and comes last.  Without a
+        tail no column reaches dom + cod, so this is never true."""
+        rows = self.constraints.rows
+        return bool(rows) and min(rows[-1]) == self.dom + self.cod
 
     def __eq__(self, other):
-        if not isinstance(other, LinRel):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.dom == other.dom and self.cod == other.cod
-                and self.constraints == other.constraints)
+                and (self.constraints == other.constraints
+                     or self.is_empty() and other.is_empty()))
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.constraints))
+        return hash((self.dom, self.cod,
+                     "empty" if self.is_empty() else self.constraints))
 
     def __repr__(self):
         return (f"LinRel({self.dom}->{self.cod}, dim "
@@ -111,9 +131,9 @@ class LinRel:
                 f"{self.field.name})")
 
 
-def compose_rows(f, g, tail: int):
-    """(dom, cod, constraints) of f;g, with a tail s of ``tail`` columns:
-    f's rows over (u, v, s) and g's over (v, w, s), placed with v at the
+def compose_rows(f, g):
+    """(dom, cod, constraints) of f;g, with their shared tail s: f's rows
+    over (u, v, s) and g's over (v, w, s), placed with v at the
     columns -|v| to -1 before (u, w, s), reduced by ``rref`` from column
     0 on: an echelon basis in that block order, reduced forward only over
     v, then one reduction of what is left past v, which spans the v-free
@@ -121,8 +141,11 @@ def compose_rows(f, g, tail: int):
     section 3.1).  Those reduced rows are f;g's as they stand."""
     if f.cod != g.dom:
         raise InterfaceMismatch(f"cannot compose {f.cod} -> with {g.dom} <-")
+    if f.tail != g.tail:
+        raise InterfaceMismatch(f"cannot compose {type(f).__name__} with "
+                                f"{type(g).__name__}")
     dom, mid, cod = f.dom, f.cod, g.cod
-    end, v = dom + cod + tail, [*range(-mid, 0)]
+    end, v = dom + cod + f.tail, [*range(-mid, 0)]
     rows = (_place(g.constraints.rows, [*v, *range(dom, end)])
             + _place(f.constraints.rows, [*range(dom), *v,
                                           *range(dom + cod, end)]))
@@ -135,10 +158,10 @@ def _place(rows, cols):
     return [{cols[k]: x for k, x in r.items()} for r in rows]
 
 
-def tensor_rows(rels, tail: int):
-    """(dom, cod, constraints) of the tensor, with a tail s of ``tail``
-    columns: every row shifted once into the (dom_1, ..., dom_k, cod_1,
-    ..., cod_k, s) layout, in pivot order.
+def tensor_rows(rels):
+    """(dom, cod, constraints) of the tensor, with their shared tail s:
+    every row shifted once into the (dom_1, ..., dom_k, cod_1, ...,
+    cod_k, s) layout, in pivot order.
 
     The blocks have disjoint supports and each block keeps the order of
     its columns, so every shifted row still has its pivot 1 at its least
@@ -148,6 +171,10 @@ def tensor_rows(rels, tail: int):
     rows, with no ``rref`` and no sort.  Only a pivot in s, an empty
     affine factor's 0 = 1, breaks this; then the rows are reduced.
     """
+    tail = rels[0].tail
+    if any(r.tail != tail for r in rels):
+        raise InterfaceMismatch("cannot tensor " + " with ".join(
+            type(r).__name__ for r in rels))
     dom = sum([r.dom for r in rels])
     cod = sum([r.cod for r in rels])
     # pivots on domain wires, then the rest; d and c count the domain and
@@ -171,9 +198,14 @@ def is_lagrangian(rel: LinRel) -> bool:
     symplectic form, with coordinates read as (phi, I) pairs: whether it
     has (dom + cod) / 2 rows and any two vanish under the dual form on
     covectors, the sum over ports of r_phi s_I - r_I s_phi, negated on
-    the domain ports."""
+    the domain ports.  An affine relation is Lagrangian when it is empty
+    or its linear part is."""
     if rel.dom % 2 or rel.cod % 2:
         raise OddDimension("ports carry (phi, I) pairs; dimensions must be even")
+    if rel.is_empty():
+        return True
+    if rel.tail:
+        rel = rel.linear_part()
     rows = rel.constraints.rows
     # per row r, the covector s -> (dual form of r and s): (-r_I, r_phi) on
     # each codomain port, negated on the domain ports
@@ -417,9 +449,15 @@ def format_constraints(field, rows, names) -> str:
 
 
 def format_linrel(rel: LinRel) -> str:
+    """``EMPTY``, or the stored rows over the (phi, I) port names when both
+    sides are even, and over x1, ..., y1, ... otherwise."""
+    if rel.is_empty():
+        return "EMPTY"
     if rel.dom % 2 or rel.cod % 2:
-        raise OddDimension("printing expects (phi, I) ports")
-    names = port_var_names(rel.dom // 2, rel.cod // 2)
+        names = ([f"x{i + 1}" for i in range(rel.dom)]
+                 + [f"y{j + 1}" for j in range(rel.cod)])
+    else:
+        names = port_var_names(rel.dom // 2, rel.cod // 2)
     return format_constraints(rel.field, rel.constraints.basis, names)
 
 

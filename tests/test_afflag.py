@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from propnet.afflag import (AffRel, aff_blackbox, format_affrel,
-                            is_aff_lagrangian, isource_rel, vsource_rel)
+from propnet.afflag import AffRel, aff_blackbox, isource_rel, vsource_rel
 from propnet.circuit import (CIRCUIT_SIGNATURE, CircuitModel, LCircuit,
                              LGraph, parse_label)
-from propnet.linrel import LinRel, blackbox, impedance_rel, label_rows
+from propnet.linrel import (LinRel, blackbox, format_linrel, impedance_rel,
+                            is_lagrangian, label_rows)
 from propnet.exactla import Subspace, kernel, rref
 from propnet.scalar import QQ, QS
+from propnet.setprops import InterfaceMismatch
 from propnet.term import evaluate, parse_term
 
 from helpers import (PROPERTY, AffineCircuitModel, aff_contains,
@@ -99,10 +100,25 @@ def test_empty_relation():
     conflict = a.compose(b)
     assert conflict.is_empty()
     assert witness(conflict) is None
-    assert format_affrel(conflict) == "EMPTY"
+    assert format_linrel(conflict) == "EMPTY"
     # empty relations of one type are all equal
     assert conflict == isource_rel(QQ, 3).compose(isource_rel(QQ, 4))
-    assert is_aff_lagrangian(conflict)
+    assert is_lagrangian(conflict)
+
+
+@pytest.mark.parametrize("linear_first", [True, False],
+                         ids=["linear-affine", "affine-linear"])
+def test_mixed_tails_raise(linear_first):
+    """A linear and an affine relation never compose or tensor: their rows
+    have different widths, so each order raises before any row moves."""
+    pair = [LinRel.identity(QQ, 2), vsource_rel(QQ, 3)]
+    first, second = pair if linear_first else pair[::-1]
+    with pytest.raises(InterfaceMismatch, match="cannot compose"):
+        first.compose(second)
+    with pytest.raises(InterfaceMismatch, match="cannot tensor"):
+        first.tensor(second)
+    with pytest.raises(InterfaceMismatch, match="cannot tensor"):
+        first.tensor(first, second)
 
 
 def test_source_free_matches_blackbox():
@@ -116,7 +132,7 @@ def test_aff_lagrangian_random():
     rng = random.Random(64)
     for _ in range(60):
         c = rand_circuit(rng, max_nodes=4, max_edges=5, kinds=SOURCE_KINDS)
-        assert is_aff_lagrangian(aff_blackbox(c, QS))
+        assert is_lagrangian(aff_blackbox(c, QS))
 
 
 def test_vsource_rel_table():
@@ -348,3 +364,52 @@ def test_blackbox_matches_affine_model_qq(t):
 @example(_CONFLICT)
 def test_blackbox_matches_affine_model_qs(t):
     check_blackbox_matches_affine_model(QS, t)
+
+
+# ---------------------------------------------------------------------------
+# the inclusion LinRel -> AffRel is a prop morphism, and the dagger AffRel
+# inherits is the converse
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@PROPERTY
+@given(data=st.data())
+def test_from_linrel_is_a_prop_morphism(field, data):
+    """``from_linrel`` commutes with compose, tensor and dagger, and
+    ``linear_part`` undoes it."""
+    dom, mid, cod, frows, grows = data.draw(composable_rows(field))
+    f = LinRel.from_constraints(field, dom, mid, frows)
+    g = LinRel.from_constraints(field, mid, cod, grows)
+    lift = AffRel.from_linrel
+    assert lift(f).compose(lift(g)) == lift(f.compose(g))
+    assert lift(f).tensor(lift(g)) == lift(f.tensor(g))
+    for rel in (f, g, f.compose(g)):
+        assert lift(rel).dagger() == lift(rel.dagger())
+        assert lift(rel).linear_part() == rel
+
+
+def dagger_oracle(rel):
+    """The converse of an affine relation by a second route: f#'s basis
+    with the dom and cod entries swapped and h kept."""
+    d, c = rel.dom, rel.cod
+    return Subspace(rel.field, d + c + 1,
+                    [v[d:d + c] + v[:d] + v[d + c:] for v in rel.hspace.basis])
+
+
+@pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
+@PROPERTY
+@given(data=st.data())
+def test_inherited_dagger_is_the_converse(field, data):
+    """``AffRel.dagger`` is ``LinRel``'s, with h left in place: it equals
+    the swapped-columns oracle, is an involution, reverses composites and
+    keeps an empty relation empty."""
+    f, g = data.draw(affine_chains(field, length=2))
+    for rel in (f, g, f.compose(g)):
+        dag = rel.dagger()
+        assert type(dag) is AffRel and (dag.dom, dag.cod) == (rel.cod, rel.dom)
+        assert dag.hspace == dagger_oracle(rel)
+        assert dag.dagger().constraints == rel.constraints
+        assert dag.is_empty() == rel.is_empty()
+    assert f.compose(g).dagger() == g.dagger().compose(f.dagger())
+    empty = AffRel.from_constraints(field, 1, 2, [[0, 0, 0, 1]])
+    assert empty.dagger().is_empty() and repr(empty.dagger()) == \
+        "AffRel(2->1, EMPTY)"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from propnet.circuit import MAX_NODES, circuit_from_json
 from propnet.cli import SUITES, _models, build_parser, main
-from propnet.afflag import format_affrel, vsource_rel
+from propnet.afflag import vsource_rel
 from propnet.linrel import format_linrel, impedance_rel, parse_linrel
 from propnet.scalar import FIELDS, MAX_NESTING, QQ, QS
 from propnet.term import (MAX_WIDTH, Gen, Id, Sym, arity, model_equal, par,
@@ -132,7 +132,7 @@ def test_qs_constants_print_as_constant_polynomials(tmp_path, capsys):
         assert format_linrel(impedance_rel(field, field.parse("-13/5"))) == \
             "phi_in_1 - phi_out_1 - (13/5)*I_out_1 = 0\nI_in_1 - I_out_1 = 0"
         source = f"phi_in_1 - phi_out_1 = {rhs}\nI_in_1 - I_out_1 = 0"
-        assert format_affrel(vsource_rel(field, field.parse("13/5"))) == \
+        assert format_linrel(vsource_rel(field, field.parse("13/5"))) == \
             source
         args = ("--field", field.name)
         assert run(capsys, "blackbox", "--circuit", path, *args) == \

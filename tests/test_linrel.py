@@ -10,8 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propnet import afflag, exactla, linrel
-from propnet.afflag import (AffRel, aff_blackbox, format_affrel,
-                            is_aff_lagrangian)
+from propnet.afflag import AffRel, aff_blackbox
 from propnet.circuit import (MAX_NODES, SOURCE_KINDS, WIRE, CircuitModel,
                              EdgeLabel, LCircuit, LGraph, parse_label)
 from propnet.linrel import (CorelToLinRelModel, K_corel, LinRel, OddDimension,
@@ -182,8 +181,8 @@ def test_format_parse_round_trip():
         rel = blackbox(c, QS)
         text = format_linrel(rel)
         assert parse_linrel(text, rel.dom // 2, rel.cod // 2, QS) == rel
-    with pytest.raises(OddDimension):
-        format_linrel(LinRel.from_constraints(QQ, 1, 0, [[1]]))
+    # an odd interface prints over x1, ..., y1, ...
+    assert format_linrel(LinRel.from_constraints(QQ, 1, 0, [[1]])) == "x1 = 0"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -294,7 +293,7 @@ def _exact_results(field, convert, rows, gone, composable, circuit,
                Subspace(field, width, dense).rows, f.space.rows,
                f.compose(g).space.rows, f.tensor(g).space.rows,
                box.space.rows, box.constraints.rows, abox.constraints.rows]
-    return rowsets, format_linrel(box), format_affrel(abox)
+    return rowsets, format_linrel(box), format_linrel(abox)
 
 
 @pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
@@ -526,6 +525,14 @@ def test_is_lagrangian_on_rows_matches_pairwise_oracle(field, data):
         assert is_lagrangian(rel) == lagrangian_oracle(rel)
 
 
+def test_is_lagrangian_needs_even_interfaces():
+    """Ports carry (phi, I) pairs, linear and affine relations alike."""
+    for rel in (LinRel.from_constraints(QQ, 1, 0, [[1]]),
+                AffRel.from_constraints(QQ, 0, 3, [[1, 0, 0, -1]])):
+        with pytest.raises(OddDimension):
+            is_lagrangian(rel)
+
+
 @pytest.mark.parametrize("field", [QQ, QS], ids=["QQ", "QS"])
 @PROPERTY
 @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -654,7 +661,7 @@ def test_no_engine_path_takes_a_kernel(tmp_path, capsys, monkeypatch):
             aff = aff_blackbox(CORNER_CIRCUITS[name], field)
             lifted = AffRel.from_linrel(imp)
             both = aff.compose(lifted).tensor(AffRel.symmetry(field, 2, 0))
-            assert is_aff_lagrangian(both) and format_affrel(both)
+            assert is_lagrangian(both) and format_linrel(both)
             assert repr(both.linear_part()) and repr(both)
             assert both.is_empty() == ("sources" in name)
     terms = [("linrel", "(seq (gen d) (par (label resistor 2) "
@@ -690,7 +697,7 @@ def test_relations_compose_without_eliminate(capsys, monkeypatch):
         one = AffRel.from_constraints(field, 0, 2, [[1, 0, -1]])
         two = AffRel.from_constraints(field, 2, 0, [[1, 0, -2]])
         empty = one.compose(two)
-        assert empty.is_empty() and format_affrel(empty) == "EMPTY"
+        assert empty.is_empty() and format_linrel(empty) == "EMPTY"
         lifted = AffRel.from_linrel(imp)
         both = one.compose(lifted, lifted).tensor(empty, one)
         assert both.is_empty() and (both.dom, both.cod) == (0, 4)
